@@ -74,10 +74,11 @@ def _limit_threads(n):
         return
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
     except ImportError:
-        pass
+        print(f"warning: --threads {n} not applied: threadpoolctl is not installed",
+              file=sys.stderr)
+        return
+    threadpool_limits(limits=n)
 
 
 def _write_run_manifest(out_dir: Path, command: str, args: argparse.Namespace,
@@ -219,7 +220,7 @@ def cmd_graph_stats(args):
                             ("euclidean", (hier.euclidean_edges or [None] * hier.num_levels)[lvl])):
             if edges is None:
                 continue
-            degrees = np.array([len(n) for n in edges.neighbors])
+            degrees = edges.degrees
             entry[name] = {
                 "edges": int(degrees.sum()),
                 "mean_degree": float(degrees.mean()),

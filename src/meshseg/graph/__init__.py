@@ -1,2 +1,2 @@
-from .neighborhoods import EdgeSet, NeighborhoodConfig, knn_graph, radius_graph
+from .neighborhoods import EdgeSet, NeighborhoodConfig, knn_graph, radius_graph, scatter_sum
 from .res import res_sample, sampling_probability

@@ -1,63 +1,127 @@
-"""Euclidean neighbor graphs over 3D points (k-nn and radius)."""
+"""CSR edge sets, the scatter-sum over them, and k-nn / radius graphs of 3D points."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 
 class EdgeSet:
-    """Directed per-vertex neighbor lists (center -> neighbor)."""
+    """Directed edges (center -> neighbor) in CSR form.
 
-    def __init__(self, neighbors: List[np.ndarray]):
-        self.neighbors = [np.asarray(n, dtype=np.int64) for n in neighbors]
+    The neighbors of vertex i are indices[indptr[i]:indptr[i + 1]], in the
+    order the constructing function emitted them. That order is part of the
+    output: RES thinning keeps or drops each edge by its position in the row.
+    """
 
-    def __len__(self):
-        return len(self.neighbors)
+    def __init__(self, neighbors: Sequence[np.ndarray]):
+        rows = [np.asarray(n, dtype=np.int64).reshape(-1) for n in neighbors]
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=self.indptr[1:])
+        self.indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
 
-    def __eq__(self, other):
-        return len(self) == len(other) and all(
-            np.array_equal(np.sort(a), np.sort(b))
-            for a, b in zip(self.neighbors, other.neighbors)
-        )
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(n) for n in self.neighbors)
-
-    def flatten(self):
-        """Return (centers, neighbors) index arrays over all directed edges."""
-        counts = np.array([len(n) for n in self.neighbors], dtype=np.int64)
-        centers = np.repeat(np.arange(len(self.neighbors), dtype=np.int64), counts)
-        if self.neighbors:
-            nbrs = np.concatenate(self.neighbors)
-        else:
-            nbrs = np.empty(0, dtype=np.int64)
-        return centers, nbrs.astype(np.int64)
+    @classmethod
+    def from_csr(cls, indptr, indices) -> "EdgeSet":
+        edges = cls.__new__(cls)
+        edges.indptr = np.asarray(indptr, dtype=np.int64).reshape(-1)
+        edges.indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        return edges
 
     @classmethod
     def from_pairs(cls, centers, neighbors, num_vertices: int) -> "EdgeSet":
-        centers = np.asarray(centers, dtype=np.int64)
-        neighbors = np.asarray(neighbors, dtype=np.int64)
+        """Edges grouped by center; each row keeps the pairs' order of appearance."""
+        centers = np.asarray(centers, dtype=np.int64).reshape(-1)
         order = np.argsort(centers, kind="stable")
-        centers, neighbors = centers[order], neighbors[order]
-        lists = [np.empty(0, dtype=np.int64)] * num_vertices
-        if centers.size:
-            splits = np.flatnonzero(np.diff(centers)) + 1
-            groups = np.split(neighbors, splits)
-            starts = centers[np.concatenate([[0], splits])]
-            for c, g in zip(starts, groups):
-                lists[c] = g
-        return cls(lists)
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(centers, minlength=num_vertices), out=indptr[1:])
+        return cls.from_csr(indptr, np.asarray(neighbors, dtype=np.int64)[order])
+
+    @classmethod
+    def symmetric(cls, a, b, num_vertices: int) -> "EdgeSet":
+        """Both directions of every pair (a[k], b[k]), without duplicates,
+        each row in ascending neighbor order."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        keys = np.unique(np.concatenate([a * num_vertices + b, b * num_vertices + a]))
+        return cls.from_pairs(keys // num_vertices, keys % num_vertices, num_vertices)
+
+    @classmethod
+    def disjoint_union(cls, edge_sets: Sequence["EdgeSet"]) -> "EdgeSet":
+        """Edge sets side by side, each offset past the vertices of those before it."""
+        first_vertex = np.cumsum([0] + [len(e) for e in edge_sets])
+        first_edge = np.cumsum([0] + [e.num_edges for e in edge_sets])
+        return cls.from_csr(
+            np.concatenate([[0]] + [e.indptr[1:] + k for e, k in zip(edge_sets, first_edge)]),
+            np.concatenate([e.indices + v for e, v in zip(edge_sets, first_vertex)]))
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __eq__(self, other):
+        """Same neighbor multiset per vertex; the order within a row is ignored."""
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        if not np.array_equal(self.indptr, other.indptr):
+            return False
+        centers, _ = self.flatten()
+        return np.array_equal(self.indices[np.lexsort((self.indices, centers))],
+                              other.indices[np.lexsort((other.indices, centers))])
+
+    @property
+    def neighbors(self) -> List[np.ndarray]:
+        """Per-vertex neighbor arrays (views into indices)."""
+        bounds = self.indptr.tolist()
+        return [self.indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.indices)
+
+    def flatten(self):
+        """Return (centers, neighbors) index arrays over all directed edges."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.degrees), self.indices
 
     def validate(self, num_vertices: Optional[int] = None):
-        n = num_vertices if num_vertices is not None else len(self.neighbors)
-        for i, nbrs in enumerate(self.neighbors):
-            if nbrs.size and (nbrs.min() < 0 or nbrs.max() >= n):
-                raise ValueError(f"edge index out of range at vertex {i}")
+        if self.indptr.size == 0 or self.indptr[0] != 0:
+            raise ValueError("indptr must start at 0")
+        if (np.diff(self.indptr) < 0).any():
+            raise ValueError("indptr is not monotone")
+        if self.indptr[-1] != len(self.indices):
+            raise ValueError(
+                f"indptr ends at {self.indptr[-1]} but there are {len(self.indices)} edges")
+        n = num_vertices if num_vertices is not None else len(self)
+        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
+            bad = np.flatnonzero((self.indices < 0) | (self.indices >= n))[0]
+            vertex = int(np.searchsorted(self.indptr, bad, side="right")) - 1
+            raise ValueError(f"edge index out of range at vertex {vertex}")
+
+
+def scatter_sum(values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
+    """out[s] = sum of values[k] over index[k] == s, added in ascending k.
+
+    That is the order of np.add.at, and the result is bit-identical to it:
+    the sum is a product with the CSC incidence matrix, whose kernel visits
+    its columns (one per row of values) in order.
+    """
+    n = len(index)
+    # The sparse kernel does not bounds-check its indices.
+    if n and (index.min() < 0 or index.max() >= num_segments):
+        raise IndexError(f"scatter index out of range for {num_segments} segments")
+    # int32 indices spare the constructor a range scan and a copy.
+    incidence = sparse.csc_matrix(
+        (np.ones(n), index.astype(np.int32), np.arange(n + 1, dtype=np.int32)),
+        shape=(num_segments, n))
+    width = math.prod(values.shape[1:])
+    return (incidence @ values.reshape(n, width)).reshape((num_segments,) + values.shape[1:])
 
 
 @dataclass
@@ -117,12 +181,7 @@ def radius_graph(points: np.ndarray, r: float) -> EdgeSet:
     if r <= 0:
         raise ValueError("radius must be positive")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    tree = cKDTree(points)
-    lists = tree.query_ball_tree(tree, r)
-    neighbors = []
-    for i, lst in enumerate(lists):
-        nbrs = np.asarray([j for j in lst if j != i], dtype=np.int64)
-        if nbrs.size == 0:
-            nbrs = np.asarray([i], dtype=np.int64)
-        neighbors.append(np.sort(nbrs))
-    return EdgeSet(neighbors)
+    pairs = cKDTree(points).query_pairs(r, output_type="ndarray")
+    lonely = np.flatnonzero(np.bincount(pairs.ravel(), minlength=len(points)) == 0)
+    return EdgeSet.symmetric(np.concatenate([pairs[:, 0], lonely]),
+                             np.concatenate([pairs[:, 1], lonely]), len(points))

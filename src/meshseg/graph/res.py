@@ -28,21 +28,25 @@ def sampling_probability(n: int, T: int) -> float:
 def res_sample(edges: EdgeSet, T: int, seed: int) -> EdgeSet:
     """Thin oversized neighborhoods, independently per vertex.
 
-    Deterministic for a fixed seed; each vertex draws from its own
-    counter-based stream keyed by (seed, vertex index), so results do not
-    depend on evaluation order. A vertex may end up with an empty neighbor
-    list; downstream consumers fall back to a self-loop in that case.
+    Deterministic for a fixed seed; vertex i draws from its own
+    counter-based stream, Philox keyed by seed with counter [0, 0, 0, i],
+    so results do not depend on evaluation order. Edge k of the row is
+    kept iff the k-th draw is below the keep probability. A vertex may end
+    up with an empty neighbor list; downstream consumers fall back to a
+    self-loop in that case.
     """
     if T < 1:
         raise ValueError("threshold T must be >= 1")
-    out = []
-    for i, nbrs in enumerate(edges.neighbors):
-        n = len(nbrs)
-        if n <= T:
-            out.append(nbrs.copy())
-            continue
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, i]))
-        p = sampling_probability(n, T)
-        keep = rng.random(n) < p
-        out.append(nbrs[keep])
-    return EdgeSet(out)
+    degrees = edges.degrees
+    keep = np.ones(edges.num_edges, dtype=bool)
+    bit_generator = np.random.Philox(key=np.uint64(seed))
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state  # counter 0 and an empty buffer
+    for i in np.flatnonzero(degrees > T):
+        n = int(degrees[i])
+        state["state"]["counter"][3] = i
+        bit_generator.state = state
+        start = edges.indptr[i]
+        keep[start:start + n] = rng.random(n) < sampling_probability(n, T)
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    return EdgeSet.from_csr(kept_before[edges.indptr], edges.indices[keep])

@@ -146,15 +146,11 @@ def build_hierarchy(mesh: Mesh, config: HierarchyConfig) -> Hierarchy:
     input_trace = apply(steps[0])
     if config.strategy == "fps":
         # FPS discards surface connectivity entirely.
-        edge_sets[0] = EdgeSet([np.empty(0, dtype=np.int64)] * levels[0].num_vertices)
-        current_edges = edge_sets[0]
+        edge_sets[0] = current_edges = EdgeSet.from_pairs([], [], levels[0].num_vertices)
     for step in steps[1:]:
         traces.append(apply(step))
         if config.strategy == "fps":
-            edge_sets[-1] = EdgeSet(
-                [np.empty(0, dtype=np.int64)] * levels[-1].num_vertices
-            )
-            current_edges = edge_sets[-1]
+            edge_sets[-1] = current_edges = EdgeSet.from_pairs([], [], levels[-1].num_vertices)
 
     hier = Hierarchy(
         levels=levels,
@@ -180,9 +176,9 @@ def merge_hierarchies(hiers: Sequence[Hierarchy]) -> Hierarchy:
         meshes = [h.levels[lvl] for h in hiers]
         offsets = np.cumsum([0] + [m.num_vertices for m in meshes[:-1]])
         levels.append(_concat_meshes(meshes, offsets))
-        geo.append(_concat_edges([h.geodesic_edges[lvl] for h in hiers]))
+        geo.append(EdgeSet.disjoint_union([h.geodesic_edges[lvl] for h in hiers]))
         if has_euc:
-            euc.append(_concat_edges([h.euclidean_edges[lvl] for h in hiers]))
+            euc.append(EdgeSet.disjoint_union([h.euclidean_edges[lvl] for h in hiers]))
         if lvl < depth - 1:
             coarse_offsets = np.cumsum(
                 [0] + [h.levels[lvl + 1].num_vertices for h in hiers[:-1]]
@@ -213,12 +209,3 @@ def _concat_meshes(meshes, offsets):
         normals=cat("normals"),
         labels=cat("labels"),
     )
-
-
-def _concat_edges(edge_sets):
-    neighbors = []
-    offset = 0
-    for es in edge_sets:
-        neighbors.extend(n + offset for n in es.neighbors)
-        offset += len(es)
-    return EdgeSet(neighbors)

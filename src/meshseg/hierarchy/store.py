@@ -131,10 +131,7 @@ def _read_trace(path, coarse_count: int) -> PoolingTraceMap:
 
 
 def _write_edges(path, edges: EdgeSet):
-    centers, nbrs = edges.flatten()
-    with open(path, "w") as f:
-        for i, j in zip(centers, nbrs):
-            f.write(f"{i} {j}\n")
+    np.savetxt(path, np.stack(edges.flatten(), axis=1), fmt="%d")
 
 
 def _read_edges(path, num_vertices: int) -> EdgeSet:

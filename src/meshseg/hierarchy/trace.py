@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.neighborhoods import scatter_sum
 from ..mesh.core import UNLABELED
 
 
@@ -38,24 +39,19 @@ class PoolingTraceMap:
 
 
 def pool_features(features: np.ndarray, trace: PoolingTraceMap, mode: str = "mean") -> np.ndarray:
-    """Aggregate fine feature rows over trace groups (mean, max or sum)."""
+    """Aggregate fine feature rows over trace groups (mean or sum)."""
     features = np.asarray(features)
     if features.shape[0] != trace.fine_count:
         raise ValueError(
             f"feature rows ({features.shape[0]}) != trace fine size ({trace.fine_count})"
         )
+    if mode not in ("mean", "sum"):
+        raise ValueError(f"unknown pooling mode {mode!r}")
     c = trace.coarse_count
-    if mode == "sum" or mode == "mean":
-        out = np.zeros((c,) + features.shape[1:], dtype=np.float64)
-        np.add.at(out, trace.assignment, features)
-        if mode == "mean":
-            out /= trace.group_sizes().reshape((c,) + (1,) * (features.ndim - 1))
-        return out
-    if mode == "max":
-        out = np.full((c,) + features.shape[1:], -np.inf)
-        np.maximum.at(out, trace.assignment, features)
-        return out
-    raise ValueError(f"unknown pooling mode {mode!r}")
+    out = scatter_sum(features, trace.assignment, c)
+    if mode == "mean":
+        out /= trace.group_sizes().reshape((c,) + (1,) * (features.ndim - 1))
+    return out
 
 
 def unpool_features(coarse: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:

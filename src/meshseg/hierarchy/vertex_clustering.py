@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..graph.neighborhoods import EdgeSet
-from ..mesh.core import Mesh, geodesic_edge_set
+from ..mesh.core import Mesh
 from .trace import PoolingTraceMap, pool_features, pool_labels
 
 
@@ -22,9 +22,7 @@ def grid_cell_indices(positions: np.ndarray, cell_size: float) -> np.ndarray:
     return np.floor((positions - anchor) / cell_size).astype(np.int64)
 
 
-def vertex_clustering_pool(
-    mesh: Mesh, cell_size: float, fine_edges: Optional[EdgeSet] = None
-) -> Tuple[Mesh, PoolingTraceMap]:
+def vertex_clustering_pool(mesh: Mesh, cell_size: float) -> Tuple[Mesh, PoolingTraceMap]:
     """Group vertices by uniform grid cell; one centroid vertex per cell.
 
     Coarse features are group means, labels are group majorities. Coarse
@@ -35,7 +33,6 @@ def vertex_clustering_pool(
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
-    del fine_edges  # cell membership depends on positions only
 
     cells = grid_cell_indices(mesh.positions, cell_size)
     _, assignment = np.unique(cells, axis=0, return_inverse=True)
@@ -74,13 +71,8 @@ def pooled_edge_set(fine_edges: EdgeSet, trace: PoolingTraceMap) -> EdgeSet:
     ca = trace.assignment[centers]
     cb = trace.assignment[nbrs]
     keep = ca != cb
-    pairs = np.stack([ca[keep], cb[keep]], axis=1)
-    # Symmetrize: fine edge sets may be directed (e.g. k-nn graphs).
-    pairs = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
-    if pairs.size:
-        pairs = np.unique(pairs, axis=0)
-    return EdgeSet.from_pairs(pairs[:, 0], pairs[:, 1], trace.coarse_count) \
-        if pairs.size else EdgeSet([np.empty(0, dtype=np.int64)] * trace.coarse_count)
+    # Symmetric even when the fine edge set is directed (e.g. k-nn graphs).
+    return EdgeSet.symmetric(ca[keep], cb[keep], trace.coarse_count)
 
 
 def _pooled_normals(normals: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
@@ -90,8 +82,3 @@ def _pooled_normals(normals: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
     mean[ok] /= norms[ok, None]
     mean[~ok] = (0.0, 0.0, 1.0)
     return mean
-
-
-def derive_geodesic_edges(mesh: Mesh) -> EdgeSet:
-    """Face-induced adjacency (re-exported for hierarchy building)."""
-    return geodesic_edge_set(mesh)

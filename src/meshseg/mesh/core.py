@@ -146,22 +146,10 @@ def geodesic_edge_set(mesh: Mesh):
     """
     from ..graph.neighborhoods import EdgeSet
 
-    v = mesh.num_vertices
-    if mesh.faces.size == 0:
-        return EdgeSet([np.empty(0, dtype=np.int64) for _ in range(v)])
-    f = mesh.faces
-    src = np.concatenate([f[:, 0], f[:, 1], f[:, 2], f[:, 1], f[:, 2], f[:, 0]])
-    dst = np.concatenate([f[:, 1], f[:, 2], f[:, 0], f[:, 0], f[:, 1], f[:, 2]])
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    neighbors = [np.empty(0, dtype=np.int64)] * v
-    if pairs.size:
-        splits = np.flatnonzero(np.diff(pairs[:, 0])) + 1
-        groups = np.split(pairs[:, 1], splits)
-        centers = pairs[np.concatenate([[0], splits]), 0]
-        for center, group in zip(centers, groups):
-            neighbors[center] = group
-    return EdgeSet(neighbors)
+    a = mesh.faces.ravel()
+    b = np.roll(mesh.faces, -1, axis=1).ravel()  # (f0, f1), (f1, f2), (f2, f0)
+    keep = a != b
+    return EdgeSet.symmetric(a[keep], b[keep], mesh.num_vertices)
 
 
 def face_normals_and_areas(mesh: Mesh):

@@ -41,7 +41,7 @@ def load_mesh(path, fmt: Optional[str] = None) -> Mesh:
     elif fmt == "off":
         mesh = _load_off(path)
     else:
-        raise ValueError(f"unsupported mesh format: {fmt!r}")
+        raise MeshParseError(f"{path}: unsupported mesh format {fmt!r}")
     return check_mesh(mesh)
 
 
@@ -54,7 +54,7 @@ def save_mesh(mesh: Mesh, path, fmt: Optional[str] = None, binary: bool = True):
     elif fmt == "off":
         _save_off(mesh, path)
     else:
-        raise ValueError(f"unsupported mesh format: {fmt!r}")
+        raise MeshParseError(f"{path}: unsupported mesh format {fmt!r}")
 
 
 # ---------------------------------------------------------------- OFF

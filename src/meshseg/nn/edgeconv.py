@@ -11,23 +11,21 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.neighborhoods import EdgeSet
+from ..graph.neighborhoods import EdgeSet, scatter_sum
 from .layers import BN_EPS, BN_MOMENTUM, Param, Sequential, mlp
 
 
 def prepared_edges(edges: EdgeSet):
-    """Flattened (centers, neighbors, inverse counts) with self-loop fallback.
+    """Per-edge (centers, neighbors) and per-vertex inverse counts.
 
     Vertices with an empty neighbor list get a self-loop so the mean stays
     defined.
     """
-    neighbors = [
-        n if len(n) else np.asarray([i], dtype=np.int64)
-        for i, n in enumerate(edges.neighbors)
-    ]
-    counts = np.array([len(n) for n in neighbors], dtype=np.int64)
-    centers = np.repeat(np.arange(len(neighbors), dtype=np.int64), counts)
-    nbrs = np.concatenate(neighbors) if neighbors else np.empty(0, dtype=np.int64)
+    degrees = edges.degrees
+    counts = np.maximum(degrees, 1)
+    centers = np.repeat(np.arange(len(edges), dtype=np.int64), counts)
+    nbrs = centers.copy()
+    nbrs[np.repeat(degrees > 0, counts)] = edges.indices
     return centers, nbrs, 1.0 / counts
 
 
@@ -47,8 +45,7 @@ class EdgeConvBranch:
         diff = x[nbrs] - x[centers]
         h = diff if self.relative else np.concatenate([x[centers], diff], axis=1)
         z = self.phi.forward(h, train)
-        y = np.zeros((x.shape[0], z.shape[1]))
-        np.add.at(y, centers, z)
+        y = scatter_sum(z, centers, x.shape[0])
         y *= inv_counts[:, None]
         if train:
             self._cache = (x.shape, centers, nbrs, inv_counts)
@@ -56,17 +53,17 @@ class EdgeConvBranch:
 
     def backward(self, dy):
         x_shape, centers, nbrs, inv_counts = self._cache
-        dz = dy[centers] * inv_counts[centers, None]
+        dz = (dy * inv_counts[:, None])[centers]
         dh = self.phi.backward(dz)
-        dx = np.zeros(x_shape)
+        # h = [x_i, x_j - x_i]: x_i collects dh's first half minus its second
+        # half, x_j the second half. Scattering whole rows avoids copying halves.
+        v, f = x_shape
         if self.relative:
-            ddiff = dh
-        else:
-            f = x_shape[1]
-            np.add.at(dx, centers, dh[:, :f])
-            ddiff = dh[:, f:]
-        np.add.at(dx, nbrs, ddiff)
-        np.subtract.at(dx, centers, ddiff)
+            return scatter_sum(dh, nbrs, v) - scatter_sum(dh, centers, v)
+        to_centers = scatter_sum(dh, centers, v)
+        dx = to_centers[:, :f] - to_centers[:, f:]
+        del to_centers
+        dx += scatter_sum(dh, nbrs, v)[:, f:]
         return dx
 
     def parameters(self):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..graph.neighborhoods import EdgeSet
 from ..hierarchy.build import Hierarchy
-from ..hierarchy.trace import PoolingTraceMap
+from ..hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
 from .edgeconv import DualBlock, prepared_edges
 from .layers import BN_EPS, BN_MOMENTUM, BatchNorm, Linear, ReLU
 
@@ -146,12 +146,12 @@ class SegmentationNetwork:
                 x = blk.forward(x, geo[lvl], euc[lvl], train)
             if lvl < L - 1:
                 skips.append(x)
-                x = _pool_mean(x, traces[lvl])
+                x = pool_features(x, traces[lvl], "mean")
         self._skip_shapes = [s.shape for s in skips]
 
         for i, blocks in enumerate(self.decoder):
             lvl = L - 2 - i
-            x = _unpool(x, traces[lvl])
+            x = unpool_features(x, traces[lvl])
             x = np.concatenate([x, skips[lvl]], axis=1)
             for blk in blocks:
                 x = blk.forward(x, geo[lvl], euc[lvl], train)
@@ -178,36 +178,17 @@ class SegmentationNetwork:
                 dy = blk.backward(dy)
             w = self.config.level_width(lvl + 1)
             dskips[lvl] += dy[:, w:]
-            dy = _unpool_backward(dy[:, :w], traces[lvl])
+            # Adjoint of the copy: sum-pool the upstream gradient.
+            dy = pool_features(dy[:, :w], traces[lvl], "sum")
 
         for lvl in range(L - 1, -1, -1):
             if lvl < L - 1:
-                dy = _pool_mean_backward(dy, traces[lvl]) + dskips[lvl]
+                # Adjoint of the group mean: divide by the group size, copy back.
+                sizes = traces[lvl].group_sizes()[:, None]
+                dy = unpool_features(dy / sizes, traces[lvl]) + dskips[lvl]
             for blk in reversed(self.encoder[lvl]):
                 dy = blk.backward(dy)
         return dy
-
-
-def _pool_mean(x, trace: PoolingTraceMap):
-    out = np.zeros((trace.coarse_count, x.shape[1]))
-    np.add.at(out, trace.assignment, x)
-    return out / trace.group_sizes()[:, None]
-
-
-def _pool_mean_backward(dcoarse, trace: PoolingTraceMap):
-    # Adjoint of the group mean: broadcast-divide by the group size.
-    return (dcoarse / trace.group_sizes()[:, None])[trace.assignment]
-
-
-def _unpool(coarse, trace: PoolingTraceMap):
-    return coarse[trace.assignment]
-
-
-def _unpool_backward(dfine, trace: PoolingTraceMap):
-    # Adjoint of the copy: sum-pool the upstream gradient.
-    out = np.zeros((trace.coarse_count, dfine.shape[1]))
-    np.add.at(out, trace.assignment, dfine)
-    return out
 
 
 def forward_on_hierarchy(net: SegmentationNetwork, hier: Hierarchy,

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -142,7 +143,16 @@ def test_validation_errors_exit_2(workdir, capsys):
     assert main(["infer", "--checkpoint", str(not_ckpt),
                  "--scene", str(workdir / "scene0.ply"),
                  "--output", str(workdir / "p.txt")]) == EXIT_VALIDATION
-    assert "validation error" in capsys.readouterr().err
+
+    # An unsupported mesh format, read and written.
+    unknown = workdir / "scene0.xyz"
+    unknown.write_text("0 0 0\n")
+    assert main(["build-hierarchy", str(unknown), str(workdir / "x")]) == EXIT_VALIDATION
+    assert main(["subdivide", str(workdir / "scene0.ply"), str(workdir / "out.xyz"),
+                 "--min-edge-len", "100"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert err.count("unsupported mesh format") == 2
 
 
 def test_vote_length_mismatch_exit_2(workdir, tmp_path):
@@ -151,3 +161,15 @@ def test_vote_length_mismatch_exit_2(workdir, tmp_path):
     b.write_text("0\n")
     assert main(["vote", str(a), str(b), "--output",
                  str(tmp_path / "v.txt")]) == EXIT_VALIDATION
+
+
+def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    preds = tmp_path / "p.txt"
+    preds.write_text("0\n1\n")
+    vote = ["vote", str(preds), str(preds), "--output", str(tmp_path / "v.txt")]
+    assert main(vote) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main(["--threads", "1", *vote]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--threads 1 not applied" in err[0]

@@ -111,12 +111,11 @@ def test_merge_hierarchies_disjoint_union(scene):
                               a.levels[lvl].positions)
         assert np.array_equal(merged.levels[lvl].positions[na:],
                               b.levels[lvl].positions)
-        # Edges of b are offset; no cross edges exist.
-        for i, nbrs in enumerate(merged.geodesic_edges[lvl].neighbors):
-            if i < na:
-                assert (nbrs < na).all()
-            else:
-                assert (nbrs >= na).all()
+        # Edges of b are offset by a's vertex count; no cross edges exist.
+        for edges in ("geodesic_edges", "euclidean_edges"):
+            parts = getattr(a, edges)[lvl].neighbors
+            parts += [n + na for n in getattr(b, edges)[lvl].neighbors]
+            assert getattr(merged, edges)[lvl] == EdgeSet(parts)
     for lvl in range(3):
         ca = a.levels[lvl + 1].num_vertices
         fa = a.levels[lvl].num_vertices

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig, knn_graph, radius_graph
+from meshseg.graph.neighborhoods import (
+    EdgeSet,
+    NeighborhoodConfig,
+    knn_graph,
+    radius_graph,
+    scatter_sum,
+)
 
 
 def brute_knn(points, k):
@@ -113,6 +119,33 @@ def test_edge_set_validate_range():
     with pytest.raises(ValueError):
         edges.validate(2)
     edges.validate(4)
+
+
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([], [], "start at 0"),
+    ([1, 2], [0], "start at 0"),
+    ([0, 2, 1, 3], [0, 1, 2], "not monotone"),
+    ([0, 1, 3], [0, 1], "ends at 3"),
+    ([0, 1, 2], [0, 1, 2], "ends at 2"),
+    ([0, 1, 2], [0, -1], "out of range at vertex 1"),
+    ([0, 2, 2], [1, 2], "out of range at vertex 0"),
+])
+def test_edge_set_validate_csr_structure(indptr, indices, message):
+    with pytest.raises(ValueError, match=message):
+        EdgeSet.from_csr(indptr, indices).validate()
+
+
+def test_scatter_sum_matches_add_at_bitwise(rng):
+    values = rng.standard_normal((500, 7)) * 10.0 ** rng.integers(-8, 8, (500, 1))
+    index = rng.integers(0, 40, 500)
+    expected = np.zeros((45, 7))
+    np.add.at(expected, index, values)
+    assert np.array_equal(scatter_sum(values, index, 45), expected)
+    assert np.array_equal(scatter_sum(values[:, 2], index, 45), expected[:, 2])
+    with pytest.raises(IndexError):
+        scatter_sum(values, np.where(index == 3, 45, index), 45)
+    with pytest.raises(IndexError):
+        scatter_sum(values, np.where(index == 3, -1, index), 45)
 
 
 def test_edge_set_num_edges():

@@ -3,15 +3,13 @@ import pytest
 
 from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig
 from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy
-from meshseg.hierarchy.trace import PoolingTraceMap
+from meshseg.hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
 from meshseg.nn.edgeconv import prepared_edges
 from meshseg.nn.gradcheck import finite_difference_check
 from meshseg.nn.loss import cross_entropy_loss
 from meshseg.nn.network import (
     NetworkConfig,
     SegmentationNetwork,
-    _pool_mean,
-    _unpool,
     forward_on_hierarchy,
 )
 from meshseg.pipeline.toydata import make_toy_scene
@@ -93,10 +91,10 @@ def test_forward_matches_manual_wiring(rng):
     for blk in net.encoder[0]:
         x = blk.forward(x, g[0], e[0], train=False)
     skip = x
-    x = _pool_mean(x, traces[0])
+    x = pool_features(x, traces[0], "mean")
     for blk in net.encoder[1]:
         x = blk.forward(x, g[1], e[1], train=False)
-    x = np.concatenate([_unpool(x, traces[0]), skip], axis=1)
+    x = np.concatenate([unpool_features(x, traces[0]), skip], axis=1)
     for blk in net.decoder[0]:
         x = blk.forward(x, g[0], e[0], train=False)
     h = net.head_linear1.forward(x, train=False)

@@ -86,3 +86,20 @@ def test_sample_empirical_rate_simple():
 def test_sample_invalid_threshold():
     with pytest.raises(ValueError):
         res_sample(EdgeSet([np.arange(3)]), 0, seed=0)
+
+
+def test_sample_stream_is_pinned():
+    # Vertex i keeps edge k iff draw k of Philox(key=seed, counter=[0, 0, 0, i])
+    # is below the keep probability; rows of size <= T are copied whole.
+    rng = np.random.default_rng(5)
+    T, seed = 15, 77
+    rows = [rng.integers(0, 500, int(n)) for n in rng.integers(0, 60, 300)]
+    out = res_sample(EdgeSet(rows), T, seed)
+    for i, row in enumerate(rows):
+        n = len(row)
+        if n <= T:
+            expected = row
+        else:
+            bits = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, i])
+            expected = row[np.random.Generator(bits).random(n) < sampling_probability(n, T)]
+        assert np.array_equal(out.neighbors[i], expected)
