@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -47,6 +48,21 @@ EXIT_IO = 4
 
 class ConfigError(ValueError):
     pass
+
+
+class ManifestError(ValueError):
+    pass
+
+
+def _config(build):
+    """Report a value that a config dataclass rejects as a configuration error."""
+    @functools.wraps(build)
+    def checked(*args):
+        try:
+            return build(*args)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+    return checked
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +112,7 @@ def _write_run_manifest(out_dir: Path, command: str, args: argparse.Namespace,
     return path
 
 
+@_config
 def _hierarchy_config(args) -> HierarchyConfig:
     return HierarchyConfig(
         strategy=args.strategy,
@@ -107,6 +124,7 @@ def _hierarchy_config(args) -> HierarchyConfig:
     )
 
 
+@_config
 def _neighborhood_configs(args, num_levels: int):
     if args.knn is not None:
         return [NeighborhoodConfig(kind="knn", k=args.knn) for _ in range(num_levels)]
@@ -152,6 +170,7 @@ def _add_network_args(p):
                    help="override per-branch (hidden, out) widths, same at every level")
 
 
+@_config
 def _network_config(args) -> NetworkConfig:
     if args.arch == "dual":
         cfg = NetworkConfig.dual_default(args.classes, args.levels, args.seed)
@@ -169,11 +188,32 @@ def _network_config(args) -> NetworkConfig:
     return cfg
 
 
+@_config
+def _crop_config(args) -> CropConfig:
+    return CropConfig(extent=args.crop_extent, stride=args.crop_stride)
+
+
+def _training_scene_paths(manifest_path) -> list:
+    """Paths of the train-split scenes listed in a dataset manifest."""
+    text = Path(manifest_path).read_text()
+    try:
+        paths = [entry["path"] for entry in json.loads(text)["scenes"]
+                 if entry.get("split", "train") == "train"]
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ManifestError(
+            f"{manifest_path}: malformed dataset manifest ({type(e).__name__}: {e})") from e
+    if not paths:
+        raise ManifestError("dataset manifest has no training scenes")
+    return paths
+
+
 # ------------------------------------------------------------------ commands
 
 
 def cmd_subdivide(args):
     t0 = time.perf_counter()
+    if args.min_edge_len <= 0:
+        raise ConfigError("--min-edge-len must be positive")
     mesh = check_mesh(load_mesh(args.input))
     for _ in range(args.passes):
         mesh = midpoint_subdivide(mesh, args.min_edge_len)
@@ -193,10 +233,11 @@ def cmd_subdivide(args):
 
 def cmd_build_hierarchy(args):
     t0 = time.perf_counter()
-    mesh = check_mesh(load_mesh(args.input))
     config = _hierarchy_config(args)
+    neigh_cfgs = _neighborhood_configs(args, config.num_levels)
+    mesh = check_mesh(load_mesh(args.input))
     hier = build_hierarchy(mesh, config)
-    hier.build_euclidean_edges(_neighborhood_configs(args, hier.num_levels))
+    hier.build_euclidean_edges(neigh_cfgs)
     out = Path(args.output)
     serialize_hierarchy(hier, out, {
         "strategy": config.strategy,
@@ -233,18 +274,15 @@ def cmd_graph_stats(args):
 
 def cmd_train(args):
     t0 = time.perf_counter()
-    manifest = json.loads(Path(args.manifest).read_text())
-    scenes = [
-        check_mesh(load_mesh(entry["path"]))
-        for entry in manifest["scenes"]
-        if entry.get("split", "train") == "train"
-    ]
-    if not scenes:
-        raise MeshValidationError("dataset manifest has no training scenes")
-
-    net = SegmentationNetwork(_network_config(args))
+    net_cfg = _network_config(args)
     hier_cfg = _hierarchy_config(args)
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
+    crop_cfg = _crop_config(args)
+    if args.epochs < 1:
+        raise ConfigError("--epochs must be at least 1")
+    scenes = [check_mesh(load_mesh(p)) for p in _training_scene_paths(args.manifest)]
+
+    net = SegmentationNetwork(net_cfg)
     train_cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -252,7 +290,7 @@ def cmd_train(args):
         base_lr=args.lr,
         seed=args.seed,
         augment=not args.no_augment,
-        crop=CropConfig(extent=args.crop_extent, stride=args.crop_stride),
+        crop=crop_cfg,
     )
     history = train(net, scenes, hier_cfg, neigh_cfgs, train_cfg,
                     log=print if not args.quiet else None)
@@ -270,14 +308,13 @@ def cmd_train(args):
 
 def cmd_infer(args):
     t0 = time.perf_counter()
+    hier_cfg = _hierarchy_config(args)
+    neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
+    crop_cfg = _crop_config(args)
     net = load_checkpoint(args.checkpoint)
     scene = check_mesh(load_mesh(args.scene))
-    hier_cfg = _hierarchy_config(args)
-    result = infer_scene(
-        net, scene, hier_cfg, _neighborhood_configs(args, hier_cfg.num_levels),
-        CropConfig(extent=args.crop_extent, stride=args.crop_stride),
-        res_threshold=args.res_test, seed=args.seed,
-    )
+    result = infer_scene(net, scene, hier_cfg, neigh_cfgs, crop_cfg,
+                         res_threshold=args.res_test, seed=args.seed)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(out, result.predictions, fmt="%d")
@@ -418,7 +455,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (MeshParseError, MeshValidationError, HierarchyFormatError,
-            CheckpointError) as e:
+            CheckpointError, ManifestError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:

@@ -1,4 +1,5 @@
-"""CSR edge sets, the scatter-sum over them, and k-nn / radius graphs of 3D points."""
+"""CSR edge sets, the scatter-sum over them, the nearest-point query, and
+k-nn / radius graphs of 3D points."""
 
 from __future__ import annotations
 
@@ -144,32 +145,50 @@ class NeighborhoodConfig:
             raise ValueError("res_threshold must be >= 1")
 
 
-def knn_graph(points: np.ndarray, k: int) -> EdgeSet:
-    """k nearest neighbors per point, self excluded, ties broken by lower index."""
+def nearest_points(points: np.ndarray, k: int = 1,
+                   queries: Optional[np.ndarray] = None) -> np.ndarray:
+    """The k nearest points to each query, as a (queries, k) index array.
+
+    Points rank by squared distance ((q - p) ** 2).sum(-1), then by index,
+    so equal distances go to the lowest index. Without queries, the points
+    query themselves and each one skips its own index.
+    """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = len(points)
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than the point count {n}")
+    self_query = queries is None
+    queries = points if self_query else np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+    if not 0 < k <= len(points) - self_query:
+        raise ValueError(f"k={k} must lie in [1, {len(points) - self_query}]")
+    reach = k + self_query  # the self hit takes one slot
     tree = cKDTree(points)
-    # Query k+1 to account for the self hit, then resolve ties deterministically.
-    dists, idx = tree.query(points, k=k + 1)
-    neighbors = []
-    for i in range(n):
-        cand_idx = idx[i]
-        cand_d = dists[i]
-        keep = cand_idx != i
-        cand_idx, cand_d = cand_idx[keep], cand_d[keep]
-        # Re-sort by (distance, index) so equal distances prefer lower indices.
-        # The kd-tree tie order is unspecified, so pull in every point at the
-        # cutoff distance before selecting.
-        cutoff = cand_d[k - 1] if len(cand_d) >= k else np.inf
-        extra = tree.query_ball_point(points[i], cutoff * (1 + 1e-12))
-        cand = np.unique(np.concatenate([cand_idx, np.asarray(extra, dtype=np.int64)]))
-        cand = cand[cand != i]
-        d = np.linalg.norm(points[cand] - points[i], axis=1)
-        order = np.lexsort((cand, d))
-        neighbors.append(cand[order[:k]])
-    return EdgeSet(neighbors)
+    dists, idx = tree.query(queries, k=reach)
+    nearest = _ranked(queries, points, idx.reshape(-1, reach), np.arange(len(queries)),
+                      k, self_query)
+    # The kd-tree orders equal distances arbitrarily, so a row whose last
+    # distance is tied may have left out a lower index at that distance:
+    # refetch such rows with every point in reach, widened past rounding.
+    in_reach = tree.query_ball_point(
+        queries, dists.reshape(-1, reach)[:, -1] * (1 + 1e-12), return_length=True)
+    rows = np.flatnonzero(in_reach > reach)
+    if rows.size:
+        idx = tree.query(queries[rows], k=int(in_reach[rows].max()))[1]
+        nearest[rows] = _ranked(queries, points, idx, rows, k, self_query)
+    return nearest
+
+
+def _ranked(queries, points, candidates, rows, k, self_query):
+    """The first k candidates of each row by (squared distance, index)."""
+    d2 = ((queries[rows, None, :] - points[candidates]) ** 2).sum(-1)
+    if self_query:
+        d2[candidates == rows[:, None]] = np.inf
+    order = np.lexsort((candidates, d2), axis=-1)[:, :k]
+    return np.take_along_axis(candidates, order, axis=-1)
+
+
+def knn_graph(points: np.ndarray, k: int) -> EdgeSet:
+    """k nearest neighbors per point, self excluded, each row in
+    (squared distance, index) order."""
+    nearest = nearest_points(points, k)
+    return EdgeSet.from_csr(np.arange(len(nearest) + 1) * k, nearest.ravel())
 
 
 def radius_graph(points: np.ndarray, r: float) -> EdgeSet:

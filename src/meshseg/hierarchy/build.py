@@ -39,6 +39,10 @@ class HierarchyConfig:
             raise ValueError(f"unknown hierarchy strategy {self.strategy!r}")
         if self.strategy == "fps" and not self.fps_counts:
             raise ValueError("fps strategy requires fps_counts")
+        if any(c <= 0 for c in self.cells):
+            raise ValueError("cell sizes must be positive")
+        if not 0 < self.qem_ratio < 1:
+            raise ValueError("qem_ratio must lie in (0, 1)")
 
     @property
     def num_levels(self) -> int:

@@ -6,9 +6,9 @@ from typing import Tuple
 
 import numpy as np
 
+from ..graph.neighborhoods import nearest_points
 from ..mesh.core import Mesh
-from .trace import PoolingTraceMap, pool_features, pool_labels
-from .vertex_clustering import _pooled_normals
+from .trace import PoolingTraceMap, pooled_mesh
 
 
 def farthest_point_indices(points: np.ndarray, target_count: int, seed: int = 0) -> np.ndarray:
@@ -37,17 +37,9 @@ def fps_pool(mesh: Mesh, target_count: int, seed: int = 0) -> Tuple[Mesh, Poolin
     coarse mesh carries no faces, so its geodesic edge set is empty.
     """
     selected = farthest_point_indices(mesh.positions, target_count, seed)
-    d2 = ((mesh.positions[:, None, :] - mesh.positions[selected][None, :, :]) ** 2).sum(axis=2)
-    assignment = np.argmin(d2, axis=1)
+    positions = mesh.positions[selected]
+    assignment = nearest_points(positions, queries=mesh.positions)[:, 0]
     # Selected vertices represent themselves regardless of distance ties.
     assignment[selected] = np.arange(target_count)
     trace = PoolingTraceMap(assignment, target_count)
-
-    coarse = Mesh(
-        positions=mesh.positions[selected],
-        faces=np.empty((0, 3), dtype=np.int64),
-        colors=None if mesh.colors is None else pool_features(mesh.colors, trace, "mean"),
-        normals=None if mesh.normals is None else _pooled_normals(mesh.normals, trace),
-        labels=None if mesh.labels is None else pool_labels(mesh.labels, trace),
-    )
-    return coarse, trace
+    return pooled_mesh(mesh, trace, positions, np.empty((0, 3), dtype=np.int64)), trace

@@ -16,9 +16,10 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ..graph.neighborhoods import scatter_sum
 from ..mesh.core import Mesh, face_normals_and_areas
-from .trace import PoolingTraceMap, pool_features, pool_labels
-from .vertex_clustering import mapped_faces, _pooled_normals
+from .trace import PoolingTraceMap, pooled_mesh
+from .vertex_clustering import mapped_faces
 
 _SINGULAR_COND = 1e10
 
@@ -26,18 +27,16 @@ _SINGULAR_COND = 1e10
 def vertex_quadrics(mesh: Mesh) -> np.ndarray:
     """(V, 4, 4) plane-quadric sums over incident faces."""
     v = mesh.num_vertices
-    q = np.zeros((v, 4, 4))
     if mesh.faces.size == 0:
-        return q
+        return np.zeros((v, 4, 4))
     normals, areas = face_normals_and_areas(mesh)
     ok = areas > 0
     d = -(normals * mesh.positions[mesh.faces[:, 0]]).sum(axis=1)
     planes = np.concatenate([normals, d[:, None]], axis=1)
     outer = planes[:, :, None] * planes[:, None, :]
     outer[~ok] = 0.0
-    for k in range(3):
-        np.add.at(q, mesh.faces[:, k], outer)
-    return q
+    # Corner 0 of every face, then corner 1, then corner 2.
+    return scatter_sum(np.tile(outer, (3, 1, 1)), mesh.faces.T.ravel(), v)
 
 
 def optimal_contraction(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
@@ -155,14 +154,8 @@ class QemSimplifier:
         assignment = coarse_index[[self.find(i) for i in range(self.n)]]
         trace = PoolingTraceMap(assignment, len(survivors))
 
-        mesh = self.mesh
-        coarse = Mesh(
-            positions=self.pos[survivors],
-            faces=mapped_faces(mesh.faces, assignment),
-            colors=None if mesh.colors is None else pool_features(mesh.colors, trace, "mean"),
-            normals=None if mesh.normals is None else _pooled_normals(mesh.normals, trace),
-            labels=None if mesh.labels is None else pool_labels(mesh.labels, trace),
-        )
+        coarse = pooled_mesh(self.mesh, trace, self.pos[survivors],
+                             mapped_faces(self.mesh.faces, assignment))
         return coarse, trace
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.neighborhoods import scatter_sum
-from ..mesh.core import UNLABELED
+from ..mesh.core import UNLABELED, Mesh
 
 
 @dataclass
@@ -76,12 +76,38 @@ def pool_labels(labels: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
         shifted = labels[labeled]
         groups = trace.assignment[labeled]
         num_classes = int(shifted.max()) + 1
-        counts = np.zeros((trace.coarse_count, num_classes), dtype=np.int64)
-        np.add.at(counts, (groups, shifted), 1)
+        counts = np.bincount(groups * num_classes + shifted,
+                             minlength=trace.coarse_count * num_classes
+                             ).reshape(trace.coarse_count, num_classes)
         has_any = counts.sum(axis=1) > 0
         # argmax takes the first maximum, i.e. the lowest class index on ties.
         out[has_any] = np.argmax(counts[has_any], axis=1)
     return out
+
+
+def pooled_mesh(mesh: Mesh, trace: PoolingTraceMap, positions: np.ndarray,
+                faces: np.ndarray) -> Mesh:
+    """The coarse mesh of one pooling step, with the given positions and faces.
+
+    Colors are group means, normals renormalized group means and labels
+    group majorities, each present when the fine mesh has it.
+    """
+    return Mesh(
+        positions=positions,
+        faces=faces,
+        colors=None if mesh.colors is None else pool_features(mesh.colors, trace, "mean"),
+        normals=None if mesh.normals is None else _pooled_normals(mesh.normals, trace),
+        labels=None if mesh.labels is None else pool_labels(mesh.labels, trace),
+    )
+
+
+def _pooled_normals(normals: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
+    mean = pool_features(normals, trace, "mean")
+    norms = np.linalg.norm(mean, axis=1)
+    ok = norms > 1e-12
+    mean[ok] /= norms[ok, None]
+    mean[~ok] = (0.0, 0.0, 1.0)
+    return mean
 
 
 def compose_traces(first: PoolingTraceMap, second: PoolingTraceMap) -> PoolingTraceMap:

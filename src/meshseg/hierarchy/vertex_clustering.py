@@ -8,7 +8,7 @@ import numpy as np
 
 from ..graph.neighborhoods import EdgeSet
 from ..mesh.core import Mesh
-from .trace import PoolingTraceMap, pool_features, pool_labels
+from .trace import PoolingTraceMap, pool_features, pooled_mesh
 
 
 def grid_cell_indices(positions: np.ndarray, cell_size: float) -> np.ndarray:
@@ -39,13 +39,8 @@ def vertex_clustering_pool(mesh: Mesh, cell_size: float) -> Tuple[Mesh, PoolingT
     coarse_count = int(assignment.max()) + 1 if assignment.size else 0
     trace = PoolingTraceMap(assignment, coarse_count)
 
-    coarse = Mesh(
-        positions=pool_features(mesh.positions, trace, "mean"),
-        faces=mapped_faces(mesh.faces, assignment),
-        colors=None if mesh.colors is None else pool_features(mesh.colors, trace, "mean"),
-        normals=None if mesh.normals is None else _pooled_normals(mesh.normals, trace),
-        labels=None if mesh.labels is None else pool_labels(mesh.labels, trace),
-    )
+    coarse = pooled_mesh(mesh, trace, pool_features(mesh.positions, trace, "mean"),
+                         mapped_faces(mesh.faces, assignment))
     return coarse, trace
 
 
@@ -74,11 +69,3 @@ def pooled_edge_set(fine_edges: EdgeSet, trace: PoolingTraceMap) -> EdgeSet:
     # Symmetric even when the fine edge set is directed (e.g. k-nn graphs).
     return EdgeSet.symmetric(ca[keep], cb[keep], trace.coarse_count)
 
-
-def _pooled_normals(normals: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
-    mean = pool_features(normals, trace, "mean")
-    norms = np.linalg.norm(mean, axis=1)
-    ok = norms > 1e-12
-    mean[ok] /= norms[ok, None]
-    mean[~ok] = (0.0, 0.0, 1.0)
-    return mean

@@ -7,6 +7,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..graph.neighborhoods import EdgeSet, scatter_sum
+
 # Sentinel label for vertices without ground-truth annotation.
 UNLABELED = -1
 
@@ -144,8 +146,6 @@ def geodesic_edge_set(mesh: Mesh):
     Returns an EdgeSet whose neighbor lists are symmetric, deduplicated and
     free of self-loops. Isolated vertices get empty lists.
     """
-    from ..graph.neighborhoods import EdgeSet
-
     a = mesh.faces.ravel()
     b = np.roll(mesh.faces, -1, axis=1).ravel()  # (f0, f1), (f1, f2), (f2, f0)
     keep = a != b
@@ -170,9 +170,8 @@ def compute_vertex_normals(mesh: Mesh) -> np.ndarray:
     accum = np.zeros((v, 3))
     if mesh.faces.size:
         fn, fa = face_normals_and_areas(mesh)
-        weighted = fn * fa[:, None]
-        for k in range(3):
-            np.add.at(accum, mesh.faces[:, k], weighted)
+        # Corner 0 of every face, then corner 1, then corner 2.
+        accum = scatter_sum(np.tile(fn * fa[:, None], (3, 1)), mesh.faces.T.ravel(), v)
     norms = np.linalg.norm(accum, axis=1)
     normals = np.zeros((v, 3))
     ok = norms > 1e-20

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.neighborhoods import nearest_points
 from .core import Mesh, LabeledPointCloud, UNLABELED
 
 
@@ -105,21 +106,7 @@ def interpolate_from_point_cloud(mesh: Mesh, cloud: LabeledPointCloud) -> Mesh:
     if cloud.num_points == 0:
         raise ValueError("point cloud is empty")
     out = mesh.copy()
-    nearest = nearest_point_indices(mesh.positions, cloud.points)
+    nearest = nearest_points(cloud.points, queries=mesh.positions)[:, 0]
     out.colors = cloud.colors[nearest]
     out.labels = cloud.labels[nearest]
-    return out
-
-
-def nearest_point_indices(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Index of the Euclidean-nearest point for each query (ties -> lowest index)."""
-    queries = np.asarray(queries, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    out = np.empty(len(queries), dtype=np.int64)
-    # Chunked to bound the V x P distance matrix.
-    chunk = max(1, int(4e6) // max(1, len(points)))
-    for start in range(0, len(queries), chunk):
-        q = queries[start:start + chunk]
-        d2 = ((q[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        out[start:start + chunk] = np.argmin(d2, axis=1)
     return out

@@ -85,29 +85,50 @@ def load_checkpoint(path) -> SegmentationNetwork:
         data = f.read()
     if data[:8] != MAGIC:
         raise CheckpointError("bad magic, not a checkpoint file")
+    if len(data) < 20:
+        raise CheckpointError("truncated checkpoint: incomplete preamble")
     (version,) = struct.unpack_from("<I", data, 8)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack_from("<Q", data, 12)
-    header = json.loads(data[20:20 + hlen].decode("utf-8"))
+    if 20 + hlen > len(data):
+        raise CheckpointError(
+            f"truncated checkpoint: header of {hlen} bytes runs past the end of the file")
+    try:
+        header = json.loads(data[20:20 + hlen].decode("utf-8"))
+        cfg = header["config"]
+        cfg["geo_widths"] = tuple(tuple(w) for w in cfg["geo_widths"])
+        cfg["euc_widths"] = tuple(tuple(w) for w in cfg["euc_widths"])
+        entries = [(e["name"], tuple(e["shape"]), int(e["offset"])) for e in header["tensors"]]
+        payload_bytes = int(header["payload_bytes"])
+    except (KeyError, TypeError, ValueError) as e:  # ValueError covers bad JSON and UTF-8
+        raise CheckpointError(f"malformed checkpoint header: {e}") from e
     payload = data[20 + hlen:]
+    if len(payload) != payload_bytes:
+        raise CheckpointError(
+            f"payload is {len(payload)} bytes, the header says {payload_bytes}")
 
-    cfg = header["config"]
-    cfg["geo_widths"] = tuple(tuple(w) for w in cfg["geo_widths"])
-    cfg["euc_widths"] = tuple(tuple(w) for w in cfg["euc_widths"])
-    net = SegmentationNetwork(NetworkConfig(**cfg))
+    try:
+        net = SegmentationNetwork(NetworkConfig(**cfg))
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"stored network config rejected: {e}") from e
 
     lookup = {name: value for name, value in _all_tensors(net)}
-    for entry in header["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+    missing = set(lookup)
+    for name, shape, offset in entries:
         if name not in lookup:
             raise CheckpointError(f"unknown tensor {name!r} in checkpoint")
         target = lookup[name]
+        missing.discard(name)
         if tuple(target.shape) != shape:
             raise CheckpointError(
                 f"tensor {name!r} shape {shape} does not match config {target.shape}"
             )
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        target[...] = arr.reshape(shape).astype(np.float64)
+        end = offset + 4 * target.size
+        if offset < 0 or end > len(payload):
+            raise CheckpointError(f"tensor {name!r} runs past the end of the payload")
+        target[...] = np.frombuffer(payload, dtype="<f4", count=target.size,
+                                    offset=offset).reshape(shape)
+    if missing:
+        raise CheckpointError(f"checkpoint lacks tensor {min(missing)!r}")
     return net

@@ -65,7 +65,7 @@ def infer_scene(net: SegmentationNetwork, scene: Mesh,
         hier.build_euclidean_edges(neigh_configs)
         pred = predict_hierarchy(net, hier, vertex_features(hier.levels[0]),
                                  res_threshold, seed + w)
-        np.add.at(votes, (idx, pred), 1)
+        votes[idx, pred] += 1  # idx holds each vertex once
     return InferenceResult(
         predictions=majority_vote(votes),
         votes=votes,
@@ -89,5 +89,5 @@ def vote_over_runs(predictions: Sequence[np.ndarray], num_classes: int) -> np.nd
     preds = np.stack([np.asarray(p) for p in predictions])
     votes = np.zeros((preds.shape[1], num_classes), dtype=np.int64)
     for p in preds:
-        np.add.at(votes, (np.arange(len(p)), p), 1)
+        votes[np.arange(len(p)), p] += 1
     return majority_vote(votes)

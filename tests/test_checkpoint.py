@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -73,20 +74,16 @@ def test_unsupported_version(tmp_path, rng):
         load_checkpoint(path)
 
 
-def _header_bytes(path):
-    data = path.read_bytes()
+def _edit_header(data, mutate):
     (hlen,) = struct.unpack_from("<Q", data, 12)
-    return data, hlen
-
-
-def _rewrite_header(path, mutate):
-    import json
-
-    data, hlen = _header_bytes(path)
     header = json.loads(data[20:20 + hlen])
     mutate(header)
     blob = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob + data[20 + hlen:])
+    return data[:12] + struct.pack("<Q", len(blob)) + blob + data[20 + hlen:]
+
+
+def _rewrite_header(path, mutate):
+    path.write_bytes(_edit_header(path.read_bytes(), mutate))
 
 
 def test_unknown_tensor_name(tmp_path, rng):
@@ -104,6 +101,38 @@ def test_shape_mismatch(tmp_path, rng):
     save_checkpoint(net, path)
     _rewrite_header(path, lambda h: h["tensors"][0].update(shape=[1, 1]))
     with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(path)
+
+
+def _header_end(data):
+    return 20 + struct.unpack_from("<Q", data, 12)[0]
+
+
+def _last_tensor_past_payload(header):
+    header["tensors"][-1]["offset"] = header["payload_bytes"] - 2
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d[:16], "incomplete preamble"),
+    (lambda d: d[:_header_end(d) - 5], "header of .* runs past the end"),
+    (lambda d: d[:20] + b"#" + d[21:], "malformed checkpoint header"),
+    (lambda d: d[:20] + b"\xff" + d[21:], "malformed checkpoint header"),
+    (lambda d: _edit_header(d, lambda h: h.pop("payload_bytes")), "malformed checkpoint header"),
+    (lambda d: _edit_header(d, lambda h: h["config"].update(num_levels=3)), "config rejected"),
+    (lambda d: _edit_header(d, lambda h: h["config"].update(bogus=1)), "config rejected"),
+    (lambda d: d[:-4], "header says"),
+    (lambda d: d + b"\x00", "header says"),
+    (lambda d: _edit_header(d, _last_tensor_past_payload), "runs past the end of the payload"),
+    (lambda d: _edit_header(d, lambda h: h["tensors"].pop(3)), "lacks tensor"),
+], ids=["preamble", "header-past-end", "header-json", "header-utf8", "header-key",
+        "config-widths", "config-field", "payload-short", "payload-long", "tensor-past-end",
+        "tensor-missing"])
+def test_malformed_checkpoint_raises(tmp_path, rng, corrupt, message):
+    net, _ = trained_net(rng)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(net, path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 

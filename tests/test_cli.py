@@ -173,3 +173,46 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     assert main(["--threads", "1", *vote]) == EXIT_OK
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "--threads 1 not applied" in err[0]
+
+
+@pytest.mark.parametrize("command, manifest, options, code", [
+    ("train", "not json", [], EXIT_VALIDATION),
+    ("train", '{"cases": []}', [], EXIT_VALIDATION),
+    ("train", '{"scenes": [{"split": "train"}]}', [], EXIT_VALIDATION),
+    ("train", '{"scenes": [7]}', [], EXIT_VALIDATION),
+    ("train", '{"scenes": {"path": "scene0.ply"}}', [], EXIT_VALIDATION),
+    ("build-hierarchy", None, ["--strategy", "fps"], EXIT_CONFIG),
+    ("build-hierarchy", None, ["--qem-ratio", "1.5"], EXIT_CONFIG),
+    ("build-hierarchy", None, ["--radius", "-1"], EXIT_CONFIG),
+    ("build-hierarchy", None, ["--cells", "0.15,-0.3"], EXIT_CONFIG),
+    ("train", None, ["--knn", "0"], EXIT_CONFIG),
+    ("train", None, ["--crop-extent", "0"], EXIT_CONFIG),
+    ("train", None, ["--epochs", "0"], EXIT_CONFIG),
+    ("subdivide", None, ["--min-edge-len", "-1"], EXIT_CONFIG),
+    ("infer", None, ["--qem-ratio", "0"], EXIT_CONFIG),
+])
+def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
+                                           options, code):
+    scene = str(workdir / "scene0.ply")
+    dataset = workdir / "dataset.json"
+    if manifest is not None:
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(manifest)
+    argv = {
+        "train": ["train", "--manifest", str(dataset), "--output", str(tmp_path / "run")],
+        "build-hierarchy": ["build-hierarchy", scene, str(tmp_path / "hier")],
+        "subdivide": ["subdivide", scene, str(tmp_path / "fine.ply")],
+        # Configs are checked before the (missing) checkpoint is opened.
+        "infer": ["infer", "--checkpoint", str(tmp_path / "missing.bin"), "--scene", scene,
+                  "--output", str(tmp_path / "p.txt")],
+    }[command]
+    assert main([*argv, *options]) == code
+    assert "error" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exit_2(workdir, trained, tmp_path, capsys):
+    ckpt = tmp_path / "short.bin"
+    ckpt.write_bytes((trained / "checkpoint.bin").read_bytes()[:-100])
+    assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
+                 "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
+    assert "header says" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meshseg.hierarchy.fps import farthest_point_indices, fps_pool
+from meshseg.mesh.core import Mesh
 
 from conftest import random_mesh
 
@@ -46,6 +47,21 @@ def test_pool_assignment_is_nearest_selected(rng):
         d = np.linalg.norm(sel_pos - mesh.positions[i], axis=1)
         assert d[trace.assignment[i]] == pytest.approx(d.min(), abs=1e-12)
     trace.validate()
+
+
+def test_pool_assignment_on_lattice_matches_dense_argmin():
+    # On a lattice many vertices are equidistant from several selected
+    # vertices; the tie goes to the one selected first.
+    g = np.arange(6.0)
+    positions = np.stack(np.meshgrid(g, g, g[:3], indexing="ij"), axis=-1).reshape(-1, 3)
+    mesh = Mesh(positions=positions, faces=np.empty((0, 3), dtype=np.int64))
+    for seed in range(3):
+        selected = farthest_point_indices(positions, 20, seed)
+        d2 = ((positions[:, None, :] - positions[selected][None, :, :]) ** 2).sum(axis=2)
+        expected = np.argmin(d2, axis=1)
+        expected[selected] = np.arange(20)
+        _, trace = fps_pool(mesh, 20, seed)
+        assert np.array_equal(trace.assignment, expected)
 
 
 def test_selected_vertices_keep_exact_positions(rng):

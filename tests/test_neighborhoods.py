@@ -6,6 +6,7 @@ from meshseg.graph.neighborhoods import (
     EdgeSet,
     NeighborhoodConfig,
     knn_graph,
+    nearest_points,
     radius_graph,
     scatter_sum,
 )
@@ -20,6 +21,19 @@ def brute_knn(points, k):
         order = order[order != i]
         out.append(np.sort(order[:k]))
     return out
+
+
+def brute_nearest(points, k, queries=None):
+    """k nearest by (squared distance, index); self excluded without queries."""
+    self_query = queries is None
+    out = []
+    for i, q in enumerate(points if self_query else queries):
+        d2 = ((q - points) ** 2).sum(-1)
+        order = np.lexsort((np.arange(len(points)), d2))
+        if self_query:
+            order = order[order != i]
+        out.append(order[:k])
+    return np.asarray(out, dtype=np.int64).reshape(-1, k)
 
 
 def brute_radius(points, r):
@@ -67,6 +81,38 @@ def test_knn_excludes_self(rng):
 def test_knn_k_too_large_raises(rng):
     with pytest.raises(ValueError):
         knn_graph(rng.uniform(0, 1, (4, 3)), 4)
+
+
+def test_nearest_points_matches_argmin(rng):
+    queries = rng.uniform(0, 1, (37, 3))
+    points = rng.uniform(0, 1, (11, 3))
+    idx = nearest_points(points, queries=queries)[:, 0]
+    d2 = ((queries[:, None] - points[None]) ** 2).sum(axis=2)
+    assert np.array_equal(idx, np.argmin(d2, axis=1))
+
+
+_lattice = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=2, max_size=40)
+
+
+@given(points=_lattice, queries=_lattice, k=st.integers(1, 12), self_query=st.booleans(),
+       spacing=st.sampled_from([1.0, 0.1]))
+@settings(max_examples=300, deadline=None)
+def test_nearest_points_matches_brute_force_on_lattice(points, queries, k, self_query,
+                                                       spacing):
+    # Lattice points, duplicates included, tie at equal distances all the time.
+    points = np.asarray(points, dtype=np.float64) * spacing
+    queries = None if self_query else np.asarray(queries, dtype=np.float64) * spacing
+    k = min(k, len(points) - self_query)
+    assert np.array_equal(nearest_points(points, k, queries),
+                          brute_nearest(points, k, queries))
+
+
+def test_nearest_points_k_out_of_range(rng):
+    points = rng.uniform(0, 1, (4, 3))
+    for k, queries in ((0, points), (5, points), (4, None)):
+        with pytest.raises(ValueError):
+            nearest_points(points, k, queries)
+    assert nearest_points(points, 4, np.empty((0, 3))).shape == (0, 4)
 
 
 def test_radius_matches_brute_force(rng):

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from meshseg.mesh.core import Mesh, LabeledPointCloud, compute_vertex_normals, surface_area
-from meshseg.mesh.subdivide import (
-    interpolate_from_point_cloud,
-    midpoint_subdivide,
-    nearest_point_indices,
-)
+from meshseg.mesh.subdivide import interpolate_from_point_cloud, midpoint_subdivide
 
 from conftest import random_mesh
 
@@ -151,10 +147,3 @@ def test_interpolation_empty_cloud_raises():
     with pytest.raises(ValueError):
         interpolate_from_point_cloud(mesh, cloud)
 
-
-def test_nearest_point_indices_chunking(rng):
-    queries = rng.uniform(0, 1, (37, 3))
-    points = rng.uniform(0, 1, (11, 3))
-    idx = nearest_point_indices(queries, points)
-    d2 = ((queries[:, None] - points[None]) ** 2).sum(axis=2)
-    assert np.array_equal(idx, np.argmin(d2, axis=1))
