@@ -39,6 +39,10 @@ class HierarchyConfig:
             raise ValueError(f"unknown hierarchy strategy {self.strategy!r}")
         if self.strategy == "fps" and not self.fps_counts:
             raise ValueError("fps strategy requires fps_counts")
+        if any(c <= 0 for c in self.fps_counts):
+            raise ValueError("fps counts must be positive")
+        if any(b >= a for a, b in zip(self.fps_counts, self.fps_counts[1:])):
+            raise ValueError("fps counts must decrease from level to level")
         if any(c <= 0 for c in self.cells):
             raise ValueError("cell sizes must be positive")
         if not 0 < self.qem_ratio < 1:

@@ -5,6 +5,13 @@ p = (a, b, c, d), a^2+b^2+c^2 = 1. Pairs (mesh edges plus non-adjacent
 pairs within a distance threshold) are contracted lowest cost first; the
 representative is the minimizer of the combined quadric, falling back to
 the best of {v1, v2, midpoint} when the 3x3 system is singular.
+
+Pair costs are computed in batches, in push order: all initial pairs at
+once, then the re-pushed pairs of each contraction. Heap entries tie-break
+equal costs by push tick, and flat regions are full of exact ties, so the
+batched costs and minimizers must stay bit-identical to the one-pair
+formulas (scalar `cond`, `solve` and `h @ q @ h`); a different reduction
+order (einsum, elementwise sums) reorders contractions.
 """
 
 from __future__ import annotations
@@ -39,29 +46,46 @@ def vertex_quadrics(mesh: Mesh) -> np.ndarray:
     return scatter_sum(np.tile(outer, (3, 1, 1)), mesh.faces.T.ravel(), v)
 
 
+def _costs(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """h^T q h with h = (p, 1), over the leading axes of p and q."""
+    h = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
+    # Two matmuls evaluate like the one-row h @ q @ h; einsum does not.
+    return np.matmul(np.matmul(h[..., None, :], q), h[..., :, None])[..., 0, 0]
+
+
+def optimal_contractions(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
+    """Minimizers and costs of P combined quadrics, one contraction per row.
+
+    q is (P, 4, 4), v1 and v2 are (P, 3); returns (vbar (P, 3), cost (P,)).
+    Rows whose 3x3 block is singular (condition number >= 1e10, or not
+    finite) fall back to the cheapest of {v1, v2, midpoint}, the first of
+    them on ties.
+    """
+    a = q[:, :3, :3]
+    ok = np.isfinite(a).all(axis=(1, 2))
+    ok[ok] = np.linalg.cond(a[ok]) < _SINGULAR_COND
+    vbar = np.empty(v1.shape)
+    cost = np.empty(len(q))
+    vbar[ok] = np.linalg.solve(a[ok], -q[ok, :3, 3:])[:, :, 0]
+    cost[ok] = _costs(q[ok], vbar[ok])
+    bad = ~ok
+    if bad.any():
+        w1, w2 = v1[bad], v2[bad]
+        candidates = np.stack([w1, w2, 0.5 * (w1 + w2)], axis=1)
+        costs = _costs(q[bad, None], candidates)
+        rows, best = np.arange(len(costs)), costs.argmin(axis=1)
+        vbar[bad] = candidates[rows, best]
+        cost[bad] = costs[rows, best]
+    return vbar, cost
+
+
 def optimal_contraction(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
     """Minimizer and cost of the combined quadric for one contraction.
 
-    Returns (vbar, cost). Singular systems fall back to the cheapest of
-    {v1, v2, midpoint}.
+    Returns (vbar, cost); the one-row case of `optimal_contractions`.
     """
-    a = q[:3, :3]
-    b = q[:3, 3]
-
-    def cost_at(p):
-        h = np.append(p, 1.0)
-        return float(h @ q @ h)
-
-    try:
-        if np.linalg.cond(a) < _SINGULAR_COND:
-            vbar = np.linalg.solve(a, -b)
-            return vbar, cost_at(vbar)
-    except np.linalg.LinAlgError:
-        pass
-    candidates = [v1, v2, 0.5 * (v1 + v2)]
-    costs = [cost_at(p) for p in candidates]
-    best = int(np.argmin(costs))
-    return candidates[best], costs[best]
+    vbar, cost = optimal_contractions(q[None], v1[None], v2[None])
+    return vbar[0], float(cost[0])
 
 
 class QemSimplifier:
@@ -82,7 +106,7 @@ class QemSimplifier:
         self.reached_target = True
 
         nbrs = [set() for _ in range(self.n)]
-        for a, b, c in mesh.faces:
+        for a, b, c in mesh.faces.tolist():
             nbrs[a].update((b, c)); nbrs[b].update((a, c)); nbrs[c].update((a, b))
         if pair_distance_threshold > 0 and self.n > 1:
             tree = cKDTree(self.pos)
@@ -90,22 +114,21 @@ class QemSimplifier:
                 nbrs[a].add(b); nbrs[b].add(a)
         self.nbrs = nbrs
 
-        self.heap = []
+        pairs = [(a, b) for a in range(self.n) for b in nbrs[a] if a < b]
+        lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         self._tick = 0
-        for a in range(self.n):
-            for b in nbrs[a]:
-                if a < b:
-                    self._push(a, b)
+        self.heap = self._entries(lo, hi)
+        heapq.heapify(self.heap)
 
-    def _push(self, a, b):
-        vbar, cost = optimal_contraction(
-            self.quadrics[a] + self.quadrics[b], self.pos[a], self.pos[b]
+    def _entries(self, lo, hi):
+        """Heap entries of the pairs (lo[i], hi[i]), lo < hi, ticked in order."""
+        vbar, cost = optimal_contractions(
+            self.quadrics[lo] + self.quadrics[hi], self.pos[lo], self.pos[hi]
         )
-        self._tick += 1
-        heapq.heappush(
-            self.heap,
-            (cost, self._tick, a, b, self.version[a], self.version[b], vbar),
-        )
+        ticks = range(self._tick + 1, self._tick + 1 + len(lo))
+        self._tick += len(lo)
+        return list(zip(cost.tolist(), ticks, lo.tolist(), hi.tolist(),
+                        self.version[lo].tolist(), self.version[hi].tolist(), vbar))
 
     def find(self, i):
         root = i
@@ -136,7 +159,9 @@ class QemSimplifier:
             for m in merged:
                 self.nbrs[m].discard(b)
                 self.nbrs[m].add(a)
-                self._push(*((a, m) if a < m else (m, a)))
+            ms = np.fromiter(merged, dtype=np.int64, count=len(merged))
+            for entry in self._entries(np.minimum(ms, a), np.maximum(ms, a)):
+                heapq.heappush(self.heap, entry)
             live -= 1
         if live > self.target:
             self.reached_target = False

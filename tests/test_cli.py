@@ -13,6 +13,8 @@ HIER_ARGS = [
     "--radius", "0.25,0.4,0.8,1.6",
 ]
 
+FPS_ARGS = ["--strategy", "fps", "--radius", "0.1", "--fps-counts"]
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -190,6 +192,9 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     ("train", None, ["--epochs", "0"], EXIT_CONFIG),
     ("subdivide", None, ["--min-edge-len", "-1"], EXIT_CONFIG),
     ("infer", None, ["--qem-ratio", "0"], EXIT_CONFIG),
+    ("build-hierarchy", None, FPS_ARGS + ["5000,100"], EXIT_VALIDATION),
+    ("build-hierarchy", None, FPS_ARGS + ["100,500"], EXIT_CONFIG),
+    ("build-hierarchy", None, FPS_ARGS + ["0,5"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -208,6 +213,16 @@ def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, m
     }[command]
     assert main([*argv, *options]) == code
     assert "error" in capsys.readouterr().err
+
+
+def test_fps_count_above_vertex_count_names_both(workdir, tmp_path, capsys):
+    scene = workdir / "scene0.ply"
+    vertices = load_mesh(scene).num_vertices
+    code = main(["build-hierarchy", str(scene), str(tmp_path / "hier"),
+                 *FPS_ARGS, f"{vertices + 1},100"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{vertices + 1}" in err and f"{vertices} vertices" in err
 
 
 def test_truncated_checkpoint_exit_2(workdir, trained, tmp_path, capsys):

@@ -92,6 +92,9 @@ def test_config_validation():
         HierarchyConfig(strategy="bogus")
     with pytest.raises(ValueError):
         HierarchyConfig(strategy="fps")
+    for counts in ((0, 5), (10, -1), (100, 500), (10, 10)):
+        with pytest.raises(ValueError):
+            HierarchyConfig(strategy="fps", fps_counts=counts)
     assert HierarchyConfig(strategy="fps", fps_counts=(10, 5)).num_levels == 2
     assert HierarchyConfig(strategy="vc+qem", qem_levels=3).num_levels == 4
 

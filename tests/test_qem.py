@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ from meshseg.mesh.core import Mesh
 from meshseg.hierarchy.qem import (
     QemSimplifier,
     optimal_contraction,
+    optimal_contractions,
     qem_pool,
     vertex_quadrics,
 )
+from meshseg.hierarchy.vertex_clustering import vertex_clustering_pool
+from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
 
 from conftest import grid_mesh, random_mesh
 
@@ -39,6 +44,42 @@ def refine_grid_search(q, center, half_width, rounds=40, pts=31):
         best[i] = y
     p = center + vecs @ best
     return p, quadric_cost(q, p)
+
+
+def scalar_contraction(q, v1, v2):
+    """One-pair reference: the formulas the batched costs must equal bit for bit."""
+    a = q[:3, :3]
+    b = q[:3, 3]
+
+    def cost_at(p):
+        h = np.append(p, 1.0)
+        return float(h @ q @ h)
+
+    try:
+        if np.linalg.cond(a) < 1e10:
+            vbar = np.linalg.solve(a, -b)
+            return vbar, cost_at(vbar)
+    except np.linalg.LinAlgError:
+        pass
+    candidates = [v1, v2, 0.5 * (v1 + v2)]
+    costs = [cost_at(p) for p in candidates]
+    best = int(np.argmin(costs))
+    return candidates[best], costs[best]
+
+
+def assert_batch_matches_scalar(q, v1, v2):
+    vbar, cost = optimal_contractions(q, v1, v2)
+    assert vbar.shape == (len(q), 3) and cost.shape == (len(q),)
+    for i in range(len(q)):
+        ref_vbar, ref_cost = scalar_contraction(q[i], v1[i], v2[i])
+        assert vbar[i].tobytes() == np.asarray(ref_vbar, dtype=np.float64).tobytes()
+        assert cost[i].tobytes() == np.float64(ref_cost).tobytes()
+
+
+def single_plane_case():
+    # Quadric of a single plane is rank-1 in its 3x3 block: singular.
+    plane = np.array([0.0, 0.0, 1.0, 0.0])
+    return np.outer(plane, plane), np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 4.0])
 
 
 def random_quadric_case(rng):
@@ -85,16 +126,66 @@ def test_optimal_contraction_matches_grid_search(rng):
 
 
 def test_singular_quadric_falls_back_to_candidates():
-    # Quadric of a single plane is rank-1 in its 3x3 block: singular.
-    plane = np.array([0.0, 0.0, 1.0, 0.0])
-    q = np.outer(plane, plane)
-    v1 = np.array([0.0, 0.0, 2.0])
-    v2 = np.array([1.0, 0.0, 4.0])
+    q, v1, v2 = single_plane_case()
     vbar, cost = optimal_contraction(q, v1, v2)
     candidates = [v1, v2, 0.5 * (v1 + v2)]
     costs = [quadric_cost(q, c) for c in candidates]
     assert cost == pytest.approx(min(costs), abs=1e-12)
     assert any(np.allclose(vbar, c) for c in candidates)
+
+
+def test_batched_contractions_equal_scalar_formulas(rng):
+    cases = [random_quadric_case(rng) for _ in range(200)]
+    q, v1, v2 = (np.stack(c) for c in zip(*cases))
+    assert_batch_matches_scalar(q, v1, v2)
+
+
+def test_batched_contraction_single_plane_fallback():
+    q, v1, v2 = single_plane_case()
+    assert_batch_matches_scalar(q[None], v1[None], v2[None])
+    vbar, cost = optimal_contraction(q, v1, v2)
+    assert isinstance(cost, float)
+    assert vbar.tobytes() == scalar_contraction(q, v1, v2)[0].tobytes()
+
+
+def test_batched_contractions_mix_singular_rows(rng):
+    rows = []
+    for i in range(60):
+        if i % 3 == 0:
+            case = single_plane_case()
+        elif i % 3 == 1:
+            # Rank-2 block: two planes meeting in a line.
+            p1, p2 = np.array([0.0, 0.0, 1.0, -0.2]), np.array([0.0, 1.0, 0.0, 0.3])
+            case = (np.outer(p1, p1) + np.outer(p2, p2), *rng.uniform(0, 1, (2, 3)))
+        else:
+            case = random_quadric_case(rng)
+        rows.append(case)
+    # An all-zero quadric: every candidate costs 0 and v1 wins the tie.
+    rows.append((np.zeros((4, 4)), np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])))
+    # A non-finite block fails the one-row SVD; it must not fail the batch.
+    rows.append((np.full((4, 4), np.nan), np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])))
+    q, v1, v2 = (np.stack(c) for c in zip(*rows))
+    assert_batch_matches_scalar(q, v1, v2)
+    vbar, _ = optimal_contractions(q, v1, v2)
+    assert np.array_equal(vbar[-2:], v1[-2:])
+
+
+def test_batched_contractions_of_no_rows():
+    vbar, cost = optimal_contractions(np.zeros((0, 4, 4)), np.zeros((0, 3)), np.zeros((0, 3)))
+    assert vbar.shape == (0, 3) and cost.shape == (0,)
+
+
+def test_qem_output_is_pinned():
+    # Level 0 of the toy hierarchy of a noise-free scene 0: its floor and
+    # walls are exactly flat, so most contractions cost exactly 0 and pop
+    # in push order. A change to the costs' rounding or to the push order
+    # changes these bytes.
+    scene = make_toy_scene(0, ToySceneConfig(position_noise=0.0))
+    level0, _ = vertex_clustering_pool(scene, 0.15)
+    coarse, trace = qem_pool(level0, 0.3, 0.15)
+    digest = hashlib.sha256(trace.assignment.astype("<i8").tobytes()
+                            + coarse.positions.astype("<f8").tobytes()).hexdigest()
+    assert digest == "a4bea618d783df6001621f67e097b9c2f78d815c227750468f5a3749064a07f8"
 
 
 def test_popped_costs_non_decreasing(rng):
@@ -130,11 +221,19 @@ def test_additive_quadrics_after_contraction(rng):
 
 def test_position_is_contraction_minimizer(rng):
     mesh = random_mesh(rng, 15, 20)
+    quadrics = vertex_quadrics(mesh)
     coarse, trace = qem_pool(mesh, 0.6, pair_distance_threshold=1.0)
-    # Every coarse position must cost no more than either original endpoint
-    # under the accumulated quadric of its group (minimizer property spot
-    # check on single-merge groups).
     assert coarse.num_vertices == int(np.ceil(0.6 * 15))
+    # A group of two was formed by one merge: its position costs no more
+    # than either original endpoint under the summed quadric of the two.
+    pairs = np.flatnonzero(trace.group_sizes() == 2)
+    assert len(pairs) > 0
+    for g in pairs:
+        i, j = np.flatnonzero(trace.assignment == g)
+        q = quadrics[i] + quadrics[j]
+        cost = quadric_cost(q, coarse.positions[g])
+        for endpoint in (mesh.positions[i], mesh.positions[j]):
+            assert cost <= quadric_cost(q, endpoint) + 1e-12
 
 
 def test_disconnected_far_components_never_merge():
