@@ -236,11 +236,6 @@ def cmd_build_hierarchy(args):
     config = _hierarchy_config(args)
     neigh_cfgs = _neighborhood_configs(args, config.num_levels)
     mesh = check_mesh(load_mesh(args.input))
-    if config.strategy == "fps" and config.fps_counts[0] > mesh.num_vertices:
-        raise MeshValidationError(
-            f"first FPS count {config.fps_counts[0]} exceeds the "
-            f"{mesh.num_vertices} vertices of {args.input}"
-        )
     hier = build_hierarchy(mesh, config)
     hier.build_euclidean_edges(neigh_cfgs)
     out = Path(args.output)

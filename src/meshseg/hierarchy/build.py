@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..graph.neighborhoods import EdgeSet, NeighborhoodConfig, knn_graph, radius_graph
-from ..mesh.core import Mesh, geodesic_edge_set
+from ..mesh.core import Mesh, MeshValidationError, geodesic_edge_set
 from .fps import fps_pool
 from .qem import qem_pool
 from .trace import PoolingTraceMap
@@ -111,8 +111,14 @@ def build_hierarchy(mesh: Mesh, config: HierarchyConfig) -> Hierarchy:
 
     The first pooling operation (VC cell 0, QEM pre-pass cell, or the first
     FPS count) produces level 0; its trace from the raw input is kept in
-    input_trace.
+    input_trace. A first FPS count above the mesh's vertex count raises
+    MeshValidationError: the input, not the config, is at fault.
     """
+    if config.strategy == "fps" and config.fps_counts[0] > mesh.num_vertices:
+        raise MeshValidationError(
+            f"first FPS count {config.fps_counts[0]} exceeds the "
+            f"{mesh.num_vertices} vertices of the mesh"
+        )
     levels: List[Mesh] = []
     traces: List[PoolingTraceMap] = []
     edge_sets: List[EdgeSet] = []

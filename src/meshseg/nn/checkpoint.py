@@ -47,9 +47,9 @@ def _batch_norms(net: SegmentationNetwork):
                 branch = getattr(blk, branch_name, None)
                 if branch is None:
                     continue
-                for i, m in enumerate(branch.phi.modules):
+                for name, m in branch.named_modules():
                     if isinstance(m, BatchNorm):
-                        yield f"{prefix}.{b}.{branch_name}.phi.{i}", m
+                        yield f"{prefix}.{b}.{branch_name}.{name}", m
 
     for lvl, blocks in enumerate(net.encoder):
         yield from walk(f"encoder.{lvl}", blocks)

@@ -1,8 +1,11 @@
 """Minimal dense layers with explicit reverse-mode gradients.
 
 Everything is float64 numpy. Each module caches what its backward pass
-needs during forward(train=True) and accumulates parameter gradients into
-Param.grad; backward returns the gradient wrt the module input.
+needs during forward(train=True), accumulates parameter gradients into
+Param.grad and drops the cache; backward returns the gradient wrt the module
+input and is defined once per train-mode forward. ReLU overwrites its input,
+so it must be handed a fresh array that nothing else holds (in `mlp` and the
+network head that is the output of a BatchNorm).
 """
 
 from __future__ import annotations
@@ -39,10 +42,13 @@ class Linear:
     def forward(self, x, train: bool):
         if train:
             self._x = x
-        return x @ self.weight.value + self.bias.value
+        y = x @ self.weight.value
+        y += self.bias.value
+        return y
 
     def backward(self, dy):
-        self.weight.grad += self._x.T @ dy
+        x, self._x = self._x, None
+        self.weight.grad += x.T @ dy
         self.bias.grad += dy.sum(axis=0)
         return dy @ self.weight.value.T
 
@@ -67,31 +73,38 @@ class BatchNorm:
         if train:
             n = x.shape[0]
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            xhat = x - mean
+            var = np.einsum("ij,ij->j", xhat, xhat) / n
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv_std
-            self._cache = (xhat, inv_std, n)
+            xhat *= inv_std
+            self._cache = (xhat, inv_std)
             unbiased = var * n / max(n - 1, 1)
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
-            self._train_mode = True
+            y = xhat * self.gamma.value
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv_std
-            self._cache = (xhat, inv_std, x.shape[0])
-            self._train_mode = False
-        return xhat * self.gamma.value + self.beta.value
+            # Nothing is cached, so the normalized rows can take the output.
+            y = x - self.running_mean
+            y *= self.gamma.value / np.sqrt(self.running_var + self.eps)
+        y += self.beta.value
+        return y
 
     def backward(self, dy):
-        xhat, inv_std, n = self._cache
-        self.gamma.grad += (dy * xhat).sum(axis=0)
-        self.beta.grad += dy.sum(axis=0)
-        dxhat = dy * self.gamma.value
-        if not self._train_mode:
-            return dxhat * inv_std
-        return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        """Train-mode adjoint: dx = gamma inv_std (dy - dbeta/n - xhat dgamma/n)."""
+        xhat, inv_std = self._cache
+        self._cache = None
+        n = dy.shape[0]
+        dbeta = dy.sum(axis=0)
+        dgamma = (dy * xhat).sum(axis=0)
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        # The cache is spent, so dx is built in xhat's rows.
+        dx = xhat
+        dx *= -dgamma / n
+        dx += dy
+        dx -= dbeta / n
+        dx *= self.gamma.value * inv_std
+        return dx
 
     def parameters(self):
         yield "gamma", self.gamma
@@ -99,12 +112,16 @@ class BatchNorm:
 
 
 class ReLU:
+    """max(x, 0), written into x itself (see the module docstring)."""
+
     def forward(self, x, train: bool):
-        self._mask = x > 0
-        return x * self._mask
+        if train:
+            self._mask = x > 0
+        return np.maximum(x, 0.0, out=x)
 
     def backward(self, dy):
-        return dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy * mask
 
     def parameters(self):
         return iter(())

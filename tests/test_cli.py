@@ -195,6 +195,7 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     ("build-hierarchy", None, FPS_ARGS + ["5000,100"], EXIT_VALIDATION),
     ("build-hierarchy", None, FPS_ARGS + ["100,500"], EXIT_CONFIG),
     ("build-hierarchy", None, FPS_ARGS + ["0,5"], EXIT_CONFIG),
+    ("train", None, FPS_ARGS + ["1000,300,100,30", "--crop-extent", "1.0"], EXIT_VALIDATION),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):

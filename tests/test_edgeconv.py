@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
-from meshseg.graph.neighborhoods import EdgeSet
+from meshseg.graph.neighborhoods import EdgeSet, scatter_sum
 from meshseg.nn.edgeconv import DualBlock, EdgeConvBranch, prepared_edges
+from meshseg.nn.layers import BatchNorm, Sequential
 
 
 def random_edge_set(rng, num_vertices, max_degree=4):
@@ -15,6 +18,11 @@ def random_edge_set(rng, num_vertices, max_degree=4):
     return EdgeSet.from_pairs(centers, np.concatenate(neighbors), num_vertices)
 
 
+def edge_mlp(branch, h):
+    """phi in eval mode on rows of [x_i, x_j - x_i] (or x_j - x_i): all its layers per row."""
+    return branch.phi.forward(branch.vertex_linear.forward(h, train=False), train=False)
+
+
 def branch_oracle(branch, x, edges):
     """Per-vertex mean of phi over neighbor edges, one edge at a time."""
     outputs = np.zeros((x.shape[0], branch.out_width))
@@ -24,7 +32,7 @@ def branch_oracle(branch, x, edges):
         for j in nbrs:
             diff = x[j] - x[i]
             h = diff if branch.relative else np.concatenate([x[i], diff])
-            rows.append(branch.phi.forward(h[None, :], train=False)[0])
+            rows.append(edge_mlp(branch, h[None, :])[0])
         outputs[i] = np.mean(rows, axis=0)
     return outputs
 
@@ -56,7 +64,7 @@ def test_equal_features_relative_branch_is_constant(rng):
     edges = random_edge_set(rng, 9)
     branch = EdgeConvBranch(4, 6, 3, rng, relative=True)
     got = branch.forward(x, *prepared_edges(edges), train=False)
-    expected = branch.phi.forward(np.zeros((1, 4)), train=False)[0]
+    expected = edge_mlp(branch, np.zeros((1, 4)))[0]
     assert np.allclose(got, np.tile(expected, (9, 1)), atol=1e-12)
 
 
@@ -197,3 +205,116 @@ def test_dual_block_backward_matches_fd(rng):
             flat[k] = orig
             num = (up - down) / (2 * h)
             assert abs(num - gflat[k]) / max(abs(num), abs(gflat[k]), 1e-2) < 1e-5
+
+
+def concatenated_reference(branch, x, centers, nbrs, inv_counts, train, dy=None):
+    """The branch as it ran before phi's first Linear moved to the vertices.
+
+    A copy of the branch runs phi's whole stack per edge on the E x 2F rows
+    [x_i, x_j - x_i] (E x F rows x_j - x_i for the relative variant), and its
+    backward splits their gradient back onto x_i and x_j. Returns the output
+    and, given dy, dx and the parameter gradients by name.
+    """
+    ref = copy.deepcopy(branch)
+    phi = Sequential(ref.vertex_linear, *ref.phi.modules)
+    diff = x[nbrs] - x[centers]
+    h = diff if ref.relative else np.concatenate([x[centers], diff], axis=1)
+    y = scatter_sum(phi.forward(h, train), centers, x.shape[0]) * inv_counts[:, None]
+    if dy is None:
+        return y, None, None
+    for _, p in ref.parameters():
+        p.grad[...] = 0.0
+    dh = phi.backward((dy * inv_counts[:, None])[centers])
+    v, f = x.shape
+    if ref.relative:
+        dx = scatter_sum(dh, nbrs, v) - scatter_sum(dh, centers, v)
+    else:
+        to_centers = scatter_sum(dh, centers, v)
+        dx = to_centers[:, :f] - to_centers[:, f:] + scatter_sum(dh, nbrs, v)[:, f:]
+    return y, dx, {name: p.grad.copy() for name, p in ref.parameters()}
+
+
+def assert_relative_close(got, ref, tol=1e-12):
+    assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+def randomized_branch(rng, in_width, relative):
+    """A branch whose batch norms have non-trivial affine maps and running stats."""
+    branch = EdgeConvBranch(in_width, 7, 6, rng, relative=relative)
+    for _, m in branch.named_modules():
+        if isinstance(m, BatchNorm):
+            m.gamma.value = rng.normal(size=m.gamma.value.shape)
+            m.beta.value = rng.normal(size=m.beta.value.shape)
+            m.running_mean = rng.normal(size=m.running_mean.shape)
+            m.running_var = rng.uniform(0.5, 2.0, size=m.running_var.shape)
+    return branch
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("relative", [False, True])
+def test_branch_matches_concatenated_reference(rng, relative, train):
+    v, f = 30, 5
+    x = rng.normal(size=(v, f))
+    # Every fifth vertex has no neighbors and takes the self-loop row.
+    rows = random_edge_set(rng, v).neighbors
+    edges = EdgeSet([n if i % 5 else n[:0] for i, n in enumerate(rows)])
+    prep = prepared_edges(edges)
+    assert (prep[0] == prep[1]).sum() == v // 5
+    branch = randomized_branch(rng, f, relative)
+    dy = rng.normal(size=(v, branch.out_width)) if train else None
+
+    y_ref, dx_ref, grads_ref = concatenated_reference(branch, x, *prep, train, dy)
+    y = branch.forward(x, *prep, train=train)
+    assert_relative_close(y, y_ref)
+    if not train:
+        return
+    for _, p in branch.parameters():
+        p.grad[...] = 0.0
+    assert_relative_close(branch.backward(dy), dx_ref)
+    for name, p in branch.parameters():
+        if name in ("phi.0.bias", "phi.3.bias"):
+            # A bias feeding a train-mode batch norm has an exact gradient of
+            # zero; both versions hold rounding noise there.
+            weight = name.replace("bias", "weight")
+            assert np.abs(p.grad).max() <= 1e-12 * np.abs(grads_ref[weight]).max()
+            assert np.abs(grads_ref[name]).max() <= 1e-12 * np.abs(grads_ref[weight]).max()
+        else:
+            assert_relative_close(p.grad, grads_ref[name])
+
+
+def test_branch_keeps_the_parameter_layout_of_the_whole_stack(rng):
+    branch = EdgeConvBranch(4, 6, 3, rng)
+    assert [(name, p.value.shape) for name, p in branch.parameters()] == [
+        ("phi.0.weight", (8, 6)), ("phi.0.bias", (6,)),
+        ("phi.1.gamma", (6,)), ("phi.1.beta", (6,)),
+        ("phi.3.weight", (6, 3)), ("phi.3.bias", (3,)),
+        ("phi.4.gamma", (3,)), ("phi.4.beta", (3,)),
+    ]
+    assert [type(m).__name__ for m in branch.phi.modules] == [
+        "BatchNorm", "ReLU", "Linear", "BatchNorm", "ReLU",
+    ]
+
+
+def test_branch_caches_no_concatenated_rows(rng):
+    # Widths chosen so that no cached per-edge tensor can be 2F wide by accident.
+    v, f = 20, 5
+    x = rng.normal(size=(v, f))
+    prep = prepared_edges(random_edge_set(rng, v))
+    num_edges = len(prep[0])
+    branch = EdgeConvBranch(f, 7, 3, rng)
+    branch.forward(x, *prep, train=True)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from arrays(item)
+
+    cached = [a for owner in [branch, *branch.phi.modules, branch.vertex_linear]
+              for name, value in vars(owner).items() if name.startswith("_")
+              for a in arrays(value)]
+    assert cached
+    assert not [a.shape for a in cached if a.ndim == 2 and a.shape[1] == 2 * f]
+    # Per-edge caches start at phi's first batch norm, H = 7 wide.
+    assert max(a.shape[1] for a in cached if a.ndim == 2 and len(a) == num_edges) == 7

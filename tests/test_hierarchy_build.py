@@ -11,6 +11,7 @@ from meshseg.hierarchy.build import (
     merge_hierarchies,
 )
 from meshseg.hierarchy.trace import PoolingTraceMap
+from meshseg.mesh.core import MeshValidationError
 from meshseg.pipeline.toydata import make_toy_scene
 
 
@@ -56,6 +57,16 @@ def test_fps_hierarchy_has_empty_geodesic_edges(scene):
     assert [m.num_vertices for m in hier.levels] == [300, 100, 30, 10]
     for edges in hier.geodesic_edges:
         assert edges.num_edges == 0
+
+
+def test_fps_count_above_vertex_count_is_a_validation_error(scene):
+    v = scene.num_vertices
+    cfg = HierarchyConfig(strategy="fps", fps_counts=(v + 1, 10))
+    with pytest.raises(MeshValidationError, match=f"{v + 1} exceeds the {v} vertices"):
+        build_hierarchy(scene, cfg)
+    # Exactly V samples is still a valid first level.
+    assert build_hierarchy(scene, HierarchyConfig(strategy="fps", fps_counts=(v, 10))
+                           ).levels[0].num_vertices == v
 
 
 def test_euclidean_edges_lazy(scene):

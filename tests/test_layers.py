@@ -116,6 +116,78 @@ def test_batchnorm_backward_matches_fd(rng):
     assert analytic_vs_fd(bn, x) < 1e-5
 
 
+def textbook_batchnorm_backward(xhat, inv_std, gamma, dy):
+    """Train-mode batch-norm adjoint through dxhat = dy * gamma: (dx, dgamma, dbeta)."""
+    n = dy.shape[0]
+    dxhat = dy * gamma
+    dx = (inv_std / n) * (
+        n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+    )
+    return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+def test_batchnorm_backward_matches_textbook(rng):
+    bn = BatchNorm(6)
+    bn.gamma.value = rng.normal(size=6)
+    bn.beta.value = rng.normal(size=6)
+    x = rng.normal(loc=3.0, scale=2.0, size=(200, 6))
+    dy = rng.normal(size=(200, 6))
+    bn.forward(x, train=True)
+    xhat, inv_std = (a.copy() for a in bn._cache)
+    dx_ref, dgamma_ref, dbeta_ref = textbook_batchnorm_backward(xhat, inv_std,
+                                                                bn.gamma.value, dy)
+    dx = bn.backward(dy)
+    assert np.array_equal(bn.gamma.grad, dgamma_ref)
+    assert np.array_equal(bn.beta.grad, dbeta_ref)
+    assert np.abs(dx - dx_ref).max() <= 1e-12 * np.abs(dx_ref).max()
+    # The cached normalized input is the textbook one.
+    expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + bn.eps)
+    assert np.allclose(xhat, expected, rtol=0, atol=1e-12)
+    assert bn._cache is None
+
+
+def test_sequential_leaves_earlier_caches_unchanged(rng):
+    """No module overwrites an array that another module cached for backward.
+
+    ReLU writes into its input; this holds only while that input is a fresh
+    array, as the batch-norm output is.
+    """
+    seq = mlp((3, 6, 4), rng)
+    for m in seq.modules:
+        if isinstance(m, BatchNorm):
+            m.beta.value = rng.normal(size=m.beta.value.shape)
+    x = rng.normal(size=(25, 3))
+    x_before = x.copy()
+
+    def cached(module):
+        out = []
+        for name, value in vars(module).items():
+            if name.startswith("_") and value is not None:
+                out += [a for a in (value if isinstance(value, tuple) else (value,))
+                        if isinstance(a, np.ndarray)]
+        return out
+
+    snapshots = {}
+    for m in seq.modules:
+        def forward(h, train, m=m, original=m.forward):
+            out = original(h, train)
+            snapshots[id(m)] = [(a, a.copy()) for a in cached(m)]
+            return out
+
+        def backward(dy, m=m, original=m.backward):
+            for a, before in snapshots[id(m)]:
+                assert np.array_equal(a, before), type(m).__name__
+            return original(dy)
+        m.forward, m.backward = forward, backward
+
+    y = seq.forward(x, train=True)
+    # Per layer: the Linear input, the batch-norm xhat and inv_std, the ReLU mask.
+    assert sum(len(v) for v in snapshots.values()) == 2 * (1 + 2 + 1)
+    seq.backward(np.ones_like(y))
+    assert np.array_equal(x, x_before)
+    assert all(not cached(m) for m in seq.modules)
+
+
 def test_relu(rng):
     relu = ReLU()
     x = np.array([[-1.0, 0.0, 2.5]])
