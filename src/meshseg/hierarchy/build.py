@@ -76,19 +76,23 @@ class Hierarchy:
         return len(self.levels)
 
     def validate(self):
-        if len(self.traces) != len(self.levels) - 1:
+        """Check every trace and edge set against the level vertex counts.
+
+        Messages name the part at fault the way the hierarchy store names
+        its members: level_{l}, trace_{l}, trace_input, edges_{l}_geo|euc.
+        """
+        counts = [m.num_vertices for m in self.levels]
+        if len(self.traces) != len(counts) - 1:
             raise ValueError("hierarchy needs exactly one trace per level transition")
-        for i in range(len(self.levels) - 1):
-            if self.levels[i + 1].num_vertices >= self.levels[i].num_vertices:
-                raise ValueError(f"level {i + 1} does not reduce the vertex count")
-            t = self.traces[i]
-            t.validate()
-            if t.fine_count != self.levels[i].num_vertices:
-                raise ValueError(f"trace {i} fine size does not match level {i}")
-            if t.coarse_count != self.levels[i + 1].num_vertices:
-                raise ValueError(f"trace {i} coarse count does not match level {i + 1}")
-        for i, edges in enumerate(self.geodesic_edges):
-            edges.validate(self.levels[i].num_vertices)
+        for i in range(len(counts) - 1):
+            if counts[i + 1] >= counts[i]:
+                raise ValueError(f"level_{i + 1} does not reduce the vertex count")
+            _check_trace(f"trace_{i}", self.traces[i], counts[i], counts[i + 1])
+        if self.input_trace is not None:
+            _check_trace("trace_input", self.input_trace, None, counts[0])
+        _check_edge_sets("geo", self.geodesic_edges, counts)
+        if self.euclidean_edges is not None:
+            _check_edge_sets("euc", self.euclidean_edges, counts)
 
     def build_euclidean_edges(self, configs: Sequence[NeighborhoodConfig]):
         """Build per-level Euclidean edge sets (lazy; overwrites any previous)."""
@@ -104,6 +108,30 @@ class Hierarchy:
                 edge_sets.append(self.geodesic_edges[len(edge_sets)])
         self.euclidean_edges = edge_sets
         return self.euclidean_edges
+
+
+def _check_trace(name, trace: PoolingTraceMap, fine_count, coarse_count):
+    if fine_count is not None and trace.fine_count != fine_count:
+        raise ValueError(f"{name}: {trace.fine_count} fine vertices, the level has {fine_count}")
+    if trace.coarse_count != coarse_count:
+        raise ValueError(
+            f"{name}: coarse count {trace.coarse_count}, the level has {coarse_count}")
+    try:
+        trace.validate()
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from e
+
+
+def _check_edge_sets(kind, edge_sets: Sequence[EdgeSet], counts):
+    if len(edge_sets) != len(counts):
+        raise ValueError(f"{len(edge_sets)} {kind} edge sets for {len(counts)} levels")
+    for lvl, (edges, n) in enumerate(zip(edge_sets, counts)):
+        try:
+            if len(edges) != n:
+                raise ValueError(f"{len(edges)} rows for {n} vertices")
+            edges.validate(n)
+        except ValueError as e:
+            raise ValueError(f"edges_{lvl}_{kind}: {e}") from e
 
 
 def build_hierarchy(mesh: Mesh, config: HierarchyConfig) -> Hierarchy:

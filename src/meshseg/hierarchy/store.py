@@ -1,31 +1,46 @@
-"""On-disk hierarchy layout.
-
-A hierarchy directory holds manifest.json, level_{l}.ply per mesh level,
-trace_{l}.txt (one coarse index per fine vertex, ASCII decimal) and
-edges_{l}_{geo|euc}.txt (one directed edge "i j" per line).
+"""On-disk hierarchy layout, format version 2: manifest.json plus an
+uncompressed hierarchy.npz. For each level l the archive holds
+level_{l}_positions and _faces (and _colors, _normals, _labels on every level
+when level 0 has them), the CSR arrays edges_{l}_geo_indptr and _indices (and
+edges_{l}_euc_* when Euclidean edges were built) and, below the coarsest
+level, trace_{l}: the level l + 1 index of every level l vertex. trace_input
+maps the raw input onto level 0. A trace's coarse count is the vertex count
+of the level it maps onto. Loading runs check_mesh on each level, then
+Hierarchy.validate(); any failure is a HierarchyFormatError naming the member.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Optional
+import tokenize
+import zipfile
+import zlib
 
 import numpy as np
 
 from ..graph.neighborhoods import EdgeSet
-from ..mesh.io import load_mesh, save_mesh
+from ..mesh.core import Mesh, MeshValidationError, check_mesh
 from .build import Hierarchy
 from .trace import PoolingTraceMap
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+ARCHIVE = "hierarchy.npz"
+# Member suffix -> (dtype kind, ndim) of every level's mesh arrays.
+MESH_MEMBERS = {"positions": ("f", 2), "faces": ("iu", 2), "colors": ("f", 2),
+                "normals": ("f", 2), "labels": ("iu", 1)}
+MANIFEST_TYPES = {"num_levels": int, "vertex_counts": list,
+                  "has_euclidean_edges": bool, "has_input_trace": bool}
+# What np.load, its zip reader and its .npy header parser raise on a damaged archive.
+DAMAGED_ARCHIVE = (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImplementedError,
+                   RuntimeError, zlib.error, SyntaxError, tokenize.TokenError)
 
 
 class HierarchyFormatError(ValueError):
     pass
 
 
-def serialize_hierarchy(hier: Hierarchy, directory, manifest_extra: Optional[dict] = None):
+def serialize_hierarchy(hier: Hierarchy, directory, manifest_extra: dict | None = None):
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -41,116 +56,100 @@ def serialize_hierarchy(hier: Hierarchy, directory, manifest_extra: Optional[dic
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
+    members = {}
     for lvl, mesh in enumerate(hier.levels):
-        save_mesh(mesh, os.path.join(directory, f"level_{lvl}.ply"), binary=True)
-    for lvl, trace in enumerate(hier.traces):
-        _write_trace(os.path.join(directory, f"trace_{lvl}.txt"), trace)
+        members.update((f"level_{lvl}_{attr}", getattr(mesh, attr)) for attr in MESH_MEMBERS
+                       if getattr(mesh, attr) is not None)
+    members.update((f"trace_{lvl}", t.assignment) for lvl, t in enumerate(hier.traces))
     if hier.input_trace is not None:
-        _write_trace(os.path.join(directory, "trace_input.txt"), hier.input_trace)
-    for lvl, edges in enumerate(hier.geodesic_edges):
-        _write_edges(os.path.join(directory, f"edges_{lvl}_geo.txt"), edges)
-    if hier.euclidean_edges is not None:
-        for lvl, edges in enumerate(hier.euclidean_edges):
-            _write_edges(os.path.join(directory, f"edges_{lvl}_euc.txt"), edges)
+        members["trace_input"] = hier.input_trace.assignment
+    for kind, edge_sets in (("geo", hier.geodesic_edges), ("euc", hier.euclidean_edges or [])):
+        for lvl, edges in enumerate(edge_sets):
+            members[f"edges_{lvl}_{kind}_indptr"] = edges.indptr
+            members[f"edges_{lvl}_{kind}_indices"] = edges.indices
+    # np.savez's layout, with ZipInfo's fixed 1980 timestamp on every member
+    # instead of the clock, so that equal hierarchies write equal bytes.
+    with zipfile.ZipFile(os.path.join(directory, ARCHIVE), "w") as archive:
+        for name, value in members.items():
+            with archive.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, np.asarray(value), allow_pickle=False)
 
 
 def deserialize_hierarchy(directory) -> Hierarchy:
-    manifest_path = os.path.join(directory, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise HierarchyFormatError(f"missing manifest.json in {directory}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    num_levels = manifest["num_levels"]
+    manifest = _read_manifest(directory)
+    path = os.path.join(directory, ARCHIVE)
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except DAMAGED_ARCHIVE as e:  # a missing archive is an OSError too
+        raise HierarchyFormatError(f"{path}: cannot read the archive: {e}") from e
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise HierarchyFormatError(f"{path}: not an .npz archive")
+    with archive:
+        return _read_hierarchy(archive, manifest, path)
 
-    levels = []
+
+def _read_manifest(directory) -> dict:
+    path = os.path.join(directory, "manifest.json")
+    if not os.path.isfile(path):
+        raise HierarchyFormatError(f"missing manifest.json in {directory}")
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise HierarchyFormatError(f"{path}: not valid JSON: {e}") from e
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != FORMAT_VERSION:
+        raise HierarchyFormatError(
+            f"{path}: hierarchy format version {version!r} is not supported (this reader "
+            f"reads version {FORMAT_VERSION}); rebuild it with `meshseg build-hierarchy`")
+    for key, kind in MANIFEST_TYPES.items():
+        if not isinstance(manifest.get(key), kind):
+            raise HierarchyFormatError(f"{path}: {key!r} is missing or not of type {kind.__name__}")
+    if manifest["num_levels"] < 1:
+        raise HierarchyFormatError(f"{path}: 'num_levels' must be at least 1")
+    return manifest
+
+
+def _read_hierarchy(archive, manifest, path) -> Hierarchy:
+    def member(name, kind, ndim):
+        try:
+            value = archive[name]
+        except KeyError:
+            raise HierarchyFormatError(f"{path}: missing member {name}") from None
+        except DAMAGED_ARCHIVE as e:
+            raise HierarchyFormatError(f"{path}: member {name} is damaged: {e}") from e
+        if value.dtype.kind not in kind or value.ndim != ndim or value.shape[1:] not in ((), (3,)):
+            raise HierarchyFormatError(f"{path}: member {name} has the wrong dtype or shape: "
+                                       f"{value.dtype} {value.shape}")
+        return value
+
+    def edge_sets(kind):
+        return [EdgeSet.from_csr(member(f"edges_{lvl}_{kind}_indptr", "iu", 1),
+                                 member(f"edges_{lvl}_{kind}_indices", "iu", 1))
+                for lvl in range(num_levels)]
+
+    levels, num_levels = [], manifest["num_levels"]
     for lvl in range(num_levels):
-        path = os.path.join(directory, f"level_{lvl}.ply")
-        if not os.path.isfile(path):
-            raise HierarchyFormatError(f"missing mesh for level {lvl}: {path}")
-        levels.append(load_mesh(path))
+        arrays = {attr: member(f"level_{lvl}_{attr}", kind, ndim)
+                  for attr, (kind, ndim) in MESH_MEMBERS.items()
+                  if attr in ("positions", "faces") or f"level_0_{attr}" in archive}
+        try:
+            levels.append(check_mesh(Mesh(**arrays)))
+        except MeshValidationError as e:
+            raise HierarchyFormatError(f"{path}: level_{lvl}: {e}") from e
     counts = [m.num_vertices for m in levels]
     if counts != manifest["vertex_counts"]:
         raise HierarchyFormatError(
-            f"vertex counts {counts} disagree with manifest {manifest['vertex_counts']}"
-        )
+            f"vertex counts {counts} disagree with manifest {manifest['vertex_counts']}")
 
-    traces = []
-    for lvl in range(num_levels - 1):
-        traces.append(
-            _read_trace(os.path.join(directory, f"trace_{lvl}.txt"), counts[lvl + 1])
-        )
-    input_trace = None
-    if manifest.get("has_input_trace"):
-        input_trace = _read_trace(os.path.join(directory, "trace_input.txt"), counts[0])
-
-    geo = []
-    for lvl in range(num_levels):
-        path = os.path.join(directory, f"edges_{lvl}_geo.txt")
-        if not os.path.isfile(path):
-            raise HierarchyFormatError(f"missing geodesic edges for level {lvl}")
-        geo.append(_read_edges(path, counts[lvl]))
-    euc = None
-    if manifest.get("has_euclidean_edges"):
-        euc = [
-            _read_edges(os.path.join(directory, f"edges_{lvl}_euc.txt"), counts[lvl])
-            for lvl in range(num_levels)
-        ]
-
-    hier = Hierarchy(levels, traces, geo, euc, input_trace)
-    hier.validate()
+    traces = [PoolingTraceMap(member(f"trace_{lvl}", "iu", 1), counts[lvl + 1])
+              for lvl in range(num_levels - 1)]
+    hier = Hierarchy(levels, traces, edge_sets("geo"),
+                     edge_sets("euc") if manifest["has_euclidean_edges"] else None,
+                     PoolingTraceMap(member("trace_input", "iu", 1), counts[0])
+                     if manifest["has_input_trace"] else None)
+    try:
+        hier.validate()
+    except ValueError as e:
+        raise HierarchyFormatError(f"{path}: {e}") from e
     return hier
-
-
-def _write_trace(path, trace: PoolingTraceMap):
-    with open(path, "w") as f:
-        f.write(f"# coarse_count {trace.coarse_count}\n")
-        for idx in trace.assignment:
-            f.write(f"{idx}\n")
-
-
-def _read_trace(path, coarse_count: int) -> PoolingTraceMap:
-    if not os.path.isfile(path):
-        raise HierarchyFormatError(f"missing trace file {path}")
-    assignment = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                idx = int(line)
-            except ValueError:
-                raise HierarchyFormatError(f"{path}: line {lineno}: not an integer")
-            if not 0 <= idx < coarse_count:
-                raise HierarchyFormatError(
-                    f"{path}: line {lineno}: coarse index {idx} out of range "
-                    f"(coarse_count {coarse_count})"
-                )
-            assignment.append(idx)
-    return PoolingTraceMap(np.asarray(assignment, dtype=np.int64), coarse_count)
-
-
-def _write_edges(path, edges: EdgeSet):
-    np.savetxt(path, np.stack(edges.flatten(), axis=1), fmt="%d")
-
-
-def _read_edges(path, num_vertices: int) -> EdgeSet:
-    if not os.path.isfile(path):
-        raise HierarchyFormatError(f"missing edges file {path}")
-    centers, nbrs = [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise HierarchyFormatError(f"{path}: line {lineno}: expected 'i j'")
-            i, j = int(parts[0]), int(parts[1])
-            if not (0 <= i < num_vertices and 0 <= j < num_vertices):
-                raise HierarchyFormatError(
-                    f"{path}: line {lineno}: edge index out of range"
-                )
-            centers.append(i)
-            nbrs.append(j)
-    return EdgeSet.from_pairs(centers, nbrs, num_vertices)

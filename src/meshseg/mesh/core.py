@@ -12,6 +12,11 @@ from ..graph.neighborhoods import EdgeSet, scatter_sum
 # Sentinel label for vertices without ground-truth annotation.
 UNLABELED = -1
 
+# Largest accepted coordinate magnitude, in meters. Far beyond any scene, and
+# far enough below the float64 range that squared distances, quadric errors
+# and grid cell indices cannot overflow.
+MAX_COORDINATE = 1e9
+
 
 class MeshValidationError(ValueError):
     """Raised when a mesh violates a structural invariant."""
@@ -90,9 +95,11 @@ def validate_mesh(mesh: Mesh) -> list:
     violations = []
     v = mesh.num_vertices
 
-    bad = np.flatnonzero(~np.isfinite(mesh.positions).all(axis=1))
-    for i in bad:
+    finite = np.isfinite(mesh.positions).all(axis=1)
+    for i in np.flatnonzero(~finite):
         violations.append(f"non-finite coordinate at vertex {i}")
+    for i in np.flatnonzero(finite & (np.abs(mesh.positions) > MAX_COORDINATE).any(axis=1)):
+        violations.append(f"coordinate beyond {MAX_COORDINATE:g} m at vertex {i}")
 
     if mesh.faces.size:
         out_of_range = np.flatnonzero(

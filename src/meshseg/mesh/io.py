@@ -36,12 +36,15 @@ def load_mesh(path, fmt: Optional[str] = None) -> Mesh:
     if fmt is None:
         fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     fmt = fmt.lower()
-    if fmt == "ply":
-        mesh = _load_ply(path)
-    elif fmt == "off":
-        mesh = _load_off(path)
-    else:
+    loader = {"ply": _load_ply, "off": _load_off}.get(fmt)
+    if loader is None:
         raise MeshParseError(f"{path}: unsupported mesh format {fmt!r}")
+    try:
+        mesh = loader(path)
+    except MeshParseError:
+        raise
+    except ValueError as e:  # a non-numeric token, or non-ASCII (UnicodeDecodeError)
+        raise MeshParseError(f"{path}: {e}") from e
     return check_mesh(mesh)
 
 
@@ -142,6 +145,8 @@ def _load_ply(path) -> Mesh:
                 raise MeshParseError(f"{path}: line {lineno}: malformed property line")
     if fmt is None:
         raise MeshParseError(f"{path}: missing format line")
+    if any(p == "__list__" for name, _, props in elements if name == "vertex" for p, _ in props):
+        raise MeshParseError(f"{path}: list property in the vertex element")
 
     parsed = {}
     if fmt == "ascii":

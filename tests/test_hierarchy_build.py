@@ -98,6 +98,59 @@ def test_validate_catches_bad_trace(scene):
         hier.validate()
 
 
+def knn_hierarchy(scene):
+    hier = build_hierarchy(scene, TOY_VC)
+    hier.build_euclidean_edges([NeighborhoodConfig(kind="knn", k=4)] * 4)
+    hier.validate()
+    return hier
+
+
+def test_validate_checks_euclidean_edge_range(scene):
+    hier = knn_hierarchy(scene)
+    rows = list(hier.euclidean_edges[1].neighbors)
+    rows[3] = np.append(rows[3], hier.levels[1].num_vertices)
+    hier.euclidean_edges[1] = EdgeSet(rows)
+    with pytest.raises(ValueError, match="edges_1_euc: edge index out of range at vertex 3"):
+        hier.validate()
+
+
+def test_validate_checks_euclidean_row_count(scene):
+    hier = knn_hierarchy(scene)
+    hier.euclidean_edges[2] = EdgeSet(hier.euclidean_edges[2].neighbors[:-1])
+    with pytest.raises(ValueError, match="edges_2_euc: .* rows for .* vertices"):
+        hier.validate()
+
+
+def test_validate_needs_one_euclidean_edge_set_per_level(scene):
+    hier = knn_hierarchy(scene)
+    hier.euclidean_edges.pop()
+    with pytest.raises(ValueError, match="3 euc edge sets for 4 levels"):
+        hier.validate()
+
+
+def test_validate_checks_input_trace_range(scene):
+    hier = knn_hierarchy(scene)
+    hier.input_trace.assignment[7] = hier.levels[0].num_vertices
+    with pytest.raises(ValueError, match="trace_input: trace assignment index out of range"):
+        hier.validate()
+
+
+def test_validate_checks_input_trace_surjective(scene):
+    hier = knn_hierarchy(scene)
+    # Send every raw vertex of coarse vertex 0 to coarse vertex 1.
+    hier.input_trace.assignment[hier.input_trace.assignment == 0] = 1
+    with pytest.raises(ValueError, match="trace_input: trace map not surjective"):
+        hier.validate()
+
+
+def test_validate_checks_input_trace_coarse_count(scene):
+    hier = knn_hierarchy(scene)
+    n = hier.levels[0].num_vertices
+    hier.input_trace = PoolingTraceMap(hier.input_trace.assignment, n + 1)
+    with pytest.raises(ValueError, match=f"trace_input: coarse count {n + 1}, the level has {n}"):
+        hier.validate()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         HierarchyConfig(strategy="bogus")

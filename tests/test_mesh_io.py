@@ -113,3 +113,37 @@ def test_binary_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(
         mesh.positions.view(np.uint64), back.positions.view(np.uint64)
     )
+
+
+ASCII_HEADER = "\n".join([
+    "ply", "format ascii 1.0",
+    "element vertex 3",
+    "property float x", "property float y", "property float z",
+    "element face 1",
+    "property list uchar int vertex_indices",
+    "end_header", "",
+]).encode("ascii")
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("token.ply", ASCII_HEADER + b"0 0 0\n1 0 0\n0 one 0\n3 0 1 2\n", "could not convert"),
+    ("byte.ply", ASCII_HEADER + b"0 0 0\n1 0 0\n0 1 \xe9\n3 0 1 2\n", "can't decode byte"),
+    ("coordinate.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 z\n3 0 1 2\n", "could not convert"),
+    ("face.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\nthree 0 1 2\n", "invalid literal"),
+], ids=["ply-token", "ply-byte", "off-coordinate", "off-face"])
+def test_unparsable_body_is_a_parse_error(tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(MeshParseError, match=message) as err:
+        load_mesh(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_list_property_in_vertex_element(tmp_path, rng, binary):
+    # A damaged "element face" line leaves the face list under the vertex element.
+    path = tmp_path / "m.ply"
+    save_mesh(random_mesh(rng, 10, 6), path, binary=binary)
+    path.write_bytes(path.read_bytes().replace(b"element face", b"elemeNt face"))
+    with pytest.raises(MeshParseError, match="list property in the vertex element"):
+        load_mesh(path)

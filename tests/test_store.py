@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from meshseg.cli import EXIT_VALIDATION, main
 from meshseg.graph.neighborhoods import NeighborhoodConfig
 from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy
 from meshseg.hierarchy.store import (
@@ -41,6 +42,13 @@ def test_round_trip(tmp_path, hier):
     for a, b in zip(hier.euclidean_edges, back.euclidean_edges):
         assert a == b
     assert np.array_equal(hier.input_trace.assignment, back.input_trace.assignment)
+    # Stricter than ==: the CSR arrays come back bit-identical, row order included.
+    for a, b in zip(hier.geodesic_edges + hier.euclidean_edges,
+                    back.geodesic_edges + back.euclidean_edges):
+        assert a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
+        assert a.indptr.tobytes() == b.indptr.tobytes()
+        assert a.indices.tobytes() == b.indices.tobytes()
+    assert sorted(os.listdir(d)) == ["hierarchy.npz", "manifest.json"]
 
 
 def test_serialize_is_deterministic(tmp_path, hier):
@@ -60,36 +68,6 @@ def test_manifest_echoes_strategy(tmp_path, hier):
     assert manifest["vertex_counts"] == [m.num_vertices for m in hier.levels]
 
 
-def test_out_of_range_trace_index_names_file_and_line(tmp_path, hier):
-    d = tmp_path / "h"
-    serialize_hierarchy(hier, d)
-    path = d / "trace_0.txt"
-    lines = path.read_text().splitlines()
-    lines[5] = str(hier.levels[1].num_vertices)  # one past the valid range
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(HierarchyFormatError) as err:
-        deserialize_hierarchy(d)
-    assert "trace_0.txt" in str(err.value)
-    assert "line 6" in str(err.value)
-
-
-def test_non_integer_trace_line(tmp_path, hier):
-    d = tmp_path / "h"
-    serialize_hierarchy(hier, d)
-    path = d / "trace_1.txt"
-    path.write_text(path.read_text().replace("\n", "\nfoo\n", 1))
-    with pytest.raises(HierarchyFormatError, match="not an integer"):
-        deserialize_hierarchy(d)
-
-
-def test_missing_edges_file(tmp_path, hier):
-    d = tmp_path / "h"
-    serialize_hierarchy(hier, d)
-    os.remove(d / "edges_2_geo.txt")
-    with pytest.raises(HierarchyFormatError, match="missing geodesic edges for level 2"):
-        deserialize_hierarchy(d)
-
-
 def test_missing_manifest(tmp_path):
     with pytest.raises(HierarchyFormatError, match="manifest"):
         deserialize_hierarchy(tmp_path / "nope")
@@ -105,10 +83,91 @@ def test_vertex_count_mismatch(tmp_path, hier):
         deserialize_hierarchy(d)
 
 
-def test_malformed_edge_line(tmp_path, hier):
+def rewrite_archive(directory, change):
+    """Apply `change` to the archive's members (a dict of arrays), then store them again."""
+    path = directory / "hierarchy.npz"
+    with np.load(path) as archive:
+        members = dict(archive)
+    change(members)
+    np.savez(path, **members)
+
+
+def test_out_of_range_trace_index_names_member(tmp_path, hier):
     d = tmp_path / "h"
     serialize_hierarchy(hier, d)
-    path = d / "edges_0_geo.txt"
-    path.write_text("1 2 3\n" + path.read_text())
-    with pytest.raises(HierarchyFormatError, match="expected 'i j'"):
+
+    def one_past_the_range(members):
+        members["trace_0"][5] = hier.levels[1].num_vertices
+    rewrite_archive(d, one_past_the_range)
+    with pytest.raises(HierarchyFormatError, match="trace_0: trace assignment index out of range"):
         deserialize_hierarchy(d)
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("trace_1", float), ("edges_0_geo_indices", float), ("level_2_faces", float),
+    ("level_1_positions", np.int64),
+])
+def test_wrong_dtype_member(tmp_path, hier, name, dtype):
+    d = tmp_path / "h"
+    serialize_hierarchy(hier, d)
+    rewrite_archive(d, lambda members: members.update({name: members[name].astype(dtype)}))
+    with pytest.raises(HierarchyFormatError, match=f"member {name} has the wrong dtype"):
+        deserialize_hierarchy(d)
+
+
+@pytest.mark.parametrize("name", ["edges_2_geo_indptr", "edges_1_euc_indices", "level_2_labels",
+                                  "trace_input"])
+def test_missing_member_names_level(tmp_path, hier, name):
+    d = tmp_path / "h"
+    serialize_hierarchy(hier, d)
+    rewrite_archive(d, lambda members: members.pop(name))
+    with pytest.raises(HierarchyFormatError, match=f"missing member {name}$"):
+        deserialize_hierarchy(d)
+
+
+def test_object_member_is_rejected(tmp_path, hier):
+    d = tmp_path / "h"
+    serialize_hierarchy(hier, d)
+    rewrite_archive(d, lambda members: members.update(
+        trace_0=np.array(list(members["trace_0"]), dtype=object)))
+    with pytest.raises(HierarchyFormatError, match="member trace_0 is damaged.*allow_pickle"):
+        deserialize_hierarchy(d)
+
+
+def test_version_1_directory_is_rejected(tmp_path, hier):
+    d = tmp_path / "h"
+    serialize_hierarchy(hier, d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    os.remove(d / "hierarchy.npz")
+    (d / "trace_0.txt").write_text("0\n")
+    with pytest.raises(HierarchyFormatError, match="version 1 is not supported.*rebuild"):
+        deserialize_hierarchy(d)
+
+
+def test_missing_archive(tmp_path, hier):
+    d = tmp_path / "h"
+    serialize_hierarchy(hier, d)
+    os.remove(d / "hierarchy.npz")
+    with pytest.raises(HierarchyFormatError, match="hierarchy.npz"):
+        deserialize_hierarchy(d)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: "{not json", "not valid JSON"),
+    (lambda m: "[2]", "version None is not supported"),
+    (lambda m: {k: v for k, v in m.items() if k != "num_levels"}, "'num_levels' is missing"),
+    (lambda m: {**m, "num_levels": "4"}, "'num_levels' is missing or not of type int"),
+    (lambda m: {**m, "has_input_trace": 1}, "'has_input_trace' is missing or not of type bool"),
+    (lambda m: {**m, "num_levels": 0}, "'num_levels' must be at least 1"),
+    (lambda m: {**m, "format_version": 99}, "version 99 is not supported"),
+], ids=["not-json", "not-object", "no-num-levels", "str-num-levels", "int-flag", "no-levels",
+        "version-99"])
+def test_bad_manifest_exits_2(tmp_path, hier, capsys, edit, message):
+    d = tmp_path / "h"
+    serialize_hierarchy(hier, d)
+    text = edit(json.loads((d / "manifest.json").read_text()))
+    (d / "manifest.json").write_text(text if isinstance(text, str) else json.dumps(text))
+    assert main(["graph-stats", str(d)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
