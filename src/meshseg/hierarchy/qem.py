@@ -1,22 +1,33 @@
 """Quadric-error mesh simplification with pooling trace tracking.
 
 Per-vertex quadrics are sums of incident-face plane quadrics p p^T with
-p = (a, b, c, d), a^2+b^2+c^2 = 1. Pairs (mesh edges plus non-adjacent
-pairs within a distance threshold) are contracted lowest cost first; the
-representative is the minimizer of the combined quadric, falling back to
-the best of {v1, v2, midpoint} when the 3x3 system is singular.
+p = (a, b, c, d), a^2+b^2+c^2 = 1. The candidate pairs are the mesh edges
+plus the vertex pairs within a distance threshold. A pair's cost is the
+error of its combined quadric at the minimizer, or, when the 3x3 system
+is singular, at the cheapest of {v1, v2, midpoint}.
 
-Pair costs are computed in batches, in push order: all initial pairs at
-once, then the re-pushed pairs of each contraction. Heap entries tie-break
-equal costs by push tick, and flat regions are full of exact ties, so the
-batched costs and minimizers must stay bit-identical to the one-pair
-formulas (scalar `cond`, `solve` and `h @ q @ h`); a different reduction
-order (einsum, elementwise sums) reorders contractions.
+Pairs are contracted in rounds of vertex-disjoint pairs, after the
+independent-set rule of Wu & Kobbelt ("Fast mesh decimation by
+multiple-choice techniques", VMV 2002). Each round ranks the pairs by
+cost, breaking ties by a fixed scramble of the pair's vertex ids, and
+contracts every pair that is the lowest-ranked pair of both of its
+endpoints and is among the live - target lowest-ranked pairs overall.
+The second condition keeps a round from spending contractions on
+expensive local minima while cheaper pairs remain. The scramble keeps
+exact ties (flat regions) from ranking in vertex order, which would let
+only a few pairs per round be lowest for both endpoints.
+
+A contracted pair (a, b), a < b, leaves a at the minimizer with the
+summed quadric, and the pairs are remapped through b -> a and
+deduplicated. Only the pairs with an endpoint contracted in the round get
+new costs. Every other pair keeps its cached minimizer and cost, which
+stay exact because neither its quadrics nor its positions changed. Rounds
+end when the target count is met or no pair is left; the latter warns
+with a "qem:" prefix.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from typing import Optional, Tuple
 
@@ -63,7 +74,10 @@ def optimal_contractions(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
     """
     a = q[:, :3, :3]
     ok = np.isfinite(a).all(axis=(1, 2))
-    ok[ok] = np.linalg.cond(a[ok]) < _SINGULAR_COND
+    # np.linalg.cond's own body; 0/0 gives NaN, which fails the test as inf does.
+    s = np.linalg.svd(a[ok], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok[ok] = s[:, 0] / s[:, -1] < _SINGULAR_COND
     vbar = np.empty(v1.shape)
     cost = np.empty(len(q))
     vbar[ok] = np.linalg.solve(a[ok], -q[ok, :3, 3:])[:, :, 0]
@@ -88,100 +102,26 @@ def optimal_contraction(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
     return vbar[0], float(cost[0])
 
 
-class QemSimplifier:
-    """Single-run pair-contraction state (heap, union-find, versions)."""
+def _scrambled(key: np.ndarray) -> np.ndarray:
+    """A fixed bijective scramble of int64 keys (the splitmix64 finalizer)."""
+    x = key.astype(np.uint64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
-    def __init__(self, mesh: Mesh, target_count: int, pair_distance_threshold: float = 0.04):
-        if not 0 < target_count <= mesh.num_vertices:
-            raise ValueError("target_count out of range")
-        self.mesh = mesh
-        self.target = target_count
-        self.n = mesh.num_vertices
-        self.pos = mesh.positions.copy()
-        self.quadrics = vertex_quadrics(mesh)
-        self.alive = np.ones(self.n, dtype=bool)
-        self.version = np.zeros(self.n, dtype=np.int64)
-        self.parent = np.arange(self.n)
-        self.popped_costs = []  # valid contraction costs in pop order
-        self.reached_target = True
 
-        nbrs = [set() for _ in range(self.n)]
-        for a, b, c in mesh.faces.tolist():
-            nbrs[a].update((b, c)); nbrs[b].update((a, c)); nbrs[c].update((a, b))
-        if pair_distance_threshold > 0 and self.n > 1:
-            tree = cKDTree(self.pos)
-            for a, b in tree.query_pairs(pair_distance_threshold):
-                nbrs[a].add(b); nbrs[b].add(a)
-        self.nbrs = nbrs
+def _unique_pairs(a: np.ndarray, b: np.ndarray, n: int):
+    """Sorted unique (lo, hi), lo < hi, of the pairs (a, b) with a != b.
 
-        pairs = [(a, b) for a in range(self.n) for b in nbrs[a] if a < b]
-        lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        self._tick = 0
-        self.heap = self._entries(lo, hi)
-        heapq.heapify(self.heap)
-
-    def _entries(self, lo, hi):
-        """Heap entries of the pairs (lo[i], hi[i]), lo < hi, ticked in order."""
-        vbar, cost = optimal_contractions(
-            self.quadrics[lo] + self.quadrics[hi], self.pos[lo], self.pos[hi]
-        )
-        ticks = range(self._tick + 1, self._tick + 1 + len(lo))
-        self._tick += len(lo)
-        return list(zip(cost.tolist(), ticks, lo.tolist(), hi.tolist(),
-                        self.version[lo].tolist(), self.version[hi].tolist(), vbar))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def run(self):
-        live = int(self.alive.sum())
-        while live > self.target and self.heap:
-            cost, _, a, b, va, vb, vbar = heapq.heappop(self.heap)
-            if not (self.alive[a] and self.alive[b]):
-                continue
-            if self.version[a] != va or self.version[b] != vb:
-                continue  # stale entry
-            self.popped_costs.append(cost)
-            # Contract b into a.
-            self.quadrics[a] = self.quadrics[a] + self.quadrics[b]
-            self.pos[a] = vbar
-            self.alive[b] = False
-            self.parent[b] = a
-            self.version[a] += 1
-            merged = (self.nbrs[a] | self.nbrs[b]) - {a, b}
-            merged = {m for m in merged if self.alive[m]}
-            self.nbrs[a] = merged
-            for m in merged:
-                self.nbrs[m].discard(b)
-                self.nbrs[m].add(a)
-            ms = np.fromiter(merged, dtype=np.int64, count=len(merged))
-            for entry in self._entries(np.minimum(ms, a), np.maximum(ms, a)):
-                heapq.heappush(self.heap, entry)
-            live -= 1
-        if live > self.target:
-            self.reached_target = False
-            warnings.warn(
-                f"qem: candidate pairs exhausted at {live} vertices "
-                f"(target {self.target})",
-                RuntimeWarning,
-            )
-        return self._finish()
-
-    def _finish(self) -> Tuple[Mesh, PoolingTraceMap]:
-        survivors = np.flatnonzero(self.alive)
-        coarse_index = np.full(self.n, -1, dtype=np.int64)
-        coarse_index[survivors] = np.arange(len(survivors))
-        assignment = coarse_index[[self.find(i) for i in range(self.n)]]
-        trace = PoolingTraceMap(assignment, len(survivors))
-
-        coarse = pooled_mesh(self.mesh, trace, self.pos[survivors],
-                             mapped_faces(self.mesh.faces, assignment))
-        return coarse, trace
+    Returns (lo, hi, first): first is the index into (a, b) of each
+    row's first occurrence.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    distinct = np.flatnonzero(lo != hi)
+    key, first = np.unique(lo[distinct] * n + hi[distinct], return_index=True)
+    return key // n, key % n, distinct[first]
 
 
 def qem_pool(
@@ -190,9 +130,63 @@ def qem_pool(
     pair_distance_threshold: float = 0.04,
     target_count: Optional[int] = None,
 ) -> Tuple[Mesh, PoolingTraceMap]:
-    """Contract lowest-cost pairs until ceil(target_ratio * V) vertices remain."""
+    """Contract rounds of vertex-disjoint pairs until target_count vertices
+    remain, ceil(target_ratio * V) by default."""
+    n = mesh.num_vertices
     if target_count is None:
         if not 0 < target_ratio < 1:
             raise ValueError("target_ratio must lie in (0, 1)")
-        target_count = int(np.ceil(target_ratio * mesh.num_vertices))
-    return QemSimplifier(mesh, target_count, pair_distance_threshold).run()
+        target_count = int(np.ceil(target_ratio * n))
+    if not 0 < target_count <= n:
+        raise ValueError("target_count out of range")
+    pos = mesh.positions.copy()
+    quadrics = vertex_quadrics(mesh)
+    parent = np.arange(n)
+
+    faces = mesh.faces.astype(np.int64)
+    pairs = [faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]
+    if pair_distance_threshold > 0 and n > 1:
+        pairs.append(cKDTree(pos).query_pairs(pair_distance_threshold, output_type="ndarray"))
+    lo, hi, _ = _unique_pairs(*np.concatenate(pairs).T, n)
+    vbar, cost = optimal_contractions(quadrics[lo] + quadrics[hi], pos[lo], pos[hi])
+
+    live = n
+    while live > target_count and len(lo):
+        order = np.lexsort((_scrambled(lo * n + hi), cost))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        best = np.full(n, len(order))
+        np.minimum.at(best, lo, rank)
+        np.minimum.at(best, hi, rank)
+        c = np.flatnonzero((best[lo] == rank) & (best[hi] == rank)
+                           & (rank < live - target_count))
+        a, b = lo[c], hi[c]
+        quadrics[a] += quadrics[b]
+        pos[a] = vbar[c]
+        parent[b] = a
+        live -= len(c)
+
+        moved = np.arange(n)
+        moved[b] = a
+        lo, hi, kept = _unique_pairs(moved[lo], moved[hi], n)
+        vbar, cost = vbar[kept], cost[kept]
+        touched = np.zeros(n, dtype=bool)
+        touched[a] = True
+        redo = np.flatnonzero(touched[lo] | touched[hi])
+        vbar[redo], cost[redo] = optimal_contractions(
+            quadrics[lo[redo]] + quadrics[hi[redo]], pos[lo[redo]], pos[hi[redo]]
+        )
+    if live > target_count:
+        warnings.warn(
+            f"qem: candidate pairs exhausted at {live} vertices (target {target_count})",
+            RuntimeWarning,
+        )
+
+    # Pointer jumping: every vertex ends at the survivor it was contracted into.
+    root = parent[parent]
+    while not np.array_equal(root, parent):
+        parent, root = root, root[root]
+    survivors, assignment = np.unique(parent, return_inverse=True)
+    trace = PoolingTraceMap(assignment, len(survivors))
+    coarse = pooled_mesh(mesh, trace, pos[survivors], mapped_faces(mesh.faces, assignment))
+    return coarse, trace

@@ -132,6 +132,8 @@ def _load_ply(path) -> Mesh:
                 elements.append((parts[1], int(parts[2]), []))
             except (ValueError, IndexError):
                 raise MeshParseError(f"{path}: line {lineno}: malformed element line")
+            if elements[-1][1] < 0:
+                raise MeshParseError(f"{path}: line {lineno}: negative element count")
         elif parts[0] == "property":
             if not elements:
                 raise MeshParseError(f"{path}: line {lineno}: property before element")
@@ -147,6 +149,11 @@ def _load_ply(path) -> Mesh:
         raise MeshParseError(f"{path}: missing format line")
     if any(p == "__list__" for name, _, props in elements if name == "vertex" for p, _ in props):
         raise MeshParseError(f"{path}: list property in the vertex element")
+    # Rows of an unknown element are skipped by their size, which a list
+    # property does not have (a damaged "element face" line ends up here).
+    for name, _, props in elements:
+        if name not in ("vertex", "face") and any(p == "__list__" for p, _ in props):
+            raise MeshParseError(f"{path}: list property in unknown element {name!r}")
 
     parsed = {}
     if fmt == "ascii":
@@ -197,25 +204,29 @@ def _load_ply(path) -> Mesh:
                 if len(props) != 1 or props[0][0] != "__list__":
                     raise MeshParseError(f"{path}: unsupported face properties")
                 cnt_dt, idx_dt = props[0][1]
-                cnt_size = np.dtype(cnt_dt).itemsize
-                idx_size = np.dtype(idx_dt).itemsize
-                faces = np.empty((count, 3), dtype=np.int64)
-                for i in range(count):
-                    if len(data) - offset < cnt_size + 3 * idx_size:
-                        raise MeshParseError(
-                            f"{path}: byte {offset}: truncated face data"
-                        )
-                    n = int(np.frombuffer(data, dtype="<" + cnt_dt, count=1, offset=offset)[0])
-                    offset += cnt_size
-                    if n != 3:
-                        raise MeshParseError(
-                            f"{path}: byte {offset}: face {i}: only triangles supported"
-                        )
-                    faces[i] = np.frombuffer(data, dtype="<" + idx_dt, count=3, offset=offset)
-                    offset += 3 * idx_size
-                parsed["face"] = faces
+                dtype = np.dtype([("n", "<" + cnt_dt), ("idx", "<" + idx_dt, (3,))])
+                # Every face before the first non-triangle has this fixed
+                # stride, so that face is found at its true index. A skipped
+                # element may have moved offset past the end of the data.
+                complete = min(count, max(0, len(data) - offset) // dtype.itemsize)
+                rec = np.frombuffer(
+                    data, dtype=dtype, count=complete, offset=min(offset, len(data))
+                )
+                bad = np.flatnonzero(rec["n"] != 3)
+                if bad.size:
+                    i = int(bad[0])
+                    raise MeshParseError(
+                        f"{path}: byte {offset + i * dtype.itemsize + dtype['n'].itemsize}: "
+                        f"face {i}: only triangles supported"
+                    )
+                if complete < count:
+                    raise MeshParseError(
+                        f"{path}: byte {offset + complete * dtype.itemsize}: truncated face data"
+                    )
+                offset += dtype.itemsize * count
+                parsed["face"] = rec["idx"].astype(np.int64)
             else:
-                row = sum(np.dtype(d).itemsize for p, d in props if p != "__list__")
+                row = sum(np.dtype(d).itemsize for _, d in props)
                 offset += row * count
 
     if "vertex" not in parsed:

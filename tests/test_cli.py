@@ -136,6 +136,13 @@ def test_validation_errors_exit_2(workdir, capsys):
     bad.write_bytes((workdir / "scene0.ply").read_bytes()[:200])
     assert main(["subdivide", str(bad), str(workdir / "out.ply")]) == EXIT_VALIDATION
 
+    # A damaged face element keyword must not load as a point cloud.
+    fabe = workdir / "fabe.ply"
+    fabe.write_bytes((workdir / "scene0.ply").read_bytes().replace(b"element face",
+                                                                   b"element fabe"))
+    assert main(["build-hierarchy", str(fabe), str(workdir / "x")]) == EXIT_VALIDATION
+    assert "unknown element 'fabe'" in capsys.readouterr().err
+
     empty = workdir / "empty_hier"
     empty.mkdir()
     assert main(["graph-stats", str(empty)]) == EXIT_VALIDATION

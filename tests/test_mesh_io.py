@@ -147,3 +147,94 @@ def test_list_property_in_vertex_element(tmp_path, rng, binary):
     path.write_bytes(path.read_bytes().replace(b"element face", b"elemeNt face"))
     with pytest.raises(MeshParseError, match="list property in the vertex element"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_list_property_in_unknown_element(tmp_path, rng, binary):
+    # One flipped bit in "element face" would otherwise skip the faces by a
+    # wrong size and load a point cloud.
+    path = tmp_path / "m.ply"
+    save_mesh(random_mesh(rng, 10, 6), path, binary=binary)
+    path.write_bytes(path.read_bytes().replace(b"element face", b"element fabe"))
+    with pytest.raises(MeshParseError, match="list property in unknown element 'fabe'"):
+        load_mesh(path)
+
+
+def test_negative_element_count(tmp_path, rng):
+    path = tmp_path / "m.ply"
+    save_mesh(random_mesh(rng, 10, 6), path)
+    path.write_bytes(path.read_bytes().replace(b"element face 6", b"element face -6"))
+    with pytest.raises(MeshParseError, match="line 7: negative element count"):
+        load_mesh(path)
+
+
+def loop_binary_faces(data, offset, count, cnt_dt, idx_dt):
+    """Reference: the per-face reader, two frombuffer calls per face."""
+    cnt_size, idx_size = np.dtype(cnt_dt).itemsize, np.dtype(idx_dt).itemsize
+    faces = np.empty((count, 3), dtype=np.int64)
+    for i in range(count):
+        if len(data) - offset < cnt_size + 3 * idx_size:
+            raise MeshParseError(f"byte {offset}: truncated face data")
+        n = int(np.frombuffer(data, dtype="<" + cnt_dt, count=1, offset=offset)[0])
+        offset += cnt_size
+        if n != 3:
+            raise MeshParseError(f"byte {offset}: face {i}: only triangles supported")
+        faces[i] = np.frombuffer(data, dtype="<" + idx_dt, count=3, offset=offset)
+        offset += 3 * idx_size
+    return faces
+
+
+def binary_face_body(path):
+    data = path.read_bytes()
+    return data, data.index(b"end_header\n") + len(b"end_header\n") + 50 * 24
+
+
+def test_binary_faces_match_per_face_reader(tmp_path, rng):
+    mesh = random_mesh(rng, 50, 400)
+    path = tmp_path / "m.ply"
+    save_mesh(mesh, path)
+    data, offset = binary_face_body(path)
+    want = loop_binary_faces(data, offset, mesh.num_faces, "u1", "i4")
+    got = load_mesh(path).faces
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# An unknown element of this many one-byte rows, declared before the faces,
+# moves the face offset past the end of the data.
+OVERSIZED = b"element junk 100000\nproperty uchar x\nelement face"
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("quad", "face 123: only triangles supported"),
+    ("truncated", "truncated face data"),
+    ("oversized", "truncated face data"),
+])
+def test_binary_face_errors_match_per_face_reader(tmp_path, rng, damage, message):
+    path = tmp_path / "m.ply"
+    save_mesh(random_mesh(rng, 50, 400), path)
+    data, offset = binary_face_body(path)
+    if damage == "quad":
+        data = bytearray(data)
+        data[offset + 123 * 13] = 4
+        data = bytes(data)
+    elif damage == "truncated":
+        data = data[:-20]
+    else:
+        path.write_bytes(data.replace(b"element face", OVERSIZED))
+        data, offset = binary_face_body(path)
+        offset += 100000
+    path.write_bytes(data)
+    with pytest.raises(MeshParseError, match=message) as want:
+        loop_binary_faces(data, offset, 400, "u1", "i4")
+    with pytest.raises(MeshParseError, match=message) as got:
+        load_mesh(path)
+    # The same byte offset as the per-face reader.
+    assert str(want.value).split(":")[0] in str(got.value)
+
+
+def test_binary_zero_faces_after_oversized_element(tmp_path, rng):
+    path = tmp_path / "m.ply"
+    save_mesh(random_mesh(rng, 50, 400), path)
+    data = path.read_bytes().replace(b"element face 400", OVERSIZED + b" 0")
+    path.write_bytes(data)
+    assert load_mesh(path).faces.shape == (0, 3)

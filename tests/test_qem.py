@@ -1,17 +1,22 @@
 import hashlib
+import heapq
+import warnings
+from typing import Tuple
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from meshseg.mesh.core import Mesh
+from meshseg.mesh.subdivide import midpoint_subdivide
 from meshseg.hierarchy.qem import (
-    QemSimplifier,
     optimal_contraction,
     optimal_contractions,
     qem_pool,
     vertex_quadrics,
 )
-from meshseg.hierarchy.vertex_clustering import vertex_clustering_pool
+from meshseg.hierarchy.trace import PoolingTraceMap, pooled_mesh
+from meshseg.hierarchy.vertex_clustering import mapped_faces, vertex_clustering_pool
 from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
 
 from conftest import grid_mesh, random_mesh
@@ -65,6 +70,107 @@ def scalar_contraction(q, v1, v2):
     costs = [cost_at(p) for p in candidates]
     best = int(np.argmin(costs))
     return candidates[best], costs[best]
+
+
+class QemSimplifier:
+    """Sequential reference: one heap pop per contraction, lowest cost first.
+
+    Pair costs come from `optimal_contractions` in push order; heap entries
+    tie-break equal costs by push tick and skip stale entries by vertex
+    version. `qem_pool`'s rounds are compared against it.
+    """
+
+    def __init__(self, mesh: Mesh, target_count: int, pair_distance_threshold: float = 0.04):
+        if not 0 < target_count <= mesh.num_vertices:
+            raise ValueError("target_count out of range")
+        self.mesh = mesh
+        self.target = target_count
+        self.n = mesh.num_vertices
+        self.pos = mesh.positions.copy()
+        self.quadrics = vertex_quadrics(mesh)
+        self.alive = np.ones(self.n, dtype=bool)
+        self.version = np.zeros(self.n, dtype=np.int64)
+        self.parent = np.arange(self.n)
+        self.popped_costs = []  # valid contraction costs in pop order
+        self.reached_target = True
+
+        nbrs = [set() for _ in range(self.n)]
+        for a, b, c in mesh.faces.tolist():
+            nbrs[a].update((b, c)); nbrs[b].update((a, c)); nbrs[c].update((a, b))
+        if pair_distance_threshold > 0 and self.n > 1:
+            tree = cKDTree(self.pos)
+            for a, b in tree.query_pairs(pair_distance_threshold):
+                nbrs[a].add(b); nbrs[b].add(a)
+        self.nbrs = nbrs
+
+        pairs = [(a, b) for a in range(self.n) for b in nbrs[a] if a < b]
+        lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        self._tick = 0
+        self.heap = self._entries(lo, hi)
+        heapq.heapify(self.heap)
+
+    def _entries(self, lo, hi):
+        """Heap entries of the pairs (lo[i], hi[i]), lo < hi, ticked in order."""
+        vbar, cost = optimal_contractions(
+            self.quadrics[lo] + self.quadrics[hi], self.pos[lo], self.pos[hi]
+        )
+        ticks = range(self._tick + 1, self._tick + 1 + len(lo))
+        self._tick += len(lo)
+        return list(zip(cost.tolist(), ticks, lo.tolist(), hi.tolist(),
+                        self.version[lo].tolist(), self.version[hi].tolist(), vbar))
+
+    def find(self, i):
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def run(self):
+        live = int(self.alive.sum())
+        while live > self.target and self.heap:
+            cost, _, a, b, va, vb, vbar = heapq.heappop(self.heap)
+            if not (self.alive[a] and self.alive[b]):
+                continue
+            if self.version[a] != va or self.version[b] != vb:
+                continue  # stale entry
+            self.popped_costs.append(cost)
+            # Contract b into a.
+            self.quadrics[a] = self.quadrics[a] + self.quadrics[b]
+            self.pos[a] = vbar
+            self.alive[b] = False
+            self.parent[b] = a
+            self.version[a] += 1
+            merged = (self.nbrs[a] | self.nbrs[b]) - {a, b}
+            merged = {m for m in merged if self.alive[m]}
+            self.nbrs[a] = merged
+            for m in merged:
+                self.nbrs[m].discard(b)
+                self.nbrs[m].add(a)
+            ms = np.fromiter(merged, dtype=np.int64, count=len(merged))
+            for entry in self._entries(np.minimum(ms, a), np.maximum(ms, a)):
+                heapq.heappush(self.heap, entry)
+            live -= 1
+        if live > self.target:
+            self.reached_target = False
+            warnings.warn(
+                f"qem: candidate pairs exhausted at {live} vertices "
+                f"(target {self.target})",
+                RuntimeWarning,
+            )
+        return self._finish()
+
+    def _finish(self) -> Tuple[Mesh, PoolingTraceMap]:
+        survivors = np.flatnonzero(self.alive)
+        coarse_index = np.full(self.n, -1, dtype=np.int64)
+        coarse_index[survivors] = np.arange(len(survivors))
+        assignment = coarse_index[[self.find(i) for i in range(self.n)]]
+        trace = PoolingTraceMap(assignment, len(survivors))
+
+        coarse = pooled_mesh(self.mesh, trace, self.pos[survivors],
+                             mapped_faces(self.mesh.faces, assignment))
+        return coarse, trace
 
 
 def assert_batch_matches_scalar(q, v1, v2):
@@ -175,17 +281,34 @@ def test_batched_contractions_of_no_rows():
     assert vbar.shape == (0, 3) and cost.shape == (0,)
 
 
-def test_qem_output_is_pinned():
+def noise_free_level0():
     # Level 0 of the toy hierarchy of a noise-free scene 0: its floor and
-    # walls are exactly flat, so most contractions cost exactly 0 and pop
-    # in push order. A change to the costs' rounding or to the push order
-    # changes these bytes.
+    # walls are exactly flat, so most contractions cost exactly 0.
     scene = make_toy_scene(0, ToySceneConfig(position_noise=0.0))
-    level0, _ = vertex_clustering_pool(scene, 0.15)
-    coarse, trace = qem_pool(level0, 0.3, 0.15)
-    digest = hashlib.sha256(trace.assignment.astype("<i8").tobytes()
-                            + coarse.positions.astype("<f8").tobytes()).hexdigest()
+    return vertex_clustering_pool(scene, 0.15)[0]
+
+
+def output_digest(coarse, trace):
+    return hashlib.sha256(trace.assignment.astype("<i8").tobytes()
+                          + coarse.positions.astype("<f8").tobytes()).hexdigest()
+
+
+def test_qem_output_is_pinned():
+    # The reference pops exact ties in push order, so a change to the
+    # costs' rounding or to the push order changes these bytes.
+    level0 = noise_free_level0()
+    target = int(np.ceil(0.3 * level0.num_vertices))
+    coarse, trace = QemSimplifier(level0, target, 0.15).run()
+    digest = output_digest(coarse, trace)
     assert digest == "a4bea618d783df6001621f67e097b9c2f78d815c227750468f5a3749064a07f8"
+
+
+def test_round_output_is_pinned():
+    # Exact ties rank by the scrambled pair key; a change to the costs'
+    # rounding, the ranking or the round rule changes these bytes.
+    coarse, trace = qem_pool(noise_free_level0(), 0.3, 0.15)
+    digest = output_digest(coarse, trace)
+    assert digest == "0d30d25fb0332b09f7d5000363d5f22bdb3691a8fd7f14635d06453a580577f1"
 
 
 def test_popped_costs_non_decreasing(rng):
@@ -219,6 +342,38 @@ def test_additive_quadrics_after_contraction(rng):
     assert np.allclose(sim.quadrics[root], before[members].sum(axis=0), atol=1e-12)
 
 
+def test_reaches_exact_target_when_pairs_remain(rng):
+    # A pair threshold of 1 covers the unit box: the pair graph is complete.
+    for n in (3, 7, 40, 150):
+        mesh = random_mesh(rng, n, 2 * n)
+        for target in sorted({1, 2, n // 3, n - 1, n} - {0}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                coarse, trace = qem_pool(mesh, None, 1.0, target_count=target)
+            assert coarse.num_vertices == trace.coarse_count == target
+            assert trace.fine_count == n
+            trace.validate()  # a surjection onto the coarse vertices
+
+
+def assert_groups_minimize_summed_quadrics(mesh, coarse, trace):
+    """Every multi-vertex group whose summed quadric is well conditioned
+    sits at a position costing no more than any of its members' positions;
+    the others took a fallback candidate. Returns the number checked."""
+    quadrics = vertex_quadrics(mesh)
+    checked = 0
+    for g in np.flatnonzero(trace.group_sizes() > 1):
+        members = np.flatnonzero(trace.assignment == g)
+        q = quadrics[members].sum(axis=0)
+        if np.linalg.cond(q[:3, :3]) >= 1e9:
+            continue  # a fallback candidate
+        cost = quadric_cost(q, coarse.positions[g])
+        for p in mesh.positions[members]:
+            tol = 1e-12 * np.abs(q).max() * (1.0 + p @ p)
+            assert cost <= quadric_cost(q, p) + tol
+        checked += 1
+    return checked
+
+
 def test_position_is_contraction_minimizer(rng):
     mesh = random_mesh(rng, 15, 20)
     quadrics = vertex_quadrics(mesh)
@@ -234,6 +389,56 @@ def test_position_is_contraction_minimizer(rng):
         cost = quadric_cost(q, coarse.positions[g])
         for endpoint in (mesh.positions[i], mesh.positions[j]):
             assert cost <= quadric_cost(q, endpoint) + 1e-12
+
+
+def test_merged_groups_minimize_summed_quadrics(rng):
+    # Larger meshes whose groups merge over several rounds; their quadric
+    # sums and coordinates are larger, so the bound scales with them.
+    meshes = [random_mesh(rng, 80, 120), vertex_clustering_pool(make_toy_scene(1), 0.15)[0]]
+    for mesh, threshold in zip(meshes, (0.3, 0.15)):
+        coarse, trace = qem_pool(mesh, 0.3, pair_distance_threshold=threshold)
+        assert coarse.num_vertices == int(np.ceil(0.3 * mesh.num_vertices))
+        assert assert_groups_minimize_summed_quadrics(mesh, coarse, trace) > 0
+
+
+def total_quadric_error(mesh, coarse, trace):
+    """Sum over coarse vertices of the group's summed quadric at its position."""
+    q = vertex_quadrics(mesh)
+    return sum(quadric_cost(q[trace.assignment == g].sum(axis=0), coarse.positions[g])
+               for g in range(trace.coarse_count))
+
+
+def error_factor_cases():
+    """(name, mesh, pair threshold, levels): the meshes of this file and
+    the scene-prep input (a toy scene subdivided at 0.02 m, then VC at the
+    default 0.04 m cell)."""
+    yield from ((f"random{s}", random_mesh(np.random.default_rng(s), 60, 80), 0.2, 1)
+                for s in range(5))
+    yield "toy", vertex_clustering_pool(make_toy_scene(0), 0.15)[0], 0.15, 3
+    yield "toy-flat", noise_free_level0(), 0.15, 3
+    prep = midpoint_subdivide(make_toy_scene(1), 0.02)
+    yield "scene-prep", vertex_clustering_pool(prep, 0.04)[0], 0.04, 3
+
+
+# Worst measured ratio of round to sequential total quadric error over
+# these cases: 1.0025 (scene-prep level 1); flat levels are at the floor.
+ERROR_FACTOR = 1.01
+ERROR_FLOOR = 1e-9  # flat levels: both errors are rounding noise
+
+
+def test_total_error_within_factor_of_reference():
+    for name, mesh, threshold, levels in error_factor_cases():
+        for level in range(levels):
+            target = int(np.ceil(0.3 * mesh.num_vertices))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # both stop at the components
+                ref = QemSimplifier(mesh, target, threshold).run()
+                coarse, trace = qem_pool(mesh, 0.3, threshold)
+            assert coarse.num_vertices == ref[0].num_vertices, (name, level)
+            got = total_quadric_error(mesh, coarse, trace)
+            want = total_quadric_error(mesh, *ref)
+            assert got <= ERROR_FACTOR * want + ERROR_FLOOR, (name, level, got, want)
+            mesh = coarse
 
 
 def test_disconnected_far_components_never_merge():
@@ -259,6 +464,10 @@ def test_heap_exhaustion_warns():
     with pytest.warns(RuntimeWarning):
         sim.run()
     assert not sim.reached_target
+    with pytest.warns(RuntimeWarning, match="^qem: candidate pairs exhausted at 10 vertices"):
+        coarse, trace = qem_pool(mesh, None, 1e-6, target_count=2)
+    assert coarse.num_vertices == 10
+    trace.validate()
 
 
 def test_invalid_args(rng):
@@ -267,3 +476,6 @@ def test_invalid_args(rng):
         qem_pool(mesh, 1.5)
     with pytest.raises(ValueError):
         QemSimplifier(mesh, 0)
+    for target in (0, 11):
+        with pytest.raises(ValueError):
+            qem_pool(mesh, None, target_count=target)
