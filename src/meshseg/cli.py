@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 input validation error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -30,7 +29,7 @@ from .hierarchy.build import (
     build_hierarchy,
 )
 from .hierarchy.store import HierarchyFormatError, deserialize_hierarchy, serialize_hierarchy
-from .mesh.core import LabeledPointCloud, MeshValidationError, check_mesh
+from .mesh.core import LabeledPointCloud, MeshValidationError
 from .mesh.io import MeshParseError, load_mesh, save_mesh
 from .mesh.subdivide import interpolate_from_point_cloud, midpoint_subdivide
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -172,20 +171,31 @@ def _add_network_args(p):
 
 @_config
 def _network_config(args) -> NetworkConfig:
-    if args.arch == "dual":
-        cfg = NetworkConfig.dual_default(args.classes, args.levels, args.seed)
-    else:
-        cfg = NetworkConfig.single_default(args.arch, args.classes, args.levels, args.seed)
-    if args.widths is not None:
-        if len(args.widths) != 2:
-            raise ConfigError("--widths takes exactly two integers: hidden,out")
-        pair = (tuple(args.widths),) * args.levels
-        none = ((0, 0),) * args.levels
-        geo = pair if args.arch in ("dual", "geo") else none
-        euc = pair if args.arch in ("dual", "euc") else none
-        cfg = NetworkConfig(num_levels=args.levels, num_classes=args.classes,
-                            geo_widths=geo, euc_widths=euc, seed=args.seed)
-    return cfg
+    if args.widths is None:
+        if args.arch == "dual":
+            return NetworkConfig.dual_default(args.classes, args.levels, args.seed)
+        return NetworkConfig.single_default(args.arch, args.classes, args.levels, args.seed)
+    if len(args.widths) != 2:
+        raise ConfigError("--widths takes exactly two integers: hidden,out")
+    pair = (tuple(args.widths),) * args.levels
+    none = ((0, 0),) * args.levels
+    geo = pair if args.arch in ("dual", "geo") else none
+    euc = pair if args.arch in ("dual", "euc") else none
+    return NetworkConfig(num_levels=args.levels, num_classes=args.classes,
+                         geo_widths=geo, euc_widths=euc, seed=args.seed)
+
+
+def _check_depth(net_cfg: NetworkConfig, hier_cfg: HierarchyConfig):
+    if net_cfg.num_levels > hier_cfg.num_levels:
+        raise ConfigError(
+            f"the network needs {net_cfg.num_levels} mesh levels, "
+            f"the hierarchy has {hier_cfg.num_levels}")
+
+
+def _check_at_least_one(**options):
+    for flag, value in options.items():
+        if value < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be at least 1")
 
 
 @_config
@@ -214,7 +224,7 @@ def cmd_subdivide(args):
     t0 = time.perf_counter()
     if args.min_edge_len <= 0:
         raise ConfigError("--min-edge-len must be positive")
-    mesh = check_mesh(load_mesh(args.input))
+    mesh = load_mesh(args.input)
     for _ in range(args.passes):
         mesh = midpoint_subdivide(mesh, args.min_edge_len)
     if args.cloud is not None:
@@ -235,7 +245,7 @@ def cmd_build_hierarchy(args):
     t0 = time.perf_counter()
     config = _hierarchy_config(args)
     neigh_cfgs = _neighborhood_configs(args, config.num_levels)
-    mesh = check_mesh(load_mesh(args.input))
+    mesh = load_mesh(args.input)
     hier = build_hierarchy(mesh, config)
     hier.build_euclidean_edges(neigh_cfgs)
     out = Path(args.output)
@@ -278,9 +288,10 @@ def cmd_train(args):
     hier_cfg = _hierarchy_config(args)
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
     crop_cfg = _crop_config(args)
-    if args.epochs < 1:
-        raise ConfigError("--epochs must be at least 1")
-    scenes = [check_mesh(load_mesh(p)) for p in _training_scene_paths(args.manifest)]
+    _check_depth(net_cfg, hier_cfg)
+    _check_at_least_one(epochs=args.epochs, batch_size=args.batch_size,
+                        res_train=args.res_train)
+    scenes = [load_mesh(p) for p in _training_scene_paths(args.manifest)]
 
     net = SegmentationNetwork(net_cfg)
     train_cfg = TrainConfig(
@@ -311,8 +322,10 @@ def cmd_infer(args):
     hier_cfg = _hierarchy_config(args)
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
     crop_cfg = _crop_config(args)
+    _check_at_least_one(res_test=args.res_test)
     net = load_checkpoint(args.checkpoint)
-    scene = check_mesh(load_mesh(args.scene))
+    _check_depth(net.config, hier_cfg)
+    scene = load_mesh(args.scene)
     result = infer_scene(net, scene, hier_cfg, neigh_cfgs, crop_cfg,
                          res_threshold=args.res_test, seed=args.seed)
     out = Path(args.output)
@@ -325,8 +338,25 @@ def cmd_infer(args):
     return EXIT_OK
 
 
+def _read_predictions(path, num_classes: int) -> np.ndarray:
+    """One class index in [0, num_classes) per line."""
+    try:
+        predictions = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except ValueError as e:  # a non-integer token, or non-UTF-8 bytes
+        raise MeshValidationError(f"{path}: expected one integer class per line ({e})") from e
+    if predictions.ndim != 1:
+        raise MeshValidationError(f"{path}: expected one integer class per line")
+    bad = np.flatnonzero((predictions < 0) | (predictions >= num_classes))
+    if bad.size:
+        raise MeshValidationError(
+            f"{path}: line {bad[0] + 1}: class {predictions[bad[0]]} "
+            f"outside [0, {num_classes})")
+    return predictions
+
+
 def cmd_vote(args):
-    runs = [np.loadtxt(p, dtype=np.int64, ndmin=1) for p in args.predictions]
+    _check_at_least_one(classes=args.classes)
+    runs = [_read_predictions(p, args.classes) for p in args.predictions]
     if len({len(r) for r in runs}) != 1:
         raise MeshValidationError("prediction files differ in length")
     voted = vote_over_runs(runs, args.classes)
@@ -338,15 +368,19 @@ def cmd_vote(args):
 
 
 def cmd_eval(args):
+    _check_at_least_one(classes=args.classes)
     scene = load_mesh(args.scene)
     if scene.labels is None:
         raise MeshValidationError(f"{args.scene}: scene carries no labels")
-    predictions = np.loadtxt(args.predictions, dtype=np.int64, ndmin=1)
+    predictions = _read_predictions(args.predictions, args.classes)
     if len(predictions) != scene.num_vertices:
         raise MeshValidationError(
             f"{len(predictions)} predictions for {scene.num_vertices} vertices"
         )
-    result = evaluate(scene.labels, predictions, args.classes)
+    try:
+        result = evaluate(scene.labels, predictions, args.classes)
+    except ValueError as e:  # a scene label outside [0, --classes), or none labeled
+        raise MeshValidationError(f"{args.scene}: {e}") from e
     print(result.summary())
     if args.output is not None:
         out = Path(args.output)

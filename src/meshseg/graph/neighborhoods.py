@@ -129,20 +129,17 @@ def scatter_sum(values: np.ndarray, index: np.ndarray, num_segments: int) -> np.
 class NeighborhoodConfig:
     """How to build the Euclidean edge set of one mesh level."""
 
-    kind: str = "radius"          # "geodesic" | "knn" | "radius"
+    kind: str = "radius"          # "knn" | "radius"
     k: int = 8
     radius: float = 0.1
-    res_threshold: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("geodesic", "knn", "radius"):
+        if self.kind not in ("knn", "radius"):
             raise ValueError(f"unknown neighborhood kind {self.kind!r}")
         if self.kind == "knn" and self.k < 1:
             raise ValueError("k must be >= 1")
         if self.kind == "radius" and self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.res_threshold is not None and self.res_threshold < 1:
-            raise ValueError("res_threshold must be >= 1")
 
 
 def nearest_points(points: np.ndarray, k: int = 1,

@@ -8,7 +8,7 @@ from .build import (
     merge_hierarchies,
 )
 from .fps import farthest_point_indices, fps_pool
-from .qem import optimal_contraction, optimal_contractions, qem_pool, vertex_quadrics
+from .qem import optimal_contractions, qem_pool, vertex_quadrics
 from .store import HierarchyFormatError, deserialize_hierarchy, serialize_hierarchy
-from .trace import PoolingTraceMap, compose_traces, pool_features, pool_labels, unpool_features
+from .trace import PoolingTraceMap, pool_features, pool_labels, unpool_features
 from .vertex_clustering import grid_cell_indices, pooled_edge_set, vertex_clustering_pool

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -102,10 +102,8 @@ class Hierarchy:
         for mesh, cfg in zip(self.levels, configs):
             if cfg.kind == "knn":
                 edge_sets.append(knn_graph(mesh.positions, cfg.k))
-            elif cfg.kind == "radius":
+            else:
                 edge_sets.append(radius_graph(mesh.positions, cfg.radius))
-            else:  # geodesic stand-in for the Euclidean branch
-                edge_sets.append(self.geodesic_edges[len(edge_sets)])
         self.euclidean_edges = edge_sets
         return self.euclidean_edges
 
@@ -139,7 +137,8 @@ def build_hierarchy(mesh: Mesh, config: HierarchyConfig) -> Hierarchy:
 
     The first pooling operation (VC cell 0, QEM pre-pass cell, or the first
     FPS count) produces level 0; its trace from the raw input is kept in
-    input_trace. A first FPS count above the mesh's vertex count raises
+    input_trace. A first FPS count above the mesh's vertex count, or a
+    later pooling step that does not reduce the vertex count, raises
     MeshValidationError: the input, not the config, is at fault.
     """
     if config.strategy == "fps" and config.fps_counts[0] > mesh.num_vertices:
@@ -147,58 +146,41 @@ def build_hierarchy(mesh: Mesh, config: HierarchyConfig) -> Hierarchy:
             f"first FPS count {config.fps_counts[0]} exceeds the "
             f"{mesh.num_vertices} vertices of the mesh"
         )
+    pair_distance = config.qem_pair_distance
+    if pair_distance is None:
+        pair_distance = config.cells[0]
     levels: List[Mesh] = []
-    traces: List[PoolingTraceMap] = []
+    traces: List[PoolingTraceMap] = []  # the input trace first
     edge_sets: List[EdgeSet] = []
-
     current = mesh
-    current_edges = geodesic_edge_set(mesh)
-
-    def apply(pool):
-        nonlocal current, current_edges
-        coarse, trace = pool(current)
-        if levels and coarse.num_vertices >= current.num_vertices:
-            raise ValueError(
-                f"pooling level {len(levels)} failed to reduce the vertex count "
+    # FPS discards surface connectivity entirely.
+    current_edges = None if config.strategy == "fps" else geodesic_edge_set(mesh)
+    for step in range(config.num_levels):
+        if config.strategy == "fps":
+            coarse, trace = fps_pool(current, config.fps_counts[step], config.fps_seed)
+        elif config.strategy == "vc+qem" and step:
+            coarse, trace = qem_pool(current, config.qem_ratio, pair_distance)
+        else:
+            coarse, trace = vertex_clustering_pool(current, config.cells[step])
+        if step and coarse.num_vertices >= current.num_vertices:
+            raise MeshValidationError(
+                f"pooling level {step} failed to reduce the vertex count "
                 f"({current.num_vertices} -> {coarse.num_vertices})"
             )
-        coarse_edges = pooled_edge_set(current_edges, trace)
+        if current_edges is None:
+            edge_sets.append(EdgeSet.from_pairs([], [], coarse.num_vertices))
+        else:
+            current_edges = pooled_edge_set(current_edges, trace)
+            edge_sets.append(current_edges)
         levels.append(coarse)
-        edge_sets.append(coarse_edges)
-        current, current_edges = coarse, coarse_edges
-        return trace
-
-    if config.strategy == "vc":
-        steps = [lambda m, s=s: vertex_clustering_pool(m, s) for s in config.cells]
-    elif config.strategy == "vc+qem":
-        pair_dist = config.qem_pair_distance
-        if pair_dist is None:
-            pair_dist = config.cells[0]
-        steps = [lambda m, s=config.cells[0]: vertex_clustering_pool(m, s)]
-        steps += [
-            lambda m, r=config.qem_ratio, d=pair_dist: qem_pool(m, r, d)
-            for _ in range(config.qem_levels)
-        ]
-    else:
-        steps = [
-            lambda m, c=c, s=config.fps_seed: fps_pool(m, c, s)
-            for c in config.fps_counts
-        ]
-
-    input_trace = apply(steps[0])
-    if config.strategy == "fps":
-        # FPS discards surface connectivity entirely.
-        edge_sets[0] = current_edges = EdgeSet.from_pairs([], [], levels[0].num_vertices)
-    for step in steps[1:]:
-        traces.append(apply(step))
-        if config.strategy == "fps":
-            edge_sets[-1] = current_edges = EdgeSet.from_pairs([], [], levels[-1].num_vertices)
+        traces.append(trace)
+        current = coarse
 
     hier = Hierarchy(
         levels=levels,
-        traces=traces,
+        traces=traces[1:],
         geodesic_edges=edge_sets,
-        input_trace=input_trace,
+        input_trace=traces[0],
     )
     hier.validate()
     return hier

@@ -93,15 +93,6 @@ def optimal_contractions(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
     return vbar, cost
 
 
-def optimal_contraction(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
-    """Minimizer and cost of the combined quadric for one contraction.
-
-    Returns (vbar, cost); the one-row case of `optimal_contractions`.
-    """
-    vbar, cost = optimal_contractions(q[None], v1[None], v2[None])
-    return vbar[0], float(cost[0])
-
-
 def _scrambled(key: np.ndarray) -> np.ndarray:
     """A fixed bijective scramble of int64 keys (the splitmix64 finalizer)."""
     x = key.astype(np.uint64)

@@ -38,19 +38,16 @@ class PoolingTraceMap:
         return np.bincount(self.assignment, minlength=self.coarse_count)
 
 
-def pool_features(features: np.ndarray, trace: PoolingTraceMap, mode: str = "mean") -> np.ndarray:
-    """Aggregate fine feature rows over trace groups (mean or sum)."""
+def pool_features(features: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
+    """Mean of the fine feature rows over each trace group."""
     features = np.asarray(features)
     if features.shape[0] != trace.fine_count:
         raise ValueError(
             f"feature rows ({features.shape[0]}) != trace fine size ({trace.fine_count})"
         )
-    if mode not in ("mean", "sum"):
-        raise ValueError(f"unknown pooling mode {mode!r}")
     c = trace.coarse_count
     out = scatter_sum(features, trace.assignment, c)
-    if mode == "mean":
-        out /= trace.group_sizes().reshape((c,) + (1,) * (features.ndim - 1))
+    out /= trace.group_sizes().reshape((c,) + (1,) * (features.ndim - 1))
     return out
 
 
@@ -95,23 +92,17 @@ def pooled_mesh(mesh: Mesh, trace: PoolingTraceMap, positions: np.ndarray,
     return Mesh(
         positions=positions,
         faces=faces,
-        colors=None if mesh.colors is None else pool_features(mesh.colors, trace, "mean"),
+        colors=None if mesh.colors is None else pool_features(mesh.colors, trace),
         normals=None if mesh.normals is None else _pooled_normals(mesh.normals, trace),
         labels=None if mesh.labels is None else pool_labels(mesh.labels, trace),
     )
 
 
 def _pooled_normals(normals: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
-    mean = pool_features(normals, trace, "mean")
+    mean = pool_features(normals, trace)
     norms = np.linalg.norm(mean, axis=1)
     ok = norms > 1e-12
     mean[ok] /= norms[ok, None]
     mean[~ok] = (0.0, 0.0, 1.0)
     return mean
 
-
-def compose_traces(first: PoolingTraceMap, second: PoolingTraceMap) -> PoolingTraceMap:
-    """Trace mapping the finest level of `first` to the coarsest of `second`."""
-    if first.coarse_count != second.fine_count:
-        raise ValueError("trace maps do not chain")
-    return PoolingTraceMap(second.assignment[first.assignment], second.coarse_count)

@@ -39,7 +39,7 @@ def vertex_clustering_pool(mesh: Mesh, cell_size: float) -> Tuple[Mesh, PoolingT
     coarse_count = int(assignment.max()) + 1 if assignment.size else 0
     trace = PoolingTraceMap(assignment, coarse_count)
 
-    coarse = pooled_mesh(mesh, trace, pool_features(mesh.positions, trace, "mean"),
+    coarse = pooled_mesh(mesh, trace, pool_features(mesh.positions, trace),
                          mapped_faces(mesh.faces, assignment))
     return coarse, trace
 

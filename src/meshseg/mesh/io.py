@@ -8,7 +8,6 @@ precision so that save -> load round trips are bit exact.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -31,11 +30,9 @@ _PLY_DTYPES = {
 }
 
 
-def load_mesh(path, fmt: Optional[str] = None) -> Mesh:
-    """Load and validate a mesh; fmt is inferred from the extension if omitted."""
-    if fmt is None:
-        fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
-    fmt = fmt.lower()
+def load_mesh(path) -> Mesh:
+    """Load and validate a mesh; the format follows the file extension."""
+    fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     loader = {"ply": _load_ply, "off": _load_off}.get(fmt)
     if loader is None:
         raise MeshParseError(f"{path}: unsupported mesh format {fmt!r}")
@@ -48,10 +45,9 @@ def load_mesh(path, fmt: Optional[str] = None) -> Mesh:
     return check_mesh(mesh)
 
 
-def save_mesh(mesh: Mesh, path, fmt: Optional[str] = None, binary: bool = True):
-    if fmt is None:
-        fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
-    fmt = fmt.lower()
+def save_mesh(mesh: Mesh, path, binary: bool = True):
+    """Write a mesh in the format its file extension names."""
+    fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     if fmt == "ply":
         _save_ply(mesh, path, binary=binary)
     elif fmt == "off":

@@ -9,13 +9,12 @@ relative (translation-invariant) variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..graph.neighborhoods import EdgeSet
-from ..hierarchy.build import Hierarchy
+from ..graph.neighborhoods import EdgeSet, scatter_sum
 from ..hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
 from .edgeconv import DualBlock, prepared_edges
 from .layers import BN_EPS, BN_MOMENTUM, BatchNorm, Linear, ReLU
@@ -38,6 +37,8 @@ class NetworkConfig:
     def __post_init__(self):
         self.geo_widths = tuple(tuple(w) for w in self.geo_widths)
         self.euc_widths = tuple(tuple(w) for w in self.euc_widths)
+        if self.num_levels < 1:
+            raise ValueError("num_levels must be at least 1")
         if len(self.geo_widths) != self.num_levels or len(self.euc_widths) != self.num_levels:
             raise ValueError("need one width pair per level and branch")
 
@@ -46,7 +47,9 @@ class NetworkConfig:
 
     @staticmethod
     def dual_default(num_classes=21, num_levels=4, seed=0) -> "NetworkConfig":
-        return NetworkConfig(num_levels=num_levels, num_classes=num_classes, seed=seed)
+        widths = ((64, 32),) * num_levels
+        return NetworkConfig(num_levels=num_levels, num_classes=num_classes,
+                             geo_widths=widths, euc_widths=widths, seed=seed)
 
     @staticmethod
     def single_default(branch="geo", num_classes=21, num_levels=4, seed=0) -> "NetworkConfig":
@@ -146,7 +149,7 @@ class SegmentationNetwork:
                 x = blk.forward(x, geo[lvl], euc[lvl], train)
             if lvl < L - 1:
                 skips.append(x)
-                x = pool_features(x, traces[lvl], "mean")
+                x = pool_features(x, traces[lvl])
         self._skip_shapes = [s.shape for s in skips]
 
         for i, blocks in enumerate(self.decoder):
@@ -178,8 +181,8 @@ class SegmentationNetwork:
                 dy = blk.backward(dy)
             w = self.config.level_width(lvl + 1)
             dskips[lvl] += dy[:, w:]
-            # Adjoint of the copy: sum-pool the upstream gradient.
-            dy = pool_features(dy[:, :w], traces[lvl], "sum")
+            # Adjoint of the copy: sum the upstream gradient over each group.
+            dy = scatter_sum(dy[:, :w], traces[lvl].assignment, traces[lvl].coarse_count)
 
         for lvl in range(L - 1, -1, -1):
             if lvl < L - 1:
@@ -190,18 +193,3 @@ class SegmentationNetwork:
                 dy = blk.backward(dy)
         return dy
 
-
-def forward_on_hierarchy(net: SegmentationNetwork, hier: Hierarchy,
-                         features: np.ndarray,
-                         euc_edges: Optional[Sequence[EdgeSet]] = None,
-                         train: bool = False) -> np.ndarray:
-    """Convenience wrapper taking edge sets straight from a hierarchy."""
-    L = net.config.num_levels
-    if hier.num_levels < L:
-        raise ValueError(f"hierarchy has {hier.num_levels} levels, network needs {L}")
-    if euc_edges is None:
-        if hier.euclidean_edges is None:
-            raise ValueError("hierarchy lacks Euclidean edge sets")
-        euc_edges = hier.euclidean_edges
-    return net.forward(features, hier.geodesic_edges[:L], list(euc_edges)[:L],
-                       hier.traces[:L - 1], train)

@@ -9,10 +9,9 @@ LR_DECAY = 0.5
 LR_DECAY_EPOCHS = 40
 
 
-def learning_rate(epoch: int, base_lr: float = BASE_LR, decay: float = LR_DECAY,
-                  decay_epochs: int = LR_DECAY_EPOCHS) -> float:
-    """base_lr * decay^floor(epoch / decay_epochs)."""
-    return base_lr * decay ** (epoch // decay_epochs)
+def learning_rate(epoch: int, base_lr: float = BASE_LR) -> float:
+    """base_lr * LR_DECAY^floor(epoch / LR_DECAY_EPOCHS)."""
+    return base_lr * LR_DECAY ** (epoch // LR_DECAY_EPOCHS)
 
 
 class Adam:

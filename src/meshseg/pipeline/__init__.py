@@ -1,4 +1,4 @@
-from .augment import AffineConfig, apply_affine, random_affine
+from .augment import apply_affine, random_affine
 from .crops import CropConfig, crop_scene, crop_windows, reject_crop, submesh
 from .features import normalize_positions, vertex_features
 from .infer import InferenceResult, infer_scene, majority_vote, predict_hierarchy, vote_over_runs

@@ -7,19 +7,13 @@ source protocol only calls for "a random affine transformation".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..mesh.core import Mesh
 
-
-@dataclass
-class AffineConfig:
-    max_rotation: float = 2.0 * np.pi
-    scale_low: float = 0.9
-    scale_high: float = 1.1
-    jitter: float = 0.1
+MAX_ROTATION = 2.0 * np.pi
+SCALE_RANGE = (0.9, 1.1)
+JITTER = 0.1
 
 
 def affine_from_draws(angle: float, scale: float, translation) -> np.ndarray:
@@ -31,12 +25,11 @@ def affine_from_draws(angle: float, scale: float, translation) -> np.ndarray:
     return m
 
 
-def random_affine(mesh: Mesh, rng: np.random.Generator,
-                  config: AffineConfig = AffineConfig()) -> Mesh:
+def random_affine(mesh: Mesh, rng: np.random.Generator) -> Mesh:
     """Apply a random z-rotation + uniform scale + jitter; normals follow the rotation."""
-    angle = rng.uniform(0.0, config.max_rotation)
-    scale = rng.uniform(config.scale_low, config.scale_high)
-    translation = rng.uniform(-config.jitter, config.jitter, size=3)
+    angle = rng.uniform(0.0, MAX_ROTATION)
+    scale = rng.uniform(*SCALE_RANGE)
+    translation = rng.uniform(-JITTER, JITTER, size=3)
     return apply_affine(mesh, affine_from_draws(angle, scale, translation))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from ..mesh.core import Mesh
 from ..nn.network import SegmentationNetwork
 from .crops import CropConfig, crop_windows, submesh
 from .features import vertex_features
-from .train import _thinned
+from .train import network_inputs
 
 
 @dataclass
@@ -26,27 +26,19 @@ class InferenceResult:
 
 
 def predict_hierarchy(net: SegmentationNetwork, hier: Hierarchy,
-                      features: np.ndarray, res_threshold: Optional[int] = 25,
+                      features: np.ndarray, res_threshold: int = 25,
                       seed: int = 0) -> np.ndarray:
     """Class predictions for the raw vertices behind a prepared hierarchy."""
-    L = net.config.num_levels
-    geo = merged_geo = hier.geodesic_edges[:L]
-    euc = hier.euclidean_edges[:L]
-    if res_threshold is not None:
-        geo = _thinned(merged_geo, res_threshold, seed)
-        euc = _thinned(euc, res_threshold, seed + 1000003)
-    logits = net.forward(features, geo, euc, hier.traces[:L - 1], train=False)
-    level0 = np.argmax(logits, axis=1)
-    if hier.input_trace is None:
-        return level0
-    return level0[hier.input_trace.assignment]
+    logits = net.forward(features, *network_inputs(net, hier, res_threshold, seed),
+                         train=False)
+    return np.argmax(logits, axis=1)[hier.input_trace.assignment]
 
 
 def infer_scene(net: SegmentationNetwork, scene: Mesh,
                 hier_config: HierarchyConfig,
                 neigh_configs: Sequence[NeighborhoodConfig],
                 crop_config: CropConfig = CropConfig(),
-                res_threshold: Optional[int] = 25,
+                res_threshold: int = 25,
                 seed: int = 0) -> InferenceResult:
     """Sweep crops over the scene and majority-vote per vertex.
 

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graph.neighborhoods import EdgeSet, NeighborhoodConfig
 from ..graph.res import res_sample
 from ..hierarchy.build import Hierarchy, HierarchyConfig, build_hierarchy, merge_hierarchies
+from ..hierarchy.trace import PoolingTraceMap
 from ..mesh.core import Mesh
 from ..nn.loss import cross_entropy_loss
-from ..nn.network import NetworkConfig, SegmentationNetwork
+from ..nn.network import SegmentationNetwork
 from ..nn.optim import Adam, learning_rate
-from .augment import AffineConfig, random_affine
+from .augment import random_affine
 from .crops import CropConfig, crop_scene, reject_crop
 from .features import vertex_features
 
@@ -26,12 +27,9 @@ class TrainConfig:
     batch_size: int = 4
     res_threshold: int = 15
     base_lr: float = 1e-3
-    lr_decay: float = 0.5
-    lr_decay_epochs: int = 40
     seed: int = 0
     augment: bool = True
     crop: CropConfig = field(default_factory=CropConfig)
-    affine: AffineConfig = field(default_factory=AffineConfig)
 
 
 @dataclass
@@ -65,8 +63,24 @@ def collect_crops(scenes: Sequence[Mesh], crop_config: CropConfig) -> List[Mesh]
     return crops
 
 
-def _thinned(edge_sets: Sequence[EdgeSet], T: int, seed: int) -> List[EdgeSet]:
-    return [res_sample(e, T, seed + lvl) for lvl, e in enumerate(edge_sets)]
+# Seed offset of the Euclidean edge sets' RES streams from the geodesic ones.
+EUCLIDEAN_SEED_OFFSET = 1000003
+
+
+def network_inputs(net: SegmentationNetwork, hier: Hierarchy, res_threshold: int,
+                   seed: int) -> Tuple[List[EdgeSet], List[EdgeSet], List[PoolingTraceMap]]:
+    """The geodesic and Euclidean edge sets and the traces that `net.forward`
+    reads from a hierarchy, cut to the network's depth.
+
+    Every edge set is RES-thinned at res_threshold: geodesic level l with
+    seed + l, Euclidean level l with seed + EUCLIDEAN_SEED_OFFSET + l.
+    """
+    L = net.config.num_levels
+    geo = [res_sample(e, res_threshold, seed + lvl)
+           for lvl, e in enumerate(hier.geodesic_edges[:L])]
+    euc = [res_sample(e, res_threshold, seed + EUCLIDEAN_SEED_OFFSET + lvl)
+           for lvl, e in enumerate(hier.euclidean_edges[:L])]
+    return geo, euc, hier.traces[:L - 1]
 
 
 def train_step(net: SegmentationNetwork, optimizer: Adam, samples: Sequence[Sample],
@@ -80,11 +94,8 @@ def train_step(net: SegmentationNetwork, optimizer: Adam, samples: Sequence[Samp
     features = np.concatenate([s.features for s in samples])
     labels = np.concatenate([s.labels for s in samples])
 
-    L = net.config.num_levels
-    geo = _thinned(merged.geodesic_edges[:L], res_threshold, res_seed)
-    euc = _thinned(merged.euclidean_edges[:L], res_threshold, res_seed + 1000003)
-
-    logits = net.forward(features, geo, euc, merged.traces[:L - 1], train=True)
+    logits = net.forward(features, *network_inputs(net, merged, res_threshold, res_seed),
+                         train=True)
     loss, dlogits = cross_entropy_loss(logits, labels)
     net.zero_grad()
     net.backward(dlogits)
@@ -112,14 +123,12 @@ def train(net: SegmentationNetwork, scenes: Sequence[Mesh],
     optimizer = Adam(net.parameters(), lr=config.base_lr)
     history = []
     for epoch in range(config.epochs):
-        optimizer.lr = learning_rate(epoch, config.base_lr, config.lr_decay,
-                                     config.lr_decay_epochs)
+        optimizer.lr = learning_rate(epoch, config.base_lr)
         if cached is not None:
             samples = cached
         else:
             samples = [
-                prepare_sample(random_affine(c, rng, config.affine),
-                               hier_config, neigh_configs)
+                prepare_sample(random_affine(c, rng), hier_config, neigh_configs)
                 for c in crops
             ]
         order = rng.permutation(len(samples))

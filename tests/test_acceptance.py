@@ -12,14 +12,14 @@ import pytest
 from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig
 from meshseg.graph.res import res_sample, sampling_probability
 from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy
-from meshseg.hierarchy.qem import optimal_contraction, qem_pool
+from meshseg.hierarchy.qem import optimal_contractions, qem_pool
 from meshseg.hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
 from meshseg.hierarchy.vertex_clustering import vertex_clustering_pool, pooled_edge_set
 from meshseg.mesh.core import UNLABELED, geodesic_edge_set
 from meshseg.nn.edgeconv import EdgeConvBranch, prepared_edges
 from meshseg.nn.gradcheck import finite_difference_check
 from meshseg.nn.loss import cross_entropy_loss
-from meshseg.nn.network import NetworkConfig, SegmentationNetwork, forward_on_hierarchy
+from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.pipeline.crops import CropConfig
 from meshseg.pipeline.features import vertex_features
 from meshseg.pipeline.infer import infer_scene
@@ -140,7 +140,7 @@ def test_criterion_2_pooling_oracles(rng):
     # Quadric contraction cost against coarse-to-fine grid search.
     for _ in range(20):
         q, v1, v2 = random_quadric_case(rng)
-        vbar, cost = optimal_contraction(q, v1, v2)
+        (vbar,), (cost,) = optimal_contractions(q[None], v1[None], v2[None])
         center = 0.5 * (v1 + v2)
         width = max(1.0, np.abs(np.stack([v1, v2, vbar]) - center).max() + 0.5)
         _, oracle_cost = refine_grid_search(q, center, width)
@@ -170,7 +170,7 @@ def test_criterion_3_trace_algebra(rng):
         trace = PoolingTraceMap(assignment, coarse)
         trace.validate()  # total and surjective
         features = rng.normal(size=(coarse, 3))
-        back = pool_features(unpool_features(features, trace), trace, mode="mean")
+        back = pool_features(unpool_features(features, trace), trace)
         assert np.allclose(back, features, atol=1e-12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -310,9 +310,8 @@ def test_criterion_8_translation_invariance(rng):
     for mesh in (scene, moved):
         hier = build_hierarchy(mesh, cfg)
         hier.build_euclidean_edges(TOY_NEIGH)
-        logits.append(forward_on_hierarchy(
-            net, hier, vertex_features(hier.levels[0])
-        ))
+        logits.append(net.forward(vertex_features(hier.levels[0]), hier.geodesic_edges,
+                                  hier.euclidean_edges, hier.traces))
     logits_diff = np.abs(logits[0] - logits[1]).max()
     assert logits_diff <= 1e-9
     elapsed = time.perf_counter() - t0

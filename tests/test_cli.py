@@ -6,6 +6,7 @@ import pytest
 
 from meshseg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from meshseg.mesh.io import load_mesh, save_mesh
+from meshseg.nn.checkpoint import load_checkpoint
 from meshseg.pipeline.toydata import make_toy_scene
 
 HIER_ARGS = [
@@ -203,6 +204,14 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     ("build-hierarchy", None, FPS_ARGS + ["100,500"], EXIT_CONFIG),
     ("build-hierarchy", None, FPS_ARGS + ["0,5"], EXIT_CONFIG),
     ("train", None, FPS_ARGS + ["1000,300,100,30", "--crop-extent", "1.0"], EXIT_VALIDATION),
+    ("train", None, ["--batch-size", "0"], EXIT_CONFIG),
+    ("train", None, ["--res-train", "0"], EXIT_CONFIG),
+    ("infer", None, ["--res-test", "0"], EXIT_CONFIG),
+    ("train", None, ["--qem-levels", "2", "--radius", "0.1"], EXIT_CONFIG),
+    ("train", None, ["--levels", "0"], EXIT_CONFIG),
+    # Level 3 of a crop of scene 0 keeps its 17 vertices.
+    ("train", None, ["--widths", "8,4", "--crop-extent", "1.0", "--crop-stride", "1.0"],
+     EXIT_VALIDATION),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -239,3 +248,68 @@ def test_truncated_checkpoint_exit_2(workdir, trained, tmp_path, capsys):
     assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
                  "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
     assert "header says" in capsys.readouterr().err
+
+
+def test_infer_checks_network_depth_before_reading_the_scene(workdir, trained, tmp_path,
+                                                             capsys):
+    code = main(["infer", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--scene", str(tmp_path / "missing.ply"), "--output", str(tmp_path / "p.txt"),
+                 "--strategy", "vc", "--cells", "0.15,0.3", "--radius", "0.25"])
+    assert code == EXIT_CONFIG
+    assert "the network needs 4 mesh levels, the hierarchy has 2" in capsys.readouterr().err
+
+
+def test_network_widths_follow_levels(workdir, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--manifest", str(workdir / "dataset.json"), "--output", str(out),
+                 *HIER_ARGS, "--classes", "3", "--levels", "3", "--epochs", "1",
+                 "--crop-extent", "3.6", "--crop-stride", "1.8", "--no-augment", "--quiet"])
+    assert code == EXIT_OK
+    config = load_checkpoint(out / "checkpoint.bin").config
+    assert config.num_levels == 3
+    assert config.geo_widths == config.euc_widths == ((64, 32),) * 3
+    # --widths applies at every level of a network deeper than the default.
+    assert main(["train", "--manifest", str(workdir / "dataset.json"), "--output", str(out),
+                 *HIER_ARGS, "--levels", "5", "--widths", "8,4"]) == EXIT_CONFIG
+    assert "the network needs 5 mesh levels, the hierarchy has 4" in capsys.readouterr().err
+
+
+def prediction_lines(workdir, bad_line):
+    lines = ["0"] * load_mesh(workdir / "scene0.ply").num_vertices
+    lines[7] = bad_line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("1.5", "expected one integer class per line"),
+    ("zero", "expected one integer class per line"),
+    ("0 1", "expected one integer class per line"),
+    ("-3", "line 8: class -3 outside [0, 3)"),
+    ("3", "line 8: class 3 outside [0, 3)"),
+])
+def test_bad_prediction_files_exit_2(workdir, tmp_path, capsys, bad_line, message):
+    preds = tmp_path / "p.txt"
+    preds.write_text(prediction_lines(workdir, bad_line))
+    assert main(["vote", str(preds), str(preds), "--output", str(tmp_path / "v.txt"),
+                 "--classes", "3"]) == EXIT_VALIDATION
+    assert main(["eval", "--scene", str(workdir / "scene0.ply"), "--predictions", str(preds),
+                 "--classes", "3"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("validation error" in e and message in e for e in err)
+
+
+def test_classes_below_one_exit_3(workdir, tmp_path):
+    preds = tmp_path / "p.txt"
+    preds.write_text(prediction_lines(workdir, "0"))
+    assert main(["vote", str(preds), "--output", str(tmp_path / "v.txt"),
+                 "--classes", "0"]) == EXIT_CONFIG
+    assert main(["eval", "--scene", str(workdir / "scene0.ply"), "--predictions", str(preds),
+                 "--classes", "0"]) == EXIT_CONFIG
+
+
+def test_scene_label_outside_classes_exit_2(workdir, tmp_path, capsys):
+    preds = tmp_path / "p.txt"
+    preds.write_text(prediction_lines(workdir, "0"))
+    assert main(["eval", "--scene", str(workdir / "scene0.ply"), "--predictions", str(preds),
+                 "--classes", "1"]) == EXIT_VALIDATION
+    assert "label outside [0, num_classes)" in capsys.readouterr().err

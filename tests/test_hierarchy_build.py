@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig
+from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig, radius_graph
 from meshseg.hierarchy.build import (
     DEFAULT_QEM_RATIO,
     DEFAULT_VC_CELLS,
@@ -11,7 +11,7 @@ from meshseg.hierarchy.build import (
     merge_hierarchies,
 )
 from meshseg.hierarchy.trace import PoolingTraceMap
-from meshseg.mesh.core import MeshValidationError
+from meshseg.mesh.core import Mesh, MeshValidationError
 from meshseg.pipeline.toydata import make_toy_scene
 
 
@@ -69,17 +69,23 @@ def test_fps_count_above_vertex_count_is_a_validation_error(scene):
                            ).levels[0].num_vertices == v
 
 
+def test_pooling_step_that_keeps_every_vertex_is_a_validation_error():
+    # Three vertices 10 m apart stay three vertices under any small cell.
+    mesh = Mesh(positions=np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]]),
+                faces=np.array([[0, 1, 2]]))
+    with pytest.raises(MeshValidationError, match=r"pooling level 1 failed .* \(3 -> 3\)"):
+        build_hierarchy(mesh, HierarchyConfig(strategy="vc", cells=(0.1, 0.2)))
+
+
 def test_euclidean_edges_lazy(scene):
     hier = build_hierarchy(scene, TOY_VC)
     assert hier.euclidean_edges is None
     cfgs = [NeighborhoodConfig(kind="knn", k=5)] * 2 + [
-        NeighborhoodConfig(kind="radius", radius=0.7),
-        NeighborhoodConfig(kind="geodesic"),
-    ]
+        NeighborhoodConfig(kind="radius", radius=0.7)] * 2
     edges = hier.build_euclidean_edges(cfgs)
     assert len(edges) == 4
     assert all(len(n) == 5 for n in edges[0].neighbors)
-    assert edges[3] == hier.geodesic_edges[3]
+    assert edges[3] == radius_graph(hier.levels[3].positions, 0.7)
 
 
 def test_euclidean_edges_config_count_mismatch(scene):

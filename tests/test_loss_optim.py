@@ -72,7 +72,7 @@ def test_learning_rate_schedule():
     assert learning_rate(39) == 1e-3
     assert learning_rate(40) == 5e-4
     assert learning_rate(80) == 2.5e-4
-    assert learning_rate(10, base_lr=0.1, decay=0.1, decay_epochs=5) == pytest.approx(1e-3)
+    assert learning_rate(80, base_lr=0.1) == pytest.approx(0.025)
 
 
 def test_adam_single_step_formula(rng):

@@ -7,12 +7,10 @@ from meshseg.hierarchy.trace import PoolingTraceMap, pool_features, unpool_featu
 from meshseg.nn.edgeconv import prepared_edges
 from meshseg.nn.gradcheck import finite_difference_check
 from meshseg.nn.loss import cross_entropy_loss
-from meshseg.nn.network import (
-    NetworkConfig,
-    SegmentationNetwork,
-    forward_on_hierarchy,
-)
+from meshseg.graph.res import res_sample
+from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.pipeline.toydata import make_toy_scene
+from meshseg.pipeline.train import EUCLIDEAN_SEED_OFFSET, network_inputs
 
 from test_edgeconv import random_edge_set
 
@@ -91,7 +89,7 @@ def test_forward_matches_manual_wiring(rng):
     for blk in net.encoder[0]:
         x = blk.forward(x, g[0], e[0], train=False)
     skip = x
-    x = pool_features(x, traces[0], "mean")
+    x = pool_features(x, traces[0])
     for blk in net.encoder[1]:
         x = blk.forward(x, g[1], e[1], train=False)
     x = np.concatenate([unpool_features(x, traces[0]), skip], axis=1)
@@ -146,21 +144,33 @@ def test_depth_and_width_validation(rng):
         NetworkConfig(num_levels=3, geo_widths=((4, 4),) * 2, euc_widths=((4, 4),) * 2)
 
 
-def test_forward_on_hierarchy(rng):
+def test_network_inputs_cut_and_thin_a_hierarchy(rng):
     scene = make_toy_scene(0)
     hier = build_hierarchy(
         scene, HierarchyConfig(strategy="vc", cells=(0.15, 0.3, 0.6, 1.2))
     )
-    cfg = NetworkConfig(
-        num_levels=4, blocks_per_level=1, num_classes=3, input_width=3,
-        geo_widths=((4, 2),) * 4, euc_widths=((4, 2),) * 4, head_hidden=4,
-    )
-    net = SegmentationNetwork(cfg)
-    features = rng.normal(size=(hier.levels[0].num_vertices, 3))
-    with pytest.raises(ValueError, match="Euclidean"):
-        forward_on_hierarchy(net, hier, features)
     hier.build_euclidean_edges(
         [NeighborhoodConfig(kind="radius", radius=r) for r in (0.25, 0.4, 0.8, 1.6)]
     )
-    logits = forward_on_hierarchy(net, hier, features)
+    cfg = NetworkConfig(
+        num_levels=3, blocks_per_level=1, num_classes=3,
+        geo_widths=((4, 2),) * 3, euc_widths=((4, 2),) * 3, head_hidden=4,
+    )
+    net = SegmentationNetwork(cfg)
+    geo, euc, traces = network_inputs(net, hier, 4, 17)
+    assert len(geo) == len(euc) == 3 and traces == hier.traces[:2]
+    for lvl in range(3):
+        for got, edges, seed in ((geo, hier.geodesic_edges, 17 + lvl),
+                                 (euc, hier.euclidean_edges, 17 + EUCLIDEAN_SEED_OFFSET + lvl)):
+            want = res_sample(edges[lvl], 4, seed)
+            assert np.array_equal(got[lvl].indptr, want.indptr)
+            assert np.array_equal(got[lvl].indices, want.indices)
+    assert sum(e.num_edges for e in euc) < sum(e.num_edges for e in hier.euclidean_edges[:3])
+
+    features = rng.normal(size=(hier.levels[0].num_vertices, 9))
+    logits = net.forward(features, geo, euc, traces)
     assert logits.shape == (hier.levels[0].num_vertices, 3)
+    # A threshold above every degree keeps every edge.
+    assert np.array_equal(
+        net.forward(features, *network_inputs(net, hier, 10 ** 6, 0)),
+        net.forward(features, hier.geodesic_edges[:3], hier.euclidean_edges[:3], traces))

@@ -5,7 +5,7 @@ from meshseg.mesh.core import Mesh, UNLABELED
 from meshseg.graph.neighborhoods import NeighborhoodConfig
 from meshseg.hierarchy.build import HierarchyConfig
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
-from meshseg.pipeline.augment import AffineConfig, affine_from_draws, apply_affine, random_affine
+from meshseg.pipeline.augment import affine_from_draws, apply_affine, random_affine
 from meshseg.pipeline.crops import CropConfig, crop_scene, crop_windows, reject_crop, submesh
 from meshseg.pipeline.features import FEATURE_WIDTH, normalize_positions, vertex_features
 from meshseg.pipeline.infer import majority_vote, vote_over_runs
@@ -137,9 +137,9 @@ def test_normals_stay_unit_under_scale(rng):
 
 def test_random_affine_deterministic_per_seed(rng):
     mesh = random_mesh(rng, 20, 8)
-    a = random_affine(mesh, np.random.default_rng(5), AffineConfig())
-    b = random_affine(mesh, np.random.default_rng(5), AffineConfig())
-    c = random_affine(mesh, np.random.default_rng(6), AffineConfig())
+    a = random_affine(mesh, np.random.default_rng(5))
+    b = random_affine(mesh, np.random.default_rng(5))
+    c = random_affine(mesh, np.random.default_rng(6))
     assert np.array_equal(a.positions, b.positions)
     assert not np.allclose(a.positions, c.positions)
 

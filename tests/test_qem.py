@@ -9,12 +9,7 @@ from scipy.spatial import cKDTree
 
 from meshseg.mesh.core import Mesh
 from meshseg.mesh.subdivide import midpoint_subdivide
-from meshseg.hierarchy.qem import (
-    optimal_contraction,
-    optimal_contractions,
-    qem_pool,
-    vertex_quadrics,
-)
+from meshseg.hierarchy.qem import optimal_contractions, qem_pool, vertex_quadrics
 from meshseg.hierarchy.trace import PoolingTraceMap, pooled_mesh
 from meshseg.hierarchy.vertex_clustering import mapped_faces, vertex_clustering_pool
 from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
@@ -220,7 +215,7 @@ def test_quadric_cost_is_squared_plane_distance():
 def test_optimal_contraction_matches_grid_search(rng):
     for _ in range(20):
         q, v1, v2 = random_quadric_case(rng)
-        vbar, cost = optimal_contraction(q, v1, v2)
+        (vbar,), (cost,) = optimal_contractions(q[None], v1[None], v2[None])
         center = 0.5 * (v1 + v2)
         width = max(
             1.0,
@@ -233,7 +228,7 @@ def test_optimal_contraction_matches_grid_search(rng):
 
 def test_singular_quadric_falls_back_to_candidates():
     q, v1, v2 = single_plane_case()
-    vbar, cost = optimal_contraction(q, v1, v2)
+    (vbar,), (cost,) = optimal_contractions(q[None], v1[None], v2[None])
     candidates = [v1, v2, 0.5 * (v1 + v2)]
     costs = [quadric_cost(q, c) for c in candidates]
     assert cost == pytest.approx(min(costs), abs=1e-12)
@@ -249,9 +244,6 @@ def test_batched_contractions_equal_scalar_formulas(rng):
 def test_batched_contraction_single_plane_fallback():
     q, v1, v2 = single_plane_case()
     assert_batch_matches_scalar(q[None], v1[None], v2[None])
-    vbar, cost = optimal_contraction(q, v1, v2)
-    assert isinstance(cost, float)
-    assert vbar.tobytes() == scalar_contraction(q, v1, v2)[0].tobytes()
 
 
 def test_batched_contractions_mix_singular_rows(rng):

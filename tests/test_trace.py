@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshseg.graph.neighborhoods import scatter_sum
 from meshseg.mesh.core import UNLABELED
 from meshseg.hierarchy.trace import (
     PoolingTraceMap,
-    compose_traces,
     pool_features,
     pool_labels,
     unpool_features,
@@ -34,7 +34,7 @@ surjective_traces = st.integers(1, 40).flatmap(
 def test_pool_mean_of_unpool_is_identity(trace):
     rng = np.random.default_rng(0)
     coarse = rng.standard_normal((trace.coarse_count, 5))
-    assert np.allclose(pool_features(unpool_features(coarse, trace), trace, "mean"),
+    assert np.allclose(pool_features(unpool_features(coarse, trace), trace),
                        coarse, atol=1e-12)
 
 
@@ -63,17 +63,12 @@ def test_out_of_range_trace_rejected():
 def test_pool_modes_match_loops(rng):
     trace = random_trace(rng, 30, 7)
     x = rng.standard_normal((30, 4))
-    for mode, fn in (("mean", np.mean), ("sum", np.sum)):
-        out = pool_features(x, trace, mode)
+    # The mean pools features; the sum is the adjoint of unpooling.
+    for out, fn in ((pool_features(x, trace), np.mean),
+                    (scatter_sum(x, trace.assignment, 7), np.sum)):
         for c in range(7):
             rows = x[trace.assignment == c]
             assert np.allclose(out[c], fn(rows, axis=0), atol=1e-12)
-
-
-def test_pool_unknown_mode(rng):
-    trace = random_trace(rng, 5, 2)
-    with pytest.raises(ValueError):
-        pool_features(np.zeros((5, 1)), trace, "median")
 
 
 def test_pool_shape_mismatch(rng):
@@ -108,16 +103,3 @@ def test_pool_labels_unlabeled_rules():
     assert out[0] == UNLABELED  # whole group unlabeled
     assert out[1] == 2          # single label beats any number of unlabeled
 
-
-def test_compose_traces(rng):
-    first = random_trace(rng, 40, 10)
-    second = random_trace(rng, 10, 3)
-    composed = compose_traces(first, second)
-    composed.validate()
-    for i in range(40):
-        assert composed.assignment[i] == second.assignment[first.assignment[i]]
-
-
-def test_compose_traces_mismatch(rng):
-    with pytest.raises(ValueError):
-        compose_traces(random_trace(rng, 10, 4), random_trace(rng, 5, 2))
