@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .hierarchy.build import (
     build_hierarchy,
 )
 from .hierarchy.store import HierarchyFormatError, deserialize_hierarchy, serialize_hierarchy
-from .mesh.core import LabeledPointCloud, MeshValidationError
+from .mesh.core import UNLABELED, LabeledPointCloud, MeshValidationError
 from .mesh.io import MeshParseError, load_mesh, save_mesh
 from .mesh.subdivide import interpolate_from_point_cloud, midpoint_subdivide
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -203,6 +204,16 @@ def _crop_config(args) -> CropConfig:
     return CropConfig(extent=args.crop_extent, stride=args.crop_stride)
 
 
+def _check_scene_labels(path, labels, num_classes: int):
+    """Every label is UNLABELED or a class in [0, num_classes)."""
+    if labels is None:
+        return
+    bad = np.flatnonzero((labels != UNLABELED) & ((labels < 0) | (labels >= num_classes)))
+    if bad.size:
+        raise MeshValidationError(
+            f"{path}: vertex {bad[0]}: label {labels[bad[0]]} outside [0, {num_classes})")
+
+
 def _training_scene_paths(manifest_path) -> list:
     """Paths of the train-split scenes listed in a dataset manifest."""
     text = Path(manifest_path).read_text()
@@ -289,9 +300,12 @@ def cmd_train(args):
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
     crop_cfg = _crop_config(args)
     _check_depth(net_cfg, hier_cfg)
-    _check_at_least_one(epochs=args.epochs, batch_size=args.batch_size,
-                        res_train=args.res_train)
-    scenes = [load_mesh(p) for p in _training_scene_paths(args.manifest)]
+    _check_at_least_one(classes=args.classes, epochs=args.epochs,
+                        batch_size=args.batch_size, res_train=args.res_train)
+    scenes = []
+    for path in _training_scene_paths(args.manifest):
+        scenes.append(load_mesh(path))
+        _check_scene_labels(path, scenes[-1].labels, args.classes)
 
     net = SegmentationNetwork(net_cfg)
     train_cfg = TrainConfig(
@@ -341,11 +355,16 @@ def cmd_infer(args):
 def _read_predictions(path, num_classes: int) -> np.ndarray:
     """One class index in [0, num_classes) per line."""
     try:
-        predictions = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data; it is rejected below.
+            warnings.simplefilter("ignore", UserWarning)
+            predictions = np.loadtxt(path, dtype=np.int64, ndmin=1)
     except ValueError as e:  # a non-integer token, or non-UTF-8 bytes
         raise MeshValidationError(f"{path}: expected one integer class per line ({e})") from e
     if predictions.ndim != 1:
         raise MeshValidationError(f"{path}: expected one integer class per line")
+    if predictions.size == 0:
+        raise MeshValidationError(f"{path}: no predictions")
     bad = np.flatnonzero((predictions < 0) | (predictions >= num_classes))
     if bad.size:
         raise MeshValidationError(

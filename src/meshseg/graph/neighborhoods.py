@@ -107,20 +107,40 @@ class EdgeSet:
 
 
 def scatter_sum(values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
-    """out[s] = sum of values[k] over index[k] == s, added in ascending k.
+    """out[s] = sum of values[k] over index[k] == s, added in ascending k
+    (for an (n, k) index, see scatter_incidence).
 
     That is the order of np.add.at, and the result is bit-identical to it:
     the sum is a product with the CSC incidence matrix, whose kernel visits
     its columns (one per row of values) in order.
     """
+    return incidence_sum(scatter_incidence(index, num_segments), values)
+
+
+def scatter_incidence(index: np.ndarray, num_segments: int) -> sparse.csc_matrix:
+    """The num_segments x len(index) 0/1 matrix that scatter_sum multiplies by.
+
+    An index of shape (n, k) sends row i of the values to each of the k
+    segments index[i], in the order np.add.at visits them. Build the matrix
+    once to scatter several arrays over the same index with incidence_sum;
+    its transpose gathers the sum of the k segments' rows back to each row.
+    """
     n = len(index)
+    per_row = index.shape[1] if index.ndim == 2 else 1
+    flat = index.reshape(-1)
     # The sparse kernel does not bounds-check its indices.
-    if n and (index.min() < 0 or index.max() >= num_segments):
+    if n and (flat.min() < 0 or flat.max() >= num_segments):
         raise IndexError(f"scatter index out of range for {num_segments} segments")
     # int32 indices spare the constructor a range scan and a copy.
-    incidence = sparse.csc_matrix(
-        (np.ones(n), index.astype(np.int32), np.arange(n + 1, dtype=np.int32)),
+    return sparse.csc_matrix(
+        (np.ones(flat.size), flat.astype(np.int32),
+         np.arange(0, flat.size + 1, per_row, dtype=np.int32)),
         shape=(num_segments, n))
+
+
+def incidence_sum(incidence: sparse.csc_matrix, values: np.ndarray) -> np.ndarray:
+    """scatter_sum of values over the index that `incidence` was built from."""
+    num_segments, n = incidence.shape
     width = math.prod(values.shape[1:])
     return (incidence @ values.reshape(n, width)).reshape((num_segments,) + values.shape[1:])
 

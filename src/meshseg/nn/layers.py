@@ -78,9 +78,7 @@ class BatchNorm:
             inv_std = 1.0 / np.sqrt(var + self.eps)
             xhat *= inv_std
             self._cache = (xhat, inv_std)
-            unbiased = var * n / max(n - 1, 1)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
+            self.track(mean, var, n)
             y = xhat * self.gamma.value
         else:
             # Nothing is cached, so the normalized rows can take the output.
@@ -88,6 +86,13 @@ class BatchNorm:
             y *= self.gamma.value / np.sqrt(self.running_var + self.eps)
         y += self.beta.value
         return y
+
+    def track(self, mean, var, n: int):
+        """Fold one batch's mean and (biased) variance over n rows into the
+        running statistics, the variance unbiased."""
+        unbiased = var * n / max(n - 1, 1)
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
 
     def backward(self, dy):
         """Train-mode adjoint: dx = gamma inv_std (dy - dbeta/n - xhat dgamma/n)."""

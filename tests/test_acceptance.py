@@ -292,8 +292,8 @@ def test_criterion_8_translation_invariance(rng):
     positions = rng.uniform(0, 2, size=(60, 3))
     edges = prepared_edges(random_edge_set(rng, 60))
     branch = EdgeConvBranch(3, 8, 6, rng, relative=True)
-    base = branch.forward(positions, *edges, train=False)
-    shifted = branch.forward(positions + [123.4, -56.7, 89.0], *edges, train=False)
+    base = branch.forward(positions, edges, train=False)
+    shifted = branch.forward(positions + [123.4, -56.7, 89.0], edges, train=False)
     first_layer_diff = np.abs(base - shifted).max()
     assert first_layer_diff <= 1e-9
 
@@ -328,11 +328,11 @@ def test_criterion_9_permutation_and_duplicate_invariance(rng):
         v = int(rng.integers(4, 11))
         edges = random_edge_set(rng, v, max_degree=3)
         x = rng.normal(size=(v, 3))
-        base = branch.forward(x, *prepared_edges(edges), train=False)
+        base = branch.forward(x, prepared_edges(edges), train=False)
         permuted = EdgeSet([np.asarray(rng.permutation(n)) for n in edges.neighbors])
         doubled = EdgeSet([np.concatenate([n, n]) for n in edges.neighbors])
         for variant in (permuted, doubled):
-            out = branch.forward(x, *prepared_edges(variant), train=False)
+            out = branch.forward(x, prepared_edges(variant), train=False)
             worst = max(worst, float(np.abs(out - base).max()))
     assert worst <= 1e-12
     elapsed = time.perf_counter() - t0

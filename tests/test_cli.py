@@ -1,10 +1,12 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from meshseg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from meshseg.mesh.core import UNLABELED
 from meshseg.mesh.io import load_mesh, save_mesh
 from meshseg.nn.checkpoint import load_checkpoint
 from meshseg.pipeline.toydata import make_toy_scene
@@ -212,6 +214,9 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     # Level 3 of a crop of scene 0 keeps its 17 vertices.
     ("train", None, ["--widths", "8,4", "--crop-extent", "1.0", "--crop-stride", "1.0"],
      EXIT_VALIDATION),
+    ("train", None, ["--classes", "0"], EXIT_CONFIG),
+    # Scene 0 has labels 0 to 2.
+    ("train", None, ["--classes", "2"], EXIT_VALIDATION),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -313,3 +318,35 @@ def test_scene_label_outside_classes_exit_2(workdir, tmp_path, capsys):
     assert main(["eval", "--scene", str(workdir / "scene0.ply"), "--predictions", str(preds),
                  "--classes", "1"]) == EXIT_VALIDATION
     assert "label outside [0, num_classes)" in capsys.readouterr().err
+
+
+def test_train_checks_scene_labels_against_classes(workdir, tmp_path, capsys):
+    # Unlabeled vertices pass; a label at or above --classes stops the run
+    # before any hierarchy is built, naming the scene.
+    scene = load_mesh(workdir / "scene0.ply")
+    scene.labels[::7] = UNLABELED
+    path = tmp_path / "scene.ply"
+    save_mesh(scene, path)
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps({"scenes": [{"path": str(path), "split": "train"}]}))
+    argv = ["train", "--manifest", str(dataset), "--output", str(tmp_path / "run"), *HIER_ARGS,
+            "--widths", "8,4", "--epochs", "1", "--crop-extent", "3.6", "--crop-stride", "1.8",
+            "--no-augment", "--quiet"]
+    assert main([*argv, "--classes", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*argv, "--classes", "2"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{path}: vertex" in err and "label 2 outside [0, 2)" in err
+
+
+def test_empty_prediction_file_exit_2(workdir, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["vote", str(empty), "--output", str(tmp_path / "v.txt")]) == EXIT_VALIDATION
+        assert main(["eval", "--scene", str(workdir / "scene0.ply"),
+                     "--predictions", str(empty)]) == EXIT_VALIDATION
+    assert not (tmp_path / "v.txt").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(f"{empty}: no predictions" in e for e in err)

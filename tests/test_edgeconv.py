@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meshseg.graph.neighborhoods import EdgeSet, scatter_sum
-from meshseg.nn.edgeconv import DualBlock, EdgeConvBranch, prepared_edges
+from meshseg.nn.edgeconv import DualBlock, EdgeConvBranch, PreparedEdges, prepared_edges
 from meshseg.nn.layers import BatchNorm, Sequential
 
 
@@ -18,9 +18,14 @@ def random_edge_set(rng, num_vertices, max_degree=4):
     return EdgeSet.from_pairs(centers, np.concatenate(neighbors), num_vertices)
 
 
+def whole_stack(branch):
+    """phi's modules, the per-vertex ones included, as one per-row Sequential."""
+    return Sequential(*(m for _, m in branch.named_modules()))
+
+
 def edge_mlp(branch, h):
     """phi in eval mode on rows of [x_i, x_j - x_i] (or x_j - x_i): all its layers per row."""
-    return branch.phi.forward(branch.vertex_linear.forward(h, train=False), train=False)
+    return whole_stack(branch).forward(h, train=False)
 
 
 def branch_oracle(branch, x, edges):
@@ -39,11 +44,35 @@ def branch_oracle(branch, x, edges):
 
 def test_prepared_edges_flatten_and_inverse_counts(rng):
     edges = EdgeSet.from_pairs([0, 0, 2], [1, 2, 0], 3)
-    centers, nbrs, inv = prepared_edges(edges)
+    prep = prepared_edges(edges)
     # Vertex 1 has no neighbors and receives a self loop.
-    assert centers.tolist() == [0, 0, 1, 2]
-    assert nbrs.tolist() == [1, 2, 1, 0]
-    assert np.allclose(inv, [0.5, 1.0, 1.0])
+    assert len(prep) == 4
+    assert prep.centers.tolist() == [0, 0, 1, 2]
+    assert prep.nbrs.tolist() == [1, 2, 1, 0]
+    assert np.allclose(prep.inv_counts, [0.5, 1.0, 1.0])
+    assert prep.out_degree.tolist() == [2, 1, 1]
+    assert prep.in_degree.tolist() == [1, 2, 1]
+    assert prep.adjacency.toarray().tolist() == [[0, 1, 1], [0, 1, 0], [1, 0, 0]]
+
+
+def test_prepared_edges_scatters_match_scatter_sum(rng):
+    # A multigraph with repeated rows, and vertices that are no row's neighbor.
+    v, e = 13, 60
+    centers = np.sort(np.concatenate([np.arange(v), rng.integers(0, v, size=e - v)]))
+    nbrs = rng.integers(0, v - 2, size=e)
+    prep = PreparedEdges(centers, nbrs, v)
+    values = rng.normal(size=(e, 4))
+    stacked = rng.normal(size=(2 * v, 4))
+    for _ in range(2):  # built on first use, then reused
+        assert np.array_equal(prep.sum_to_centers(values), scatter_sum(values, centers, v))
+        both = prep.sum_to_both(values)
+        assert np.array_equal(both[:v], scatter_sum(values, centers, v))
+        assert np.array_equal(both[v:], scatter_sum(values, nbrs, v))
+        assert np.array_equal(prep.pair_sums(stacked), stacked[centers] + stacked[v + nbrs])
+        assert np.array_equal(prep.adjacency @ stacked[:v],
+                              scatter_sum(stacked[nbrs], centers, v))
+    with pytest.raises(ValueError):
+        PreparedEdges(centers[::-1], nbrs, v)
 
 
 def test_forward_matches_double_loop_oracle(rng):
@@ -53,7 +82,7 @@ def test_forward_matches_double_loop_oracle(rng):
     edges = random_edge_set(rng, 12)
     for relative in (False, True):
         branch = EdgeConvBranch(5, 8, 6, rng, relative=relative)
-        got = branch.forward(x, *prepared_edges(edges), train=False)
+        got = branch.forward(x, prepared_edges(edges), train=False)
         assert np.allclose(got, branch_oracle(branch, x, edges), atol=1e-12)
 
 
@@ -63,7 +92,7 @@ def test_equal_features_relative_branch_is_constant(rng):
     x = np.tile(rng.normal(size=(1, 4)), (9, 1))
     edges = random_edge_set(rng, 9)
     branch = EdgeConvBranch(4, 6, 3, rng, relative=True)
-    got = branch.forward(x, *prepared_edges(edges), train=False)
+    got = branch.forward(x, prepared_edges(edges), train=False)
     expected = edge_mlp(branch, np.zeros((1, 4)))[0]
     assert np.allclose(got, np.tile(expected, (9, 1)), atol=1e-12)
 
@@ -73,8 +102,8 @@ def test_neighbor_order_invariance(rng):
     edges = random_edge_set(rng, 10)
     shuffled = EdgeSet([np.asarray(rng.permutation(n)) for n in edges.neighbors])
     branch = EdgeConvBranch(3, 5, 4, rng)
-    a = branch.forward(x, *prepared_edges(edges), train=False)
-    b = branch.forward(x, *prepared_edges(shuffled), train=False)
+    a = branch.forward(x, prepared_edges(edges), train=False)
+    b = branch.forward(x, prepared_edges(shuffled), train=False)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -85,8 +114,8 @@ def test_duplicated_neighbor_lists_leave_output_unchanged(rng):
     edges = random_edge_set(rng, 8)
     doubled = EdgeSet([np.concatenate([n, n]) for n in edges.neighbors])
     branch = EdgeConvBranch(3, 4, 4, rng)
-    a = branch.forward(x, *prepared_edges(edges), train=False)
-    b = branch.forward(x, *prepared_edges(doubled), train=False)
+    a = branch.forward(x, prepared_edges(edges), train=False)
+    b = branch.forward(x, prepared_edges(doubled), train=False)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -95,8 +124,8 @@ def test_relative_branch_translation_invariance(rng):
     edges = random_edge_set(rng, 10)
     branch = EdgeConvBranch(4, 6, 5, rng, relative=True)
     prep = prepared_edges(edges)
-    a = branch.forward(x, *prep, train=False)
-    b = branch.forward(x + rng.normal(size=(1, 4)) * 10, *prep, train=False)
+    a = branch.forward(x, prep, train=False)
+    b = branch.forward(x + rng.normal(size=(1, 4)) * 10, prep, train=False)
     assert np.allclose(a, b, atol=1e-9)
 
 
@@ -105,8 +134,8 @@ def test_plain_branch_is_not_translation_invariant(rng):
     edges = random_edge_set(rng, 10)
     branch = EdgeConvBranch(4, 6, 5, rng, relative=False)
     prep = prepared_edges(edges)
-    a = branch.forward(x, *prep, train=False)
-    b = branch.forward(x + 10.0, *prep, train=False)
+    a = branch.forward(x, prep, train=False)
+    b = branch.forward(x + 10.0, prep, train=False)
     assert not np.allclose(a, b, atol=1e-6)
 
 
@@ -155,9 +184,9 @@ def test_branch_backward_matches_fd(rng, relative):
     branch = EdgeConvBranch(3, 4, 3, rng, relative=relative)
 
     def loss():
-        return float(np.sin(branch.forward(x, *prep, train=True)).sum())
+        return float(np.sin(branch.forward(x, prep, train=True)).sum())
 
-    out = branch.forward(x, *prep, train=True)
+    out = branch.forward(x, prep, train=True)
     for _, p in branch.parameters():
         p.grad[...] = 0.0
     dx = branch.backward(np.cos(out))
@@ -207,21 +236,23 @@ def test_dual_block_backward_matches_fd(rng):
             assert abs(num - gflat[k]) / max(abs(num), abs(gflat[k]), 1e-2) < 1e-5
 
 
-def concatenated_reference(branch, x, centers, nbrs, inv_counts, train, dy=None):
-    """The branch as it ran before phi's first Linear moved to the vertices.
+def concatenated_reference(branch, x, edges, train, dy=None):
+    """The branch as it ran before phi's first Linear and BatchNorm moved to
+    the vertices.
 
     A copy of the branch runs phi's whole stack per edge on the E x 2F rows
     [x_i, x_j - x_i] (E x F rows x_j - x_i for the relative variant), and its
-    backward splits their gradient back onto x_i and x_j. Returns the output
-    and, given dy, dx and the parameter gradients by name.
+    backward splits their gradient back onto x_i and x_j. Returns the copy,
+    its output and, given dy, dx and the parameter gradients by name.
     """
     ref = copy.deepcopy(branch)
-    phi = Sequential(ref.vertex_linear, *ref.phi.modules)
+    phi = whole_stack(ref)
+    centers, nbrs, inv_counts = edges.centers, edges.nbrs, edges.inv_counts
     diff = x[nbrs] - x[centers]
     h = diff if ref.relative else np.concatenate([x[centers], diff], axis=1)
     y = scatter_sum(phi.forward(h, train), centers, x.shape[0]) * inv_counts[:, None]
     if dy is None:
-        return y, None, None
+        return ref, y, None, None
     for _, p in ref.parameters():
         p.grad[...] = 0.0
     dh = phi.backward((dy * inv_counts[:, None])[centers])
@@ -231,7 +262,7 @@ def concatenated_reference(branch, x, centers, nbrs, inv_counts, train, dy=None)
     else:
         to_centers = scatter_sum(dh, centers, v)
         dx = to_centers[:, :f] - to_centers[:, f:] + scatter_sum(dh, nbrs, v)[:, f:]
-    return y, dx, {name: p.grad.copy() for name, p in ref.parameters()}
+    return ref, y, dx, {name: p.grad.copy() for name, p in ref.parameters()}
 
 
 def assert_relative_close(got, ref, tol=1e-12):
@@ -250,36 +281,77 @@ def randomized_branch(rng, in_width, relative):
     return branch
 
 
+def reference_cases(rng, v, f):
+    """(name, x, edges) instances for the vertex-space batch norm."""
+    rows = random_edge_set(rng, v).neighbors
+    # Every fifth vertex has no neighbors and takes the self-loop row.
+    sparse_rows = EdgeSet([n if i % 5 else n[:0] for i, n in enumerate(rows)])
+    x = rng.normal(size=(v, f))
+    yield "self-loops", x, sparse_rows
+    yield "multi-edges", x, EdgeSet([np.repeat(n, rng.integers(1, 4, size=len(n)))
+                                     for n in rows])
+    # Vertex 0 is a neighbor of every other vertex and centers only its
+    # self-loop; the last vertex is nobody's neighbor.
+    yield "neighbor-only", x, EdgeSet(
+        [np.array([], dtype=np.int64)]
+        + [np.append(n[(n != 0) & (n != v - 1)], 0) for n in rows[1:]])
+    # A common offset, which the centred statistics must not lose precision to.
+    yield "offset", x + OFFSET, sparse_rows
+
+
+OFFSET = 1e3
+
+
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("relative", [False, True])
 def test_branch_matches_concatenated_reference(rng, relative, train):
     v, f = 30, 5
-    x = rng.normal(size=(v, f))
-    # Every fifth vertex has no neighbors and takes the self-loop row.
-    rows = random_edge_set(rng, v).neighbors
-    edges = EdgeSet([n if i % 5 else n[:0] for i, n in enumerate(rows)])
-    prep = prepared_edges(edges)
-    assert (prep[0] == prep[1]).sum() == v // 5
-    branch = randomized_branch(rng, f, relative)
-    dy = rng.normal(size=(v, branch.out_width)) if train else None
+    for case, x, edges in reference_cases(rng, v, f):
+        prep = prepared_edges(edges)
+        if case == "self-loops":
+            assert (prep.centers == prep.nbrs).sum() == v // 5
+        elif case == "multi-edges":
+            assert prep.adjacency.max() > 1
+        elif case == "neighbor-only":
+            assert prep.out_degree[0] == 1 and prep.in_degree[0] == v
+            assert prep.in_degree[-1] == 0
+        branch = randomized_branch(rng, f, relative)
+        dy = rng.normal(size=(v, branch.out_width)) if train else None
 
-    y_ref, dx_ref, grads_ref = concatenated_reference(branch, x, *prep, train, dy)
-    y = branch.forward(x, *prep, train=train)
-    assert_relative_close(y, y_ref)
-    if not train:
-        return
-    for _, p in branch.parameters():
-        p.grad[...] = 0.0
-    assert_relative_close(branch.backward(dy), dx_ref)
-    for name, p in branch.parameters():
-        if name in ("phi.0.bias", "phi.3.bias"):
-            # A bias feeding a train-mode batch norm has an exact gradient of
-            # zero; both versions hold rounding noise there.
-            weight = name.replace("bias", "weight")
-            assert np.abs(p.grad).max() <= 1e-12 * np.abs(grads_ref[weight]).max()
-            assert np.abs(grads_ref[name]).max() <= 1e-12 * np.abs(grads_ref[weight]).max()
-        else:
-            assert_relative_close(p.grad, grads_ref[name])
+        # A train-mode batch norm cancels the offset exactly, and the per-edge
+        # reference is accurate to 1e-12 only without it.
+        x_ref = x - OFFSET if case == "offset" and train else x
+        ref, y_ref, dx_ref, grads_ref = concatenated_reference(branch, x_ref, prep, train, dy)
+        y = branch.forward(x, prep, train=train)
+        assert_relative_close(y, y_ref)
+        if not train:
+            continue
+        for _, p in branch.parameters():
+            p.grad[...] = 0.0
+        assert_relative_close(branch.backward(dy), dx_ref)
+        for name, p in branch.parameters():
+            if name in ("phi.0.bias", "phi.3.bias"):
+                # A bias feeding a train-mode batch norm has an exact gradient
+                # of zero; both versions hold rounding noise there.
+                weight = name.replace("bias", "weight")
+                assert np.abs(p.grad).max() <= 1e-12 * np.abs(grads_ref[weight]).max()
+                assert np.abs(grads_ref[name]).max() <= 1e-12 * np.abs(grads_ref[weight]).max()
+            else:
+                assert_relative_close(p.grad, grads_ref[name])
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_vertex_batch_norm_tracks_the_per_edge_statistics(rng, relative):
+    v, f = 30, 5
+    for _, x, edges in reference_cases(rng, v, f):
+        prep = prepared_edges(edges)
+        branch = randomized_branch(rng, f, relative)
+        ref = concatenated_reference(branch, x, prep, train=True)[0]
+        branch.forward(x, prep, train=True)
+        for m, m_ref in zip(whole_stack(branch).modules, whole_stack(ref).modules):
+            if isinstance(m, BatchNorm):
+                assert_relative_close(m.running_mean, m_ref.running_mean)
+                assert_relative_close(m.running_var, m_ref.running_var)
 
 
 def test_branch_keeps_the_parameter_layout_of_the_whole_stack(rng):
@@ -290,8 +362,13 @@ def test_branch_keeps_the_parameter_layout_of_the_whole_stack(rng):
         ("phi.3.weight", (6, 3)), ("phi.3.bias", (3,)),
         ("phi.4.gamma", (3,)), ("phi.4.beta", (3,)),
     ]
+    assert [(name, type(m).__name__) for name, m in branch.named_modules()] == [
+        ("phi.0", "Linear"), ("phi.1", "BatchNorm"), ("phi.2", "ReLU"),
+        ("phi.3", "Linear"), ("phi.4", "BatchNorm"), ("phi.5", "ReLU"),
+    ]
+    # phi holds the per-edge modules: everything after the first batch norm.
     assert [type(m).__name__ for m in branch.phi.modules] == [
-        "BatchNorm", "ReLU", "Linear", "BatchNorm", "ReLU",
+        "ReLU", "Linear", "BatchNorm", "ReLU",
     ]
 
 
@@ -300,9 +377,10 @@ def test_branch_caches_no_concatenated_rows(rng):
     v, f = 20, 5
     x = rng.normal(size=(v, f))
     prep = prepared_edges(random_edge_set(rng, v))
-    num_edges = len(prep[0])
+    num_edges = len(prep)
+    assert num_edges != v
     branch = EdgeConvBranch(f, 7, 3, rng)
-    branch.forward(x, *prep, train=True)
+    branch.forward(x, prep, train=True)
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -311,10 +389,19 @@ def test_branch_caches_no_concatenated_rows(rng):
             for item in value:
                 yield from arrays(item)
 
-    cached = [a for owner in [branch, *branch.phi.modules, branch.vertex_linear]
-              for name, value in vars(owner).items() if name.startswith("_")
-              for a in arrays(value)]
-    assert cached
-    assert not [a.shape for a in cached if a.ndim == 2 and a.shape[1] == 2 * f]
-    # Per-edge caches start at phi's first batch norm, H = 7 wide.
-    assert max(a.shape[1] for a in cached if a.ndim == 2 and len(a) == num_edges) == 7
+    owners = [branch, branch.vertex_linear, branch.vertex_bn, *branch.phi.modules]
+    cached = {id(owner): [a for name, value in vars(owner).items() if name.startswith("_")
+                          for a in arrays(value)]
+              for owner in owners}
+    every = [a for arrays_of_owner in cached.values() for a in arrays_of_owner]
+    assert every
+    assert not [a.shape for a in every if a.ndim == 2 and a.shape[1] == 2 * f]
+    # The first batch norm keeps V x H arrays only: no per-edge xhat.
+    for owner in (branch, branch.vertex_bn):
+        assert not [a.shape for a in cached[id(owner)] if len(a) == num_edges and a.ndim == 2]
+    # The per-edge floats are the second Linear's input (H = 7 wide) and the
+    # second batch norm's xhat (3 wide).
+    relu, linear = branch.phi.modules[:2]
+    per_edge = [a for a in every if a.ndim == 2 and len(a) == num_edges and a.dtype != bool]
+    assert sorted(a.shape[1] for a in per_edge) == [3, 7]
+    assert any(a is linear._x for a in per_edge)

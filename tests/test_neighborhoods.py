@@ -8,6 +8,7 @@ from meshseg.graph.neighborhoods import (
     knn_graph,
     nearest_points,
     radius_graph,
+    scatter_incidence,
     scatter_sum,
 )
 
@@ -192,6 +193,18 @@ def test_scatter_sum_matches_add_at_bitwise(rng):
         scatter_sum(values, np.where(index == 3, 45, index), 45)
     with pytest.raises(IndexError):
         scatter_sum(values, np.where(index == 3, -1, index), 45)
+
+
+def test_scatter_sum_to_several_segments_per_row_matches_add_at(rng):
+    values = rng.standard_normal((300, 5)) * 10.0 ** rng.integers(-8, 8, (300, 1))
+    index = rng.integers(0, 30, (300, 2))
+    expected = np.zeros((30, 5))
+    np.add.at(expected, index, values[:, None, :])
+    assert np.array_equal(scatter_sum(values, index, 30), expected)
+    # The transpose gathers each row's segments back and adds them.
+    segments = rng.standard_normal((30, 5))
+    gathered = scatter_incidence(index, 30).T @ segments
+    assert np.array_equal(gathered, segments[index[:, 0]] + segments[index[:, 1]])
 
 
 def test_edge_set_num_edges():
