@@ -24,6 +24,38 @@ new costs. Every other pair keeps its cached minimizer and cost, which
 stay exact because neither its quadrics nor its positions changed. Rounds
 end when the target count is met or no pair is left; the latter warns
 with a "qem:" prefix.
+
+The singular test, cond(A) >= 1e10 for the 3x3 block A as the SVD
+computes it, is decided for most rows by a closed-form screen
+(`condition_screen`); only the rows it cannot prove go to the SVD. For
+any 3x3 A with singular values s1 >= s2 >= s3, F = |A|_F and
+C = |cof A|_F (the cofactor matrix has singular values s2 s3, s1 s3,
+s1 s2) satisfy s1 <= F <= sqrt(3) s1 and s1 s2 <= C <= sqrt(3) s1 s2,
+and |det A| = s1 s2 s3. So
+    F C / (3 |det|) <= cond <= F C / |det|   and   cond >= F^2 / (3 C).
+Each block is first scaled by a power of two so that its largest entry
+lies in [1/2, 1). That leaves cond unchanged, but for entries below
+2^-1074 of the largest, and keeps the products from overflowing.
+
+Error terms, with u = 2^-53: F and C are computed to within a factor
+1 -+ 8u; each cofactor p - r to within 3u (|p| + |r|); det, row 0 against
+its cofactors, to within 3u sum_j |a_0j| (|p_0j| + |r_0j|)
++ 4u sum_j |a_0j cof_0j|; and a further 2^-500 on C and det covers
+underflow in the products and squares. A row is certified
+well-conditioned when the upper bound, with these errors, is below
+1e10 / K, and singular when either lower bound is above 1e10 K. An
+all-zero block is singular (the SVD gives 0/0) and a non-finite one
+fails the test, as without the screen. The rows left over lie within a
+factor 6 of the threshold, or have a determinant lost in rounding
+(s2 s3 / s1^2 near u, with s2 / s1 above about 1e-12).
+
+Why the decision is exact: the margin K = 2 covers the SVD's own error,
+|s_i' - s_i| <= c u s1 for LAPACK's modest constant c, the rounding of
+the final comparisons and the scaling's underflow. The SVD's ratio
+s1' / s3' is below 1e10 whenever cond < 1e10 / K and c < 9e5, and above
+1e10 whenever cond > 1e10 K and c < 4e5. So every row gets the SVD's
+decision, and the minimizers, costs and hierarchies are bit-identical
+to SVD-only ones.
 """
 
 from __future__ import annotations
@@ -40,6 +72,17 @@ from .trace import PoolingTraceMap, pooled_mesh
 from .vertex_clustering import mapped_faces
 
 _SINGULAR_COND = 1e10
+# The condition screen of the module docstring: its margin K, the unit
+# roundoff and the absolute slack for underflow.
+_SCREEN_MARGIN = 2.0
+_U = 2.0 ** -53
+_TINY = 2.0 ** -500
+# Entry 3 i + j of a block: cofactor k is the product of the entries
+# _P1[k] and _P2[k] minus that of _R1[k] and _R2[k], with
+# cof[i, j] = a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1] (indices mod 3).
+_IJ, _NEXT, _LAST = np.arange(9).reshape(3, 3), [1, 2, 0], [2, 0, 1]
+_P1, _P2 = _IJ[_NEXT][:, _NEXT].ravel(), _IJ[_LAST][:, _LAST].ravel()
+_R1, _R2 = _IJ[_NEXT][:, _LAST].ravel(), _IJ[_LAST][:, _NEXT].ravel()
 
 
 def vertex_quadrics(mesh: Mesh) -> np.ndarray:
@@ -64,6 +107,40 @@ def _costs(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(h[..., None, :], q), h[..., :, None])[..., 0, 0]
 
 
+def condition_screen(a: np.ndarray):
+    """Closed-form decision of the singular test for P blocks a (P, 3, 3).
+
+    Returns (ok, decided): on decided rows ok is what the SVD would decide,
+    cond < 1e10 and every entry finite; the other rows are left to the SVD.
+    The bounds and error terms are in the module docstring.
+    """
+    m = a.transpose(1, 2, 0).reshape(9, -1)  # entry 3 i + j of every block
+    with np.errstate(invalid="ignore"):  # inf - inf on non-finite rows
+        amax = np.abs(m).max(axis=0)
+        m = np.ldexp(m, -np.frexp(amax)[1])
+        p, r = m[_P1], m[_R1]
+        p *= m[_P2]
+        r *= m[_R2]
+        cof = p - r
+        spread = np.abs(p, out=p)  # |p| + |r|, in the products' memory
+        spread += np.abs(r, out=r)
+        del r  # before the temporaries below, which would raise the peak memory
+        f = np.sqrt(np.einsum("kp,kp->p", m, m))
+        c = np.sqrt(np.einsum("kp,kp->p", cof, cof))
+        det = np.abs(np.einsum("kp,kp->p", m[:3], cof[:3]))
+        row0 = np.abs(m[:3])
+        err_c = 3 * _U * spread.sum(axis=0) + _TINY
+        err_det = (3 * _U * np.einsum("kp,kp->p", row0, spread[:3])
+                   + 4 * _U * np.einsum("kp,kp->p", row0, np.abs(cof[:3])) + _TINY)
+        f_lo, f_hi = f * (1 - 8 * _U), f * (1 + 8 * _U)
+        c_lo, c_hi = c * (1 - 8 * _U) - err_c, c * (1 + 8 * _U) + err_c
+        finite = np.isfinite(amax)
+        ok = finite & (f_hi * c_hi < (det - err_det) * (_SINGULAR_COND / _SCREEN_MARGIN))
+        high = 3 * _SINGULAR_COND * _SCREEN_MARGIN  # 3 from the lower bounds' denominators
+        singular = (f_lo * c_lo > high * (det + err_det)) | (f_lo * f_lo > high * c_hi)
+    return ok, ok | singular | (amax == 0) | ~finite
+
+
 def optimal_contractions(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
     """Minimizers and costs of P combined quadrics, one contraction per row.
 
@@ -73,15 +150,17 @@ def optimal_contractions(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
     them on ties.
     """
     a = q[:, :3, :3]
-    ok = np.isfinite(a).all(axis=(1, 2))
+    ok, decided = condition_screen(a)
+    rest = np.flatnonzero(~decided)
     # np.linalg.cond's own body; 0/0 gives NaN, which fails the test as inf does.
-    s = np.linalg.svd(a[ok], compute_uv=False)
+    s = np.linalg.svd(a[rest], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok[ok] = s[:, 0] / s[:, -1] < _SINGULAR_COND
+        ok[rest] = s[:, 0] / s[:, -1] < _SINGULAR_COND
     vbar = np.empty(v1.shape)
     cost = np.empty(len(q))
-    vbar[ok] = np.linalg.solve(a[ok], -q[ok, :3, 3:])[:, :, 0]
-    cost[ok] = _costs(q[ok], vbar[ok])
+    q_ok = q[ok]
+    vbar[ok] = np.linalg.solve(q_ok[:, :3, :3], -q_ok[:, :3, 3:])[:, :, 0]
+    cost[ok] = _costs(q_ok, vbar[ok])
     bad = ~ok
     if bad.any():
         w1, w2 = v1[bad], v2[bad]

@@ -3,9 +3,10 @@
 Everything is float64 numpy. Each module caches what its backward pass
 needs during forward(train=True), accumulates parameter gradients into
 Param.grad and drops the cache; backward returns the gradient wrt the module
-input and is defined once per train-mode forward. ReLU overwrites its input,
-so it must be handed a fresh array that nothing else holds (in `mlp` and the
-network head that is the output of a BatchNorm).
+input and is defined once per train-mode forward. ReLU overwrites its input
+in forward and its upstream gradient in backward, so both must be fresh
+arrays that nothing else holds: in `mlp` and the network head the input is
+the output of a BatchNorm, and the gradient that of a Linear or a gather.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class BatchNorm:
 
 
 class ReLU:
-    """max(x, 0), written into x itself (see the module docstring)."""
+    """max(x, 0), written into x itself; backward masks dy in place (see
+    the module docstring)."""
 
     def forward(self, x, train: bool):
         if train:
@@ -126,7 +128,7 @@ class ReLU:
 
     def backward(self, dy):
         mask, self._mask = self._mask, None
-        return dy * mask
+        return np.multiply(dy, mask, out=dy)
 
     def parameters(self):
         return iter(())

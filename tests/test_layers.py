@@ -192,7 +192,10 @@ def test_relu(rng):
     relu = ReLU()
     x = np.array([[-1.0, 0.0, 2.5]])
     assert np.array_equal(relu.forward(x, train=True), [[0.0, 0.0, 2.5]])
-    assert np.array_equal(relu.backward(np.ones((1, 3))), [[0.0, 0.0, 1.0]])
+    dy = np.ones((1, 3))
+    dx = relu.backward(dy)
+    assert dx is dy  # masked in place
+    assert np.array_equal(dx, [[0.0, 0.0, 1.0]])
 
 
 def test_sequential_composes(rng):

@@ -9,7 +9,8 @@ from scipy.spatial import cKDTree
 
 from meshseg.mesh.core import Mesh
 from meshseg.mesh.subdivide import midpoint_subdivide
-from meshseg.hierarchy.qem import optimal_contractions, qem_pool, vertex_quadrics
+from meshseg.hierarchy.qem import (condition_screen, optimal_contractions, qem_pool,
+                                   vertex_quadrics)
 from meshseg.hierarchy.trace import PoolingTraceMap, pooled_mesh
 from meshseg.hierarchy.vertex_clustering import mapped_faces, vertex_clustering_pool
 from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
@@ -268,6 +269,100 @@ def test_batched_contractions_mix_singular_rows(rng):
     assert np.array_equal(vbar[-2:], v1[-2:])
 
 
+def svd_decision(a):
+    """The singular test from the SVD alone: every entry finite and cond < 1e10."""
+    ok = np.isfinite(a).all(axis=(1, 2))
+    s = np.linalg.svd(a[ok], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok[ok] = s[:, 0] / s[:, -1] < 1e10
+    return ok
+
+
+def rotations(rng, n):
+    """n random orthogonal 3x3 matrices."""
+    r, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    return r
+
+
+def with_spectrum(rng, values):
+    """R diag(values) R^T for a random rotation R per row of values (n, 3)."""
+    r = rotations(rng, len(values))
+    return np.einsum("nij,nj,nkj->nik", r, values, r)
+
+
+def screen_cases(rng):
+    """(kind, blocks) of the rows the condition screen must decide like the SVD."""
+    # cond log-uniform over 1e6-1e14, half of it within a factor 10 of 1e10;
+    # the middle singular value log-uniform between the outer two.
+    n = 3000
+    log_cond = np.where(np.arange(n) % 2 == 0, rng.uniform(6, 14, n), rng.uniform(9, 11, n))
+    middle = 10.0 ** (-log_cond * rng.uniform(0, 1, n))
+    sweep = with_spectrum(rng, np.stack([np.ones(n), middle, 10.0 ** -log_cond], axis=1))
+    yield "sweep", sweep
+
+    # Plane-quadric sums of rank 1 (parallel planes) and rank 2 (normals
+    # in one plane), with random weights, as flat and ridge regions give.
+    count, weights = 200, rng.uniform(0.1, 2.0, (200, 4))
+    normals = rotations(rng, count)[:, :, 0]
+    yield "rank1", np.einsum("nk,ni,nj->nij", weights, normals, normals)
+    axes = rotations(rng, count)
+    angles = rng.uniform(0, np.pi, (count, 4))
+    in_plane = (np.cos(angles)[:, :, None] * axes[:, None, :, 0]
+                + np.sin(angles)[:, :, None] * axes[:, None, :, 1])
+    yield "rank2", np.einsum("nk,nki,nkj->nij", weights, in_plane, in_plane)
+
+    # A tiny negative eigenvalue, as rounding leaves in a PSD sum.
+    negative = -(10.0 ** rng.uniform(-18, -6, count))
+    yield "negative", with_spectrum(rng, np.stack([np.ones(count), rng.uniform(0.1, 1, count),
+                                                  negative], axis=1))
+
+    zero, nan, inf = np.zeros((3, 3, 3)), sweep[:3].copy(), sweep[3:6].copy()
+    nan[0] = np.nan
+    nan[1, 2, 1] = np.nan
+    nan[2, 0, 0], nan[2, 1, 1] = np.nan, np.inf
+    inf[0, 0, 0] = np.inf
+    inf[1, 1, 2] = -np.inf
+    inf[2] = np.inf
+    yield "zero", zero
+    yield "nonfinite", np.concatenate([nan, inf])
+
+    # The sweep at scales from 2^-600 to 2^600, exact powers of two.
+    yield "scaled", np.ldexp(sweep[:1000], rng.integers(-600, 601, 1000)[:, None, None])
+
+
+def test_condition_screen_decides_like_the_svd():
+    rng = np.random.default_rng(0)
+    for kind, a in screen_cases(rng):
+        ok, decided = condition_screen(a)
+        want = svd_decision(a)
+        assert np.array_equal(ok[decided], want[decided]), kind
+        # Every kind of row reaches a certified branch, so a screen that
+        # defers all rows fails.
+        assert decided.any(), kind
+        if kind in ("sweep", "scaled"):
+            # The bounds lie within a factor 3 of cond and the margin is 2.
+            # So a row is left to the SVD only within a factor 10 of the
+            # threshold, or when its determinant is lost in rounding: then
+            # s2 s3 / s1^2 is below 1e-12 and s2 / s1 between 1e-12 and 1e-3.
+            s = np.linalg.svd(a, compute_uv=False)
+            cond, middle = s[:, 0] / s[:, 2], s[:, 1] / s[:, 0]
+            resolved = middle / cond > 1e-12
+            sure = (((cond < 1e9) & resolved)
+                    | ((cond > 1e11) & ((middle > 1e-3) | (middle < 1e-12))))
+            assert decided[sure].all(), kind
+            assert (decided & ok).any() and (decided & ~ok).any(), kind
+
+
+def test_screened_contractions_equal_scalar_formulas():
+    rng = np.random.default_rng(1)
+    a = dict(screen_cases(rng))["sweep"][:300]
+    q = np.zeros((len(a), 4, 4))
+    q[:, :3, :3] = a
+    q[:, :3, 3] = q[:, 3, :3] = rng.normal(size=(len(a), 3))
+    q[:, 3, 3] = rng.uniform(1, 2, len(a))
+    assert_batch_matches_scalar(q, *rng.uniform(0, 1, (2, len(a), 3)))
+
+
 def test_batched_contractions_of_no_rows():
     vbar, cost = optimal_contractions(np.zeros((0, 4, 4)), np.zeros((0, 3)), np.zeros((0, 3)))
     assert vbar.shape == (0, 3) and cost.shape == (0,)
@@ -301,6 +396,15 @@ def test_round_output_is_pinned():
     coarse, trace = qem_pool(noise_free_level0(), 0.3, 0.15)
     digest = output_digest(coarse, trace)
     assert digest == "0d30d25fb0332b09f7d5000363d5f22bdb3691a8fd7f14635d06453a580577f1"
+
+
+def test_round_output_on_noisy_mesh_is_pinned():
+    # Level 0 of the noisy toy scene 1: nearly every 3x3 block is well
+    # conditioned, so these bytes hang on the screen's certified-OK rows.
+    level0 = vertex_clustering_pool(make_toy_scene(1), 0.15)[0]
+    coarse, trace = qem_pool(level0, 0.3, 0.15)
+    digest = output_digest(coarse, trace)
+    assert digest == "7e6c13b3acd764b9242613cfb9929ab67406c6aec26e6e9f3f40048fee990b2a"
 
 
 def test_popped_costs_non_decreasing(rng):
