@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""One sha256 over stored hierarchies, to show that a change keeps them
-bit-identical.
+"""One sha256 over written meshes and stored hierarchies, to show that a
+change keeps them bit-identical.
 
-It hashes the `hierarchy.npz` bytes of
-- `meshseg subdivide --cloud` then `meshseg build-hierarchy` (CLI defaults)
-  on toy scenes 1-5, and
-- the CLI-default vc+qem hierarchy, with Euclidean edges, of every crop that
-  `meshseg infer` sweeps over the 6x6-tile toy scene.
+It hashes
+- the meshes that `meshseg subdivide --cloud` writes from toy scenes 1-5, as
+  binary PLY, ASCII PLY and OFF,
+- the `hierarchy.npz` bytes of `meshseg build-hierarchy` (CLI defaults) on
+  each subdivided scene, read back from its ASCII PLY, and
+- the `hierarchy.npz` bytes of the CLI-default vc+qem hierarchy, with
+  Euclidean edges, of every crop that `meshseg infer` sweeps over the
+  6x6-tile toy scene.
 
 The store writes equal hierarchies as equal bytes, so two checkouts print
-the same digest exactly when they build the same hierarchies. Each part's
-digest goes to stderr, the combined one to stdout. Run from the root of a
-checkout:
+the same digest exactly when they write the same meshes and build the same
+hierarchies. Each part's digest goes to stderr, the combined one to stdout.
+Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/hierarchy_digest.py
 """
@@ -44,12 +47,17 @@ def _cli(argv):
 
 
 def prep_archives(workdir: Path):
-    """(name, hierarchy.npz path) of the subdivided toy scenes."""
+    """(name, path) of the subdivided toy scenes and their hierarchy.npz."""
     for seed in PREP_SCENES:
-        scene, sub, out = (workdir / f"scene{seed}{suffix}" for suffix in (".ply", "_sub.ply", "_hier"))
+        scene, out = workdir / f"scene{seed}.ply", workdir / f"scene{seed}_hier"
         save_mesh(make_toy_scene(seed), scene)
-        _cli(["subdivide", scene, sub, "--cloud", scene])
-        _cli(["build-hierarchy", sub, out, "--seed", seed])
+        subs = {suffix: workdir / f"scene{seed}_sub{suffix}"
+                for suffix in (".ply", ".ascii.ply", ".off")}
+        for suffix, sub in subs.items():
+            ascii_flag = ["--ascii"] if suffix == ".ascii.ply" else []
+            _cli(["subdivide", scene, sub, "--cloud", scene, *ascii_flag])
+            yield f"scene{seed}_sub{suffix}", sub
+        _cli(["build-hierarchy", subs[".ascii.ply"], out, "--seed", seed])
         yield f"scene{seed}", out / ARCHIVE
 
 

@@ -233,8 +233,8 @@ def _training_scene_paths(manifest_path) -> list:
 
 def cmd_subdivide(args):
     t0 = time.perf_counter()
-    if args.min_edge_len <= 0:
-        raise ConfigError("--min-edge-len must be positive")
+    if not 0 < args.min_edge_len < np.inf:
+        raise ConfigError("--min-edge-len must be positive and finite")
     mesh = load_mesh(args.input)
     for _ in range(args.passes):
         mesh = midpoint_subdivide(mesh, args.min_edge_len)

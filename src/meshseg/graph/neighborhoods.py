@@ -158,8 +158,8 @@ class NeighborhoodConfig:
             raise ValueError(f"unknown neighborhood kind {self.kind!r}")
         if self.kind == "knn" and self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.kind == "radius" and self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if self.kind == "radius" and not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
 
 def nearest_points(points: np.ndarray, k: int = 1,

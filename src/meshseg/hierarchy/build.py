@@ -43,8 +43,8 @@ class HierarchyConfig:
             raise ValueError("fps counts must be positive")
         if any(b >= a for a, b in zip(self.fps_counts, self.fps_counts[1:])):
             raise ValueError("fps counts must decrease from level to level")
-        if any(c <= 0 for c in self.cells):
-            raise ValueError("cell sizes must be positive")
+        if any(not 0 < c < np.inf for c in self.cells):
+            raise ValueError("cell sizes must be positive and finite")
         if not 0 < self.qem_ratio < 1:
             raise ValueError("qem_ratio must lie in (0, 1)")
 
@@ -95,12 +95,19 @@ class Hierarchy:
             _check_edge_sets("euc", self.euclidean_edges, counts)
 
     def build_euclidean_edges(self, configs: Sequence[NeighborhoodConfig]):
-        """Build per-level Euclidean edge sets (lazy; overwrites any previous)."""
+        """Build per-level Euclidean edge sets (lazy; overwrites any previous).
+
+        A k-nn level with no more than k vertices raises MeshValidationError.
+        """
         if len(configs) != self.num_levels:
             raise ValueError("need one neighborhood config per level")
         edge_sets = []
-        for mesh, cfg in zip(self.levels, configs):
+        for lvl, (mesh, cfg) in enumerate(zip(self.levels, configs)):
             if cfg.kind == "knn":
+                if cfg.k >= mesh.num_vertices:
+                    raise MeshValidationError(
+                        f"level {lvl} has {mesh.num_vertices} vertices, too few for "
+                        f"{cfg.k} nearest neighbors each")
                 edge_sets.append(knn_graph(mesh.positions, cfg.k))
             else:
                 edge_sets.append(radius_graph(mesh.positions, cfg.radius))

@@ -94,6 +94,8 @@ def validate_mesh(mesh: Mesh) -> list:
     """Return a list of human-readable invariant violations (empty if valid)."""
     violations = []
     v = mesh.num_vertices
+    if v == 0:
+        violations.append("mesh has no vertices")
 
     finite = np.isfinite(mesh.positions).all(axis=1)
     for i in np.flatnonzero(~finite):

@@ -29,6 +29,9 @@ _PLY_DTYPES = {
     "double": "f8", "float64": "f8",
 }
 
+# One triangle per row, as the ASCII PLY and OFF writers print it.
+_FACE_ROW = "3 %d %d %d"
+
 
 def load_mesh(path) -> Mesh:
     """Load and validate a mesh; the format follows the file extension."""
@@ -88,12 +91,9 @@ def _load_off(path) -> Mesh:
 
 def _save_off(mesh: Mesh, path):
     with open(path, "w") as f:
-        f.write("OFF\n")
-        f.write(f"{mesh.num_vertices} {mesh.num_faces} 0\n")
-        for p in mesh.positions:
-            f.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
-        for face in mesh.faces:
-            f.write(f"3 {face[0]} {face[1]} {face[2]}\n")
+        f.write(f"OFF\n{mesh.num_vertices} {mesh.num_faces} 0\n")
+        np.savetxt(f, mesh.positions, fmt="%.9g")
+        np.savetxt(f, mesh.faces, fmt=_FACE_ROW)
 
 
 # ---------------------------------------------------------------- PLY
@@ -165,20 +165,19 @@ def _load_ply(path) -> Mesh:
         pos = 0
         for name, count, props in elements:
             if name == "vertex":
-                rows = []
-                for _ in range(count):
-                    rows.append([float(tokens[pos + k]) for k in range(len(props))])
-                    pos += len(props)
-                parsed["vertex"] = (np.asarray(rows, dtype=np.float64), props)
+                end = pos + count * len(props)
+                cols = np.array(tokens[pos:end], dtype=np.float64).reshape(count, len(props))
+                parsed["vertex"] = (cols, props)
+                pos = end
             elif name == "face":
-                faces = []
-                for i in range(count):
-                    n = int(tokens[pos]); pos += 1
-                    if n != 3:
-                        raise MeshParseError(f"{path}: face {i}: only triangles supported")
-                    faces.append([int(tokens[pos + k]) for k in range(3)])
-                    pos += 3
-                parsed["face"] = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+                # As in the binary reader, every face before the first
+                # non-triangle has 4 tokens, so that face has its true index.
+                rows = np.array(tokens[pos:pos + 4 * count], dtype=np.int64).reshape(count, 4)
+                bad = np.flatnonzero(rows[:, 0] != 3)
+                if bad.size:
+                    raise MeshParseError(f"{path}: face {bad[0]}: only triangles supported")
+                parsed["face"] = rows[:, 1:].copy()
+                pos += 4 * count
             else:
                 pos += count * max(1, len(props))
     else:
@@ -252,40 +251,39 @@ def _load_ply(path) -> Mesh:
 
 
 def _save_ply(mesh: Mesh, path, binary: bool = True):
-    props = [("x", "f8"), ("y", "f8"), ("z", "f8")]
+    names = ["x", "y", "z"]
     columns = [mesh.positions]
     if mesh.colors is not None:
-        props += [("red", "f8"), ("green", "f8"), ("blue", "f8")]
+        names += ["red", "green", "blue"]
         columns.append(mesh.colors)
     if mesh.normals is not None:
-        props += [("nx", "f8"), ("ny", "f8"), ("nz", "f8")]
+        names += ["nx", "ny", "nz"]
         columns.append(mesh.normals)
 
     header = ["ply"]
     header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
     header.append(f"element vertex {mesh.num_vertices}")
-    ply_names = {"f8": "double", "i4": "int"}
-    for name, dt in props:
-        header.append(f"property {ply_names[dt]} {name}")
+    header += [f"property double {name}" for name in names]
+    dtype = [(name, "<f8") for name in names]
     if mesh.labels is not None:
         header.append("property int label")
+        # Binary rows hold the int32 the header declares; ASCII rows print
+        # the labels as they are.
+        dtype.append(("label", "<i4" if binary else "<i8"))
     header.append(f"element face {mesh.num_faces}")
     header.append("property list uchar int vertex_indices")
     header.append("end_header")
 
+    rec = np.empty(mesh.num_vertices, dtype=dtype)
+    col = np.concatenate(columns, axis=1)
+    for k, name in enumerate(names):
+        rec[name] = col[:, k]
+    if mesh.labels is not None:
+        rec["label"] = mesh.labels
+
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode("ascii"))
         if binary:
-            dtype = [(name, "<" + dt) for name, dt in props]
-            if mesh.labels is not None:
-                dtype.append(("label", "<i4"))
-            rec = np.empty(mesh.num_vertices, dtype=dtype)
-            col = np.concatenate(columns, axis=1) if columns else None
-            flat_names = [name for name, _ in props]
-            for k, name in enumerate(flat_names):
-                rec[name] = col[:, k]
-            if mesh.labels is not None:
-                rec["label"] = mesh.labels.astype(np.int32)
             f.write(rec.tobytes())
             face_rec = np.empty(
                 mesh.num_faces, dtype=[("n", "u1"), ("idx", "<i4", (3,))]
@@ -294,11 +292,5 @@ def _save_ply(mesh: Mesh, path, binary: bool = True):
             face_rec["idx"] = mesh.faces.astype(np.int32)
             f.write(face_rec.tobytes())
         else:
-            col = np.concatenate(columns, axis=1)
-            for i in range(mesh.num_vertices):
-                row = " ".join(f"{v:.17g}" for v in col[i])
-                if mesh.labels is not None:
-                    row += f" {mesh.labels[i]}"
-                f.write((row + "\n").encode("ascii"))
-            for face in mesh.faces:
-                f.write(f"3 {face[0]} {face[1]} {face[2]}\n".encode("ascii"))
+            np.savetxt(f, rec, fmt=["%.17g"] * len(names) + ["%d"] * (mesh.labels is not None))
+            np.savetxt(f, mesh.faces, fmt=_FACE_ROW)

@@ -5,67 +5,67 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.neighborhoods import nearest_points
-from .core import Mesh, LabeledPointCloud, UNLABELED
+from .core import Mesh, LabeledPointCloud
+
+
+# Replacement triangles per split case; see midpoint_subdivide.
+_TRIANGLES = np.array([
+    [[0, 1, 2], [-1, -1, -1], [-1, -1, -1], [-1, -1, -1]],  # none
+    [[0, 3, 2], [3, 1, 2], [-1, -1, -1], [-1, -1, -1]],     # ab
+    [[1, 4, 0], [4, 2, 0], [-1, -1, -1], [-1, -1, -1]],     # bc
+    [[0, 3, 2], [3, 4, 2], [3, 1, 4], [-1, -1, -1]],        # ab, bc
+    [[2, 5, 1], [5, 0, 1], [-1, -1, -1], [-1, -1, -1]],     # ca
+    [[2, 5, 1], [5, 3, 1], [5, 0, 3], [-1, -1, -1]],        # ab, ca
+    [[1, 4, 0], [4, 5, 0], [4, 2, 5], [-1, -1, -1]],        # bc, ca
+    [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]],           # all
+])
 
 
 def midpoint_subdivide(mesh: Mesh, min_edge_len: float = 0.02) -> Mesh:
     """Single subdivision pass splitting long edges at their midpoints.
 
-    Every edge of length >= min_edge_len gains a midpoint vertex. Each
-    triangle is re-triangulated according to how many of its edges were
-    split (3 -> 4 triangles, 2 -> 3, 1 -> 2, 0 -> unchanged). Midpoint
-    attributes are the mean of the endpoint attributes.
+    Every edge of length >= min_edge_len gains a midpoint vertex, numbered
+    after the original vertices in the lexicographic order of the edges'
+    (low, high) endpoint pairs. Midpoint attributes are the mean of the
+    endpoint attributes.
+
+    Each face (a, b, c) falls into one of eight split cases, bit 0/1/2 set
+    when edge ab/bc/ca is split. `_TRIANGLES[case]` lists the face's
+    replacement triangles (1 to 4) over its six local corners
+    (a, b, c, m_ab, m_bc, m_ca), padded with -1 rows: 0 splits keep the
+    face; 1 split makes two triangles sharing the opposite corner; 2 splits
+    cut off the corner between the split edges and fan the rest from the
+    corner where the split chain ends (c for ab, bc); 3 splits make four
+    triangles, the central one (m_ab, m_bc, m_ca) last. Every triangle keeps
+    the face's orientation, and the new faces follow the order of the faces
+    they replace.
     """
-    if min_edge_len <= 0:
-        raise ValueError("min_edge_len must be positive")
+    if not 0 < min_edge_len < np.inf:
+        raise ValueError("min_edge_len must be positive and finite")
     p = mesh.positions
     f = mesh.faces
-
-    # Unique undirected edges and their split decision.
     if f.size == 0:
         return mesh.copy()
+
+    # Unique undirected edges, each face's (ab, bc, ca) edge ids, and the
+    # split decision.
+    v = mesh.num_vertices
     raw = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
     raw.sort(axis=1)
-    edges = np.unique(raw, axis=0)
+    keys, face_edges = np.unique(raw[:, 0] * v + raw[:, 1], return_inverse=True)
+    face_edges = face_edges.reshape(3, -1).T
+    edges = np.stack([keys // v, keys % v], axis=1)
     lengths = np.linalg.norm(p[edges[:, 0]] - p[edges[:, 1]], axis=1)
     split = lengths >= min_edge_len
 
-    midpoint_index = {}
-    nv = mesh.num_vertices
-    for k in np.flatnonzero(split):
-        midpoint_index[(edges[k, 0], edges[k, 1])] = nv
-        nv += 1
-
-    def mid(a, b):
-        return midpoint_index.get((a, b) if a < b else (b, a))
-
-    new_faces = []
-    for a, b, c in f:
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        n_split = sum(m is not None for m in (mab, mbc, mca))
-        if n_split == 0:
-            new_faces.append((a, b, c))
-        elif n_split == 3:
-            new_faces += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
-        elif n_split == 1:
-            # Rotate so the split edge is (a, b).
-            if mbc is not None:
-                a, b, c, m = b, c, a, mbc
-            elif mca is not None:
-                a, b, c, m = c, a, b, mca
-            else:
-                m = mab
-            new_faces += [(a, m, c), (m, b, c)]
-        else:
-            # Rotate so the unsplit edge is (c, a).
-            if mab is None:
-                a, b, c = b, c, a
-                mab, mbc, mca = mbc, mca, mab
-            elif mbc is None:
-                a, b, c = c, a, b
-                mab, mbc, mca = mca, mab, mbc
-            # Edges (a,b) and (b,c) are split; (c,a) is not.
-            new_faces += [(a, mab, c), (mab, mbc, c), (mab, b, mbc)]
+    midpoints = v + np.cumsum(split) - 1
+    corners = np.concatenate([f, midpoints[face_edges]], axis=1)
+    case = split[face_edges] @ np.array([1, 2, 4])
+    triangles = _TRIANGLES[case]
+    keep = triangles[:, :, 0] >= 0
+    new_faces = np.take_along_axis(
+        corners, np.maximum(triangles, 0).reshape(len(f), 12), axis=1
+    ).reshape(-1, 4, 3)[keep]
 
     split_edges = edges[split]
 
@@ -76,13 +76,7 @@ def midpoint_subdivide(mesh: Mesh, min_edge_len: float = 0.02) -> Mesh:
             [attr, 0.5 * (attr[split_edges[:, 0]] + attr[split_edges[:, 1]])]
         )
 
-    out = Mesh(
-        positions=interp(p),
-        faces=np.asarray(new_faces, dtype=np.int64).reshape(-1, 3),
-        colors=interp(mesh.colors),
-        normals=None,
-        labels=None,
-    )
+    out = Mesh(positions=interp(p), faces=new_faces, colors=interp(mesh.colors))
     if mesh.normals is not None:
         normals = interp(mesh.normals)
         norms = np.linalg.norm(normals, axis=1)
@@ -93,8 +87,7 @@ def midpoint_subdivide(mesh: Mesh, min_edge_len: float = 0.02) -> Mesh:
     if mesh.labels is not None:
         # Midpoints inherit the label of their lower-index endpoint; the
         # intended pipeline overwrites labels via interpolate_from_point_cloud.
-        inherited = mesh.labels[np.minimum(split_edges[:, 0], split_edges[:, 1])]
-        out.labels = np.concatenate([mesh.labels, inherited])
+        out.labels = np.concatenate([mesh.labels, mesh.labels[split_edges[:, 0]]])
     return out
 
 

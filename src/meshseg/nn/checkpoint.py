@@ -20,6 +20,7 @@ import struct
 
 import numpy as np
 
+from .layers import BN_EPS, BN_MOMENTUM, BatchNorm
 from .network import NetworkConfig, SegmentationNetwork
 
 MAGIC = b"MSEGCKPT"
@@ -39,8 +40,6 @@ def _all_tensors(net: SegmentationNetwork):
 
 
 def _batch_norms(net: SegmentationNetwork):
-    from .layers import BatchNorm
-
     def walk(prefix, blocks):
         for b, blk in enumerate(blocks):
             for branch_name in ("geodesic", "euclidean"):
@@ -108,6 +107,11 @@ def load_checkpoint(path) -> SegmentationNetwork:
         raise CheckpointError(
             f"payload is {len(payload)} bytes, the header says {payload_bytes}")
 
+    # Older checkpoints echo the BatchNorm constants in their config.
+    for key, value in (("bn_momentum", BN_MOMENTUM), ("bn_eps", BN_EPS)):
+        stored = cfg.pop(key, value)
+        if stored != value:
+            raise CheckpointError(f"stored {key} {stored!r} differs from the fixed {value!r}")
     try:
         net = SegmentationNetwork(NetworkConfig(**cfg))
     except (TypeError, ValueError) as e:

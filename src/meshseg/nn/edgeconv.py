@@ -56,7 +56,7 @@ import numpy as np
 from scipy import sparse
 
 from ..graph.neighborhoods import EdgeSet, incidence_sum, scatter_incidence
-from .layers import BN_EPS, BN_MOMENTUM, BatchNorm, Linear, Sequential, mlp
+from .layers import BN_EPS, BatchNorm, Linear, Sequential, mlp
 
 
 class PreparedEdges:
@@ -152,13 +152,12 @@ class EdgeConvBranch:
     onwards the per-edge modules.
     """
 
-    def __init__(self, in_width, hidden, out, rng, relative=False,
-                 momentum=BN_MOMENTUM, eps=BN_EPS):
+    def __init__(self, in_width, hidden, out, rng, relative=False):
         self.relative = relative
         self.in_width = in_width
         self.out_width = out
         phi_in = in_width if relative else 2 * in_width
-        first, bn, *rest = mlp((phi_in, hidden, out), rng, momentum, eps).modules
+        first, bn, *rest = mlp((phi_in, hidden, out), rng).modules
         self.vertex_linear: Linear = first
         self.vertex_bn: BatchNorm = bn
         self.phi = Sequential(*rest)
@@ -190,7 +189,7 @@ class EdgeConvBranch:
             aq = edges.adjacency @ q
             var = (edges.out_degree @ (p * p) + edges.in_degree @ (q * q)
                    + 2.0 * _column_dot(p, aq)) / n
-            inv_std = 1.0 / np.sqrt(var + bn.eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             bn.track(x_mean @ (w_center + w_b) + p_mean + q_mean + bias, var, n)
             scale = bn.gamma.value * inv_std
             self._cache = (x, x_mean, edges, p, q, inv_std)
@@ -198,7 +197,7 @@ class EdgeConvBranch:
             p = x @ w_center
             p += bias - bn.running_mean
             q = x @ w_b
-            scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
+            scale = bn.gamma.value / np.sqrt(bn.running_var + BN_EPS)
         # P' above Q', so that one sparse product gathers P'[c] + Q'[n].
         folded = np.empty((2 * v, p.shape[1]))
         np.multiply(p, scale, out=folded[:v])
@@ -271,18 +270,15 @@ class DualBlock:
     output width, the input is added back (residual).
     """
 
-    def __init__(self, in_width, geo_widths, euc_widths, rng, relative=False,
-                 momentum=BN_MOMENTUM, eps=BN_EPS):
+    def __init__(self, in_width, geo_widths, euc_widths, rng, relative=False):
         geo_hidden, geo_out = geo_widths
         euc_hidden, euc_out = euc_widths
         self.geodesic: Optional[EdgeConvBranch] = None
         self.euclidean: Optional[EdgeConvBranch] = None
         if geo_out > 0:
-            self.geodesic = EdgeConvBranch(in_width, geo_hidden, geo_out, rng,
-                                           relative, momentum, eps)
+            self.geodesic = EdgeConvBranch(in_width, geo_hidden, geo_out, rng, relative)
         if euc_out > 0:
-            self.euclidean = EdgeConvBranch(in_width, euc_hidden, euc_out, rng,
-                                            relative, momentum, eps)
+            self.euclidean = EdgeConvBranch(in_width, euc_hidden, euc_out, rng, relative)
         if self.geodesic is None and self.euclidean is None:
             raise ValueError("dual block needs at least one branch")
         self.in_width = in_width

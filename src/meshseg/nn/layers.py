@@ -61,13 +61,11 @@ class Linear:
 class BatchNorm:
     """Batch normalization over rows with running statistics for eval."""
 
-    def __init__(self, width: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
+    def __init__(self, width: int):
         self.gamma = Param(np.ones(width))
         self.beta = Param(np.zeros(width))
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
 
     def forward(self, x, train: bool):
@@ -76,7 +74,7 @@ class BatchNorm:
             mean = x.mean(axis=0)
             xhat = x - mean
             var = np.einsum("ij,ij->j", xhat, xhat) / n
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat *= inv_std
             self._cache = (xhat, inv_std)
             self.track(mean, var, n)
@@ -84,7 +82,7 @@ class BatchNorm:
         else:
             # Nothing is cached, so the normalized rows can take the output.
             y = x - self.running_mean
-            y *= self.gamma.value / np.sqrt(self.running_var + self.eps)
+            y *= self.gamma.value / np.sqrt(self.running_var + BN_EPS)
         y += self.beta.value
         return y
 
@@ -92,8 +90,8 @@ class BatchNorm:
         """Fold one batch's mean and (biased) variance over n rows into the
         running statistics, the variance unbiased."""
         unbiased = var * n / max(n - 1, 1)
-        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
+        self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+        self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
 
     def backward(self, dy):
         """Train-mode adjoint: dx = gamma inv_std (dy - dbeta/n - xhat dgamma/n)."""
@@ -154,9 +152,9 @@ class Sequential:
                 yield f"{i}.{name}", p
 
 
-def mlp(widths, rng, momentum=BN_MOMENTUM, eps=BN_EPS) -> Sequential:
+def mlp(widths, rng) -> Sequential:
     """Stack of Linear+BN+ReLU per consecutive width pair."""
     modules = []
     for w_in, w_out in zip(widths[:-1], widths[1:]):
-        modules += [Linear(w_in, w_out, rng), BatchNorm(w_out, momentum, eps), ReLU()]
+        modules += [Linear(w_in, w_out, rng), BatchNorm(w_out), ReLU()]
     return Sequential(*modules)

@@ -17,7 +17,7 @@ import numpy as np
 from ..graph.neighborhoods import EdgeSet, scatter_sum
 from ..hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
 from .edgeconv import DualBlock, prepared_edges
-from .layers import BN_EPS, BN_MOMENTUM, BatchNorm, Linear, ReLU
+from .layers import BatchNorm, Linear, ReLU
 
 
 @dataclass
@@ -30,8 +30,6 @@ class NetworkConfig:
     geo_widths: Sequence[Tuple[int, int]] = ((64, 32),) * 4
     euc_widths: Sequence[Tuple[int, int]] = ((64, 32),) * 4
     head_hidden: int = 32
-    bn_momentum: float = BN_MOMENTUM
-    bn_eps: float = BN_EPS
     seed: int = 0
 
     def __post_init__(self):
@@ -64,11 +62,10 @@ class SegmentationNetwork:
         self.config = config
         rng = np.random.default_rng(config.seed)
         L = config.num_levels
-        mom, eps = config.bn_momentum, config.bn_eps
 
         def block(in_width, level, relative=False):
             return DualBlock(in_width, config.geo_widths[level],
-                             config.euc_widths[level], rng, relative, mom, eps)
+                             config.euc_widths[level], rng, relative)
 
         self.encoder: List[List[DualBlock]] = []
         for lvl in range(L):
@@ -91,7 +88,7 @@ class SegmentationNetwork:
             self.decoder.append(blocks)
 
         self.head_linear1 = Linear(config.level_width(0), config.head_hidden, rng)
-        self.head_bn = BatchNorm(config.head_hidden, mom, eps)
+        self.head_bn = BatchNorm(config.head_hidden)
         self.head_relu = ReLU()
         self.head_linear2 = Linear(config.head_hidden, config.num_classes, rng)
 

@@ -17,8 +17,8 @@ class CropConfig:
     reject_threshold: float = 0.8  # max tolerated unlabeled fraction (training only)
 
     def __post_init__(self):
-        if self.extent <= 0 or self.stride <= 0:
-            raise ValueError("extent and stride must be positive")
+        if not (0 < self.extent < np.inf and 0 < self.stride < np.inf):
+            raise ValueError("extent and stride must be positive and finite")
         if not 0.0 <= self.reject_threshold <= 1.0:
             raise ValueError("reject_threshold must lie in [0, 1]")
 

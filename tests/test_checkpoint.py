@@ -124,9 +124,11 @@ def _last_tensor_past_payload(header):
     (lambda d: d + b"\x00", "header says"),
     (lambda d: _edit_header(d, _last_tensor_past_payload), "runs past the end of the payload"),
     (lambda d: _edit_header(d, lambda h: h["tensors"].pop(3)), "lacks tensor"),
+    (lambda d: _edit_header(d, lambda h: h["config"].update(bn_momentum=0.2)), "bn_momentum"),
+    (lambda d: _edit_header(d, lambda h: h["config"].update(bn_eps="1e-5")), "bn_eps"),
 ], ids=["preamble", "header-past-end", "header-json", "header-utf8", "header-key",
         "config-widths", "config-field", "payload-short", "payload-long", "tensor-past-end",
-        "tensor-missing"])
+        "tensor-missing", "config-bn-momentum", "config-bn-eps"])
 def test_malformed_checkpoint_raises(tmp_path, rng, corrupt, message):
     net, _ = trained_net(rng)
     path = tmp_path / "ckpt.bin"
@@ -134,6 +136,19 @@ def test_malformed_checkpoint_raises(tmp_path, rng, corrupt, message):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+def test_header_with_batch_norm_constants_loads(tmp_path, rng):
+    # Checkpoints written while the network config carried the BatchNorm
+    # constants still load.
+    net, (features, geo, euc, traces) = trained_net(rng)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(net, path)
+    _rewrite_header(path, lambda h: h["config"].update(bn_momentum=0.1, bn_eps=1e-5))
+    back = load_checkpoint(path)
+    assert back.config == net.config
+    assert np.allclose(back.forward(features, geo, euc, traces, train=False),
+                       net.forward(features, geo, euc, traces, train=False), atol=1e-4)
 
 
 def test_magic_constant():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meshseg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from meshseg.mesh.core import UNLABELED
+from meshseg.mesh.core import UNLABELED, Mesh
 from meshseg.mesh.io import load_mesh, save_mesh
 from meshseg.nn.checkpoint import load_checkpoint
 from meshseg.pipeline.toydata import make_toy_scene
@@ -217,6 +217,15 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     ("train", None, ["--classes", "0"], EXIT_CONFIG),
     # Scene 0 has labels 0 to 2.
     ("train", None, ["--classes", "2"], EXIT_VALIDATION),
+    # Level 3 of scene 0 keeps 48 vertices, and of each of its crops fewer.
+    ("build-hierarchy", None, ["--knn", "50"], EXIT_VALIDATION),
+    ("train", None, ["--knn", "50"], EXIT_VALIDATION),
+    ("train", None, ["--crop-extent", "nan"], EXIT_CONFIG),
+    ("infer", None, ["--crop-stride", "inf"], EXIT_CONFIG),
+    ("build-hierarchy", None, ["--radius", "nan"], EXIT_CONFIG),
+    ("build-hierarchy", None, ["--radius", "inf"], EXIT_CONFIG),
+    ("build-hierarchy", None, ["--cells", "0.04,nan"], EXIT_CONFIG),
+    ("subdivide", None, ["--min-edge-len", "nan"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -245,6 +254,36 @@ def test_fps_count_above_vertex_count_names_both(workdir, tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"{vertices + 1}" in err and f"{vertices} vertices" in err
+
+
+def test_knn_above_level_size_names_the_level(workdir, tmp_path, capsys):
+    code = main(["build-hierarchy", str(workdir / "scene0.ply"), str(tmp_path / "hier"),
+                 "--knn", "48"])
+    assert code == EXIT_VALIDATION
+    assert "level 3 has 48 vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, binary", [
+    ("empty.ply", False), ("empty.ply", True), ("empty.off", False),
+], ids=["ascii-ply", "binary-ply", "off"])
+def test_mesh_without_vertices_exit_2(workdir, trained, tmp_path, capsys, name, binary):
+    scene = tmp_path / name
+    save_mesh(Mesh(positions=np.empty((0, 3)), faces=np.empty((0, 3), dtype=np.int64)),
+              scene, binary=binary)
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps({"scenes": [{"path": str(scene)}]}))
+    predictions = tmp_path / "p.txt"
+    predictions.write_text("0\n")
+    for argv in (
+        ["subdivide", str(scene), str(tmp_path / "fine.ply")],
+        ["build-hierarchy", str(scene), str(tmp_path / "hier")],
+        ["train", "--manifest", str(dataset), "--output", str(tmp_path / "run")],
+        ["infer", "--checkpoint", str(trained / "checkpoint.bin"), "--scene", str(scene),
+         "--output", str(predictions)],
+        ["eval", "--scene", str(scene), "--predictions", str(predictions)],
+    ):
+        assert main(argv) == EXIT_VALIDATION
+        assert "mesh has no vertices" in capsys.readouterr().err
 
 
 def test_truncated_checkpoint_exit_2(workdir, trained, tmp_path, capsys):

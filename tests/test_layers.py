@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meshseg.nn.layers import BatchNorm, Linear, Param, ReLU, Sequential, mlp
+from meshseg.nn.layers import BN_EPS, BatchNorm, Linear, Param, ReLU, Sequential, mlp
 
 
 def analytic_vs_fd(module, x, h=1e-6):
@@ -64,7 +64,7 @@ def test_batchnorm_train_forward_formula(rng):
     bn.beta.value = rng.normal(size=4)
     x = rng.normal(size=(32, 4))
     y = bn.forward(x, train=True)
-    xhat = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + bn.eps)
+    xhat = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + BN_EPS)
     assert np.allclose(y, xhat * bn.gamma.value + bn.beta.value, atol=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_batchnorm_eval_uses_running_stats(rng):
         bn.forward(rng.normal(loc=5.0, scale=2.0, size=(64, 3)), train=True)
     x = rng.normal(loc=5.0, scale=2.0, size=(16, 3))
     y = bn.forward(x, train=False)
-    expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    expected = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     assert np.allclose(y, expected, atol=1e-12)
     # With converged stats the eval output is approximately standardized.
     assert abs(y.mean()) < 0.5
@@ -141,7 +141,7 @@ def test_batchnorm_backward_matches_textbook(rng):
     assert np.array_equal(bn.beta.grad, dbeta_ref)
     assert np.abs(dx - dx_ref).max() <= 1e-12 * np.abs(dx_ref).max()
     # The cached normalized input is the textbook one.
-    expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + bn.eps)
+    expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + BN_EPS)
     assert np.allclose(xhat, expected, rtol=0, atol=1e-12)
     assert bn._cache is None
 

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from meshseg.mesh.core import Mesh
+from meshseg.mesh.core import UNLABELED, Mesh, MeshValidationError
 from meshseg.mesh.io import MeshParseError, load_mesh, save_mesh
 
 from conftest import random_mesh
@@ -238,3 +240,48 @@ def test_binary_zero_faces_after_oversized_element(tmp_path, rng):
     data = path.read_bytes().replace(b"element face 400", OVERSIZED + b" 0")
     path.write_bytes(data)
     assert load_mesh(path).faces.shape == (0, 3)
+
+
+def pinned_mesh():
+    # Random attributes plus floats whose shortest text needs all 17 digits,
+    # a subnormal, a signed zero, and a vertex without a label.
+    mesh = full_mesh(np.random.default_rng(3))
+    mesh.positions[:4] = [[1 / 3, np.pi, 5e-324], [-0.0, 1e9, -2.2250738585072014e-308],
+                          [0.1, 0.7, 123456789.12345678], [1e-30, -1e22, 2 ** -40]]
+    mesh.labels[0] = UNLABELED
+    return mesh
+
+
+@pytest.mark.parametrize("name, binary, digest", [
+    ("m.ply", False, "848f3180a5fe7b0f54b469bd0bfb332982ba150ecbd903605f0e78a5353fbae1"),
+    ("m.off", False, "6fc36d8e6e8fdd00ee3ab75b16d1139efb6d4166c398f4a2df59c5a5a657b054"),
+    ("m.ply", True, "445321970d73c4be920f8c0afb14f6f26235de10d31dfa627dda6fed608df471"),
+])
+def test_written_bytes_are_pinned(tmp_path, name, binary, digest):
+    path = tmp_path / name
+    save_mesh(pinned_mesh(), path, binary=binary)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, binary", [
+    ("m.ply", False), ("m.ply", True), ("m.off", False),
+], ids=["ascii-ply", "binary-ply", "off"])
+def test_mesh_without_vertices_rejected(tmp_path, name, binary):
+    path = tmp_path / name
+    save_mesh(Mesh(positions=np.empty((0, 3)), faces=np.empty((0, 3), dtype=np.int64)),
+              path, binary=binary)
+    with pytest.raises(MeshValidationError, match="mesh has no vertices"):
+        load_mesh(path)
+
+
+# The second line keeps the body's token count, so the file is not short.
+@pytest.mark.parametrize("line", ["4 0 1 2 3", "2 0 1 2"])
+def test_ascii_non_triangle_reports_its_face(tmp_path, rng, line):
+    mesh = random_mesh(rng, 20, 30)
+    path = tmp_path / "m.ply"
+    save_mesh(mesh, path, binary=False)
+    lines = path.read_text().splitlines()
+    lines[lines.index("end_header") + 1 + mesh.num_vertices + 5] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshParseError, match="face 5: only triangles supported"):
+        load_mesh(path)

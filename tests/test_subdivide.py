@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from meshseg.mesh.core import Mesh, LabeledPointCloud, compute_vertex_normals, surface_area
 from meshseg.mesh.subdivide import interpolate_from_point_cloud, midpoint_subdivide
+from meshseg.pipeline.toydata import make_toy_scene
 
 from conftest import random_mesh
 
@@ -147,3 +150,74 @@ def test_interpolation_empty_cloud_raises():
     with pytest.raises(ValueError):
         interpolate_from_point_cloud(mesh, cloud)
 
+
+def mesh_digest(mesh):
+    """sha256 over the faces and every per-vertex array, in a fixed layout."""
+    h = hashlib.sha256(mesh.faces.astype("<i8").tobytes())
+    h.update(mesh.positions.astype("<f8").tobytes())
+    for attr in (mesh.colors, mesh.normals):
+        h.update(b"-" if attr is None else attr.astype("<f8").tobytes())
+    h.update(b"-" if mesh.labels is None else mesh.labels.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def split_cases(mesh, threshold):
+    """Per face, bit 0/1/2 set when edge ab/bc/ca reaches the threshold."""
+    p, f = mesh.positions, mesh.faces
+    lengths = np.linalg.norm(p[f] - p[np.roll(f, -1, axis=1)], axis=2)
+    return (lengths >= threshold) @ np.array([1, 2, 4])
+
+
+def test_toy_scene_subdivision_is_pinned():
+    # The face order and the midpoint numbering are part of the output.
+    out = midpoint_subdivide(make_toy_scene(1), 0.02)
+    assert (out.num_vertices, out.num_faces) == (6320, 11344)
+    assert mesh_digest(out) == "f71b8ff19429049d87935392821e7eae6cfa23295b55996b57e1a66264835f8f"
+
+
+def test_every_split_case_is_pinned():
+    rng = np.random.default_rng(7)
+    mesh = random_mesh(rng, 40, 200, labeled=True, colors=True)
+    mesh.normals = compute_vertex_normals(mesh)
+    threshold = 0.6
+    assert set(split_cases(mesh, threshold)) == set(range(8))
+    assert mesh_digest(midpoint_subdivide(mesh, threshold)) == (
+        "027295dca692cd9810085f161f25e92d7dc9f27f571669bb20dd76d263ed1b75")
+
+
+def loop_subdivided_faces(mesh, threshold):
+    """Reference: the replacement faces built one face at a time."""
+    p = mesh.positions
+    edges = np.unique(np.sort(np.concatenate(
+        [mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]]), axis=1), axis=0)
+    split = np.linalg.norm(p[edges[:, 0]] - p[edges[:, 1]], axis=1) >= threshold
+    mid = {tuple(e): mesh.num_vertices + k for k, e in enumerate(edges[split].tolist())}
+
+    def m(a, b):
+        return mid.get((min(a, b), max(a, b)))
+
+    faces = []
+    for a, b, c in mesh.faces.tolist():
+        mab, mbc, mca = m(a, b), m(b, c), m(c, a)
+        split_count = sum(x is not None for x in (mab, mbc, mca))
+        if split_count == 0:
+            faces.append((a, b, c))
+        elif split_count == 3:
+            faces += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+        else:
+            # Rotate until ab is split and, with two splits, bc is split too.
+            while mab is None or (split_count == 2 and mbc is None):
+                a, b, c, mab, mbc, mca = b, c, a, mbc, mca, mab
+            if split_count == 1:
+                faces += [(a, mab, c), (mab, b, c)]
+            else:
+                faces += [(a, mab, c), (mab, mbc, c), (mab, b, mbc)]
+    return np.array(faces, dtype=np.int64).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("threshold", [0.3, 0.6, 0.9])
+def test_subdivided_faces_match_face_loop(seed, threshold):
+    mesh = random_mesh(np.random.default_rng(seed), 30, 120)
+    expected = loop_subdivided_faces(mesh, threshold)
+    assert np.array_equal(midpoint_subdivide(mesh, threshold).faces, expected)
