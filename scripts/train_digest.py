@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""One sha256 over a short training run, to show that a change keeps the
+network's arithmetic bit-identical.
+
+On the scaled-train sample of the benchmark (toy scene 1 at 4x4 tiles and
+0.045 m spacing, the CLI-default vc+qem hierarchy and radii), it builds the
+default dual network with seed 1 and runs 3 `train_step`s with Adam at
+lr 1e-3 and RES T=15. After each step it hashes
+- the loss,
+- every parameter value,
+- every parameter gradient, and
+- every BatchNorm running mean and variance;
+then it hashes the eval-mode logits of the trained network (RES T=15).
+
+Each part's digest goes to stderr, the combined one to stdout. Run from the
+root of a checkout:
+
+    PYTHONPATH=src python3 scripts/train_digest.py
+"""
+
+import hashlib
+import sys
+
+import numpy as np
+
+from meshseg.graph.neighborhoods import NeighborhoodConfig
+from meshseg.hierarchy.build import DEFAULT_RADII, HierarchyConfig
+from meshseg.nn.layers import BatchNorm
+from meshseg.nn.network import NetworkConfig, SegmentationNetwork
+from meshseg.nn.optim import Adam
+from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
+from meshseg.pipeline.train import network_inputs, prepare_sample, train_step
+
+SEED = 1
+STEPS = 3
+RES_THRESHOLD = 15
+SCENE = ToySceneConfig(tiles_per_side=4, tile_spacing=0.045)
+
+
+def batch_norms(net: SegmentationNetwork):
+    for blk in [b for blocks in net.encoder + net.decoder for b in blocks]:
+        for branch in (blk.geodesic, blk.euclidean):
+            if branch is not None:
+                yield from (m for _, m in branch.named_modules() if isinstance(m, BatchNorm))
+    yield net.head_bn
+
+
+def main():
+    sample = prepare_sample(make_toy_scene(SEED, SCENE),
+                            HierarchyConfig(strategy="vc+qem", fps_seed=SEED),
+                            [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII])
+    net = SegmentationNetwork(NetworkConfig.dual_default(NUM_TOY_CLASSES, 4, SEED))
+    optimizer = Adam(net.parameters(), lr=1e-3)
+    rng = np.random.default_rng(SEED)
+    parts = {name: hashlib.sha256() for name in
+             ("losses", "parameters", "gradients", "running_stats", "eval_logits")}
+    for _ in range(STEPS):
+        loss = train_step(net, optimizer, [sample], RES_THRESHOLD, int(rng.integers(2 ** 31)))
+        parts["losses"].update(np.float64(loss).tobytes())
+        for _, p in net.parameters():
+            parts["parameters"].update(p.value.tobytes())
+            parts["gradients"].update(p.grad.tobytes())
+        for bn in batch_norms(net):
+            parts["running_stats"].update(bn.running_mean.tobytes())
+            parts["running_stats"].update(bn.running_var.tobytes())
+    logits = net.forward(sample.features,
+                         *network_inputs(net, sample.hierarchy, RES_THRESHOLD, SEED),
+                         train=False)
+    parts["eval_logits"].update(logits.tobytes())
+
+    total = hashlib.sha256()
+    for name, part in parts.items():
+        print(f"{name} {part.hexdigest()}", file=sys.stderr)
+        total.update(part.digest())
+    print(total.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -302,6 +302,8 @@ def cmd_train(args):
     _check_depth(net_cfg, hier_cfg)
     _check_at_least_one(classes=args.classes, epochs=args.epochs,
                         batch_size=args.batch_size, res_train=args.res_train)
+    if not 0 < args.lr < np.inf:
+        raise ConfigError("--lr must be positive and finite")
     scenes = []
     for path in _training_scene_paths(args.manifest):
         scenes.append(load_mesh(path))

@@ -8,6 +8,7 @@ precision so that save -> load round trips are bit exact.
 from __future__ import annotations
 
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +32,17 @@ _PLY_DTYPES = {
 
 # One triangle per row, as the ASCII PLY and OFF writers print it.
 _FACE_ROW = "3 %d %d %d"
+
+
+def _ascii_rows(row: str, values: np.ndarray) -> str:
+    """Each row of a 2-D array, or each record of a record array, printed
+    with the format `row` and a newline: the text np.savetxt writes, but
+    formatted once for the whole block instead of once per row."""
+    if values.dtype.names is None:
+        flat = values.ravel().tolist()
+    else:
+        flat = list(chain.from_iterable(values.tolist()))
+    return (row + "\n") * len(values) % tuple(flat)
 
 
 def load_mesh(path) -> Mesh:
@@ -92,8 +104,8 @@ def _load_off(path) -> Mesh:
 def _save_off(mesh: Mesh, path):
     with open(path, "w") as f:
         f.write(f"OFF\n{mesh.num_vertices} {mesh.num_faces} 0\n")
-        np.savetxt(f, mesh.positions, fmt="%.9g")
-        np.savetxt(f, mesh.faces, fmt=_FACE_ROW)
+        f.write(_ascii_rows("%.9g %.9g %.9g", mesh.positions))
+        f.write(_ascii_rows(_FACE_ROW, mesh.faces))
 
 
 # ---------------------------------------------------------------- PLY
@@ -292,5 +304,6 @@ def _save_ply(mesh: Mesh, path, binary: bool = True):
             face_rec["idx"] = mesh.faces.astype(np.int32)
             f.write(face_rec.tobytes())
         else:
-            np.savetxt(f, rec, fmt=["%.17g"] * len(names) + ["%d"] * (mesh.labels is not None))
-            np.savetxt(f, mesh.faces, fmt=_FACE_ROW)
+            row = " ".join(["%.17g"] * len(names) + ["%d"] * (mesh.labels is not None))
+            f.write(_ascii_rows(row, rec).encode("ascii"))
+            f.write(_ascii_rows(_FACE_ROW, mesh.faces).encode("ascii"))

@@ -43,8 +43,22 @@ onto centers and neighbors. Then
 
 S_c and S_n each sum to zero over the vertices, so the centred x gives dW_a
 and dW_b as well. No E x 2F concatenated input, nor its gradient, nor a
-normalized E x H xhat, is ever formed or kept: the per-edge work starts at
-phi's first ReLU, on P'[c] + Q'[n].
+normalized E x H xhat, is ever formed: the per-edge work starts at phi's
+first ReLU, on P'[c] + Q'[n].
+
+Between forward and backward a train-mode branch keeps only the block input
+x, which the two branches of a block share, the level's PreparedEdges, which
+every branch on the level shares, and the per-channel inv_std. phi's second
+BatchNorm and last ReLU keep their xhat and mask, E x O each, which only the
+second Linear's product could rebuild. The E x H arrays that phi's first ReLU and second Linear keep
+are dropped after forward (`release`), as are P~ and Q~; they set the peak
+memory of a train step. Backward rebuilds them from x with forward's own
+NumPy operations in forward's order: P~ and Q~ (two V x F x H products),
+P' over Q', one `pair_sums` for the first ReLU's input, and the ReLU itself
+for its mask and the second Linear's input (`keep`). The parameters, x and
+the edges are unchanged in between, so every rebuilt float equals the one
+forward had, bit for bit, and so do the gradients; the cost is those
+products over again in each branch's backward.
 """
 
 from __future__ import annotations
@@ -169,54 +183,75 @@ class EdgeConvBranch:
         w_b = w[-self.in_width:]
         return (-w_b if self.relative else w[:self.in_width] - w_b), w_b
 
-    def forward(self, x, edges: PreparedEdges, train: bool):
+    def _centred(self, x, edges: PreparedEdges):
+        """Train mode: x less its deg-weighted mean, P~, Q~ and the batch mean
+        of P + Q (bias excluded), as in the module docstring."""
         w_center, w_b = self._split_weight()
-        bias = self.vertex_linear.bias.value
+        n = len(edges)
+        x_mean = edges.out_degree @ x / n
+        centred = x - x_mean
+        p = centred @ w_center
+        q = centred @ w_b
+        p_mean = edges.out_degree @ p / n
+        q_mean = edges.in_degree @ q / n
+        p -= p_mean
+        q -= q_mean
+        return centred, p, q, x_mean @ (w_center + w_b) + p_mean + q_mean
+
+    def _fold(self, p, q, scale):
+        """P' above Q', so that one sparse product gathers P'[c] + Q'[n]."""
+        v = p.shape[0]
+        folded = np.empty((2 * v, p.shape[1]))
+        np.multiply(p, scale, out=folded[:v])
+        folded[:v] += self.vertex_bn.beta.value
+        np.multiply(q, scale, out=folded[v:])
+        return folded
+
+    def forward(self, x, edges: PreparedEdges, train: bool):
         bn = self.vertex_bn
-        v = x.shape[0]
+        bias = self.vertex_linear.bias.value
         if train:
             n = len(edges)
-            # The vertex-space batch statistics of the module docstring.
-            x_mean = edges.out_degree @ x / n
-            centred = x - x_mean
-            p = centred @ w_center
-            q = centred @ w_b
-            del centred
-            p_mean = edges.out_degree @ p / n
-            q_mean = edges.in_degree @ q / n
-            p -= p_mean
-            q -= q_mean
+            _, p, q, mean = self._centred(x, edges)
             aq = edges.adjacency @ q
             var = (edges.out_degree @ (p * p) + edges.in_degree @ (q * q)
                    + 2.0 * _column_dot(p, aq)) / n
+            del aq
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            bn.track(x_mean @ (w_center + w_b) + p_mean + q_mean + bias, var, n)
+            bn.track(mean + bias, var, n)
             scale = bn.gamma.value * inv_std
-            self._cache = (x, x_mean, edges, p, q, inv_std)
+            self._cache = (x, edges, inv_std)
         else:
+            w_center, w_b = self._split_weight()
             p = x @ w_center
             p += bias - bn.running_mean
             q = x @ w_b
             scale = bn.gamma.value / np.sqrt(bn.running_var + BN_EPS)
-        # P' above Q', so that one sparse product gathers P'[c] + Q'[n].
-        folded = np.empty((2 * v, p.shape[1]))
-        np.multiply(p, scale, out=folded[:v])
-        folded[:v] += bn.beta.value
-        np.multiply(q, scale, out=folded[v:])
-        y = edges.sum_to_centers(self.phi.forward(edges.pair_sums(folded), train))
+        y = self.phi.forward(edges.pair_sums(self._fold(p, q, scale)), train)
+        if train:
+            # Backward rebuilds these E x H arrays from x (module docstring).
+            relu, linear = self.phi.modules[:2]
+            relu.release()
+            linear.release()
+        y = edges.sum_to_centers(y)
         y *= edges.inv_counts[:, None]
         return y
 
     def backward(self, dy):
-        x, x_mean, edges, p, q, inv_std = self._cache
+        x, edges, inv_std = self._cache
         self._cache = None
+        bn = self.vertex_bn
+        scale = bn.gamma.value * inv_std
+        # Rebuild what forward dropped, with forward's operations in its order.
+        centred, p, q, _ = self._centred(x, edges)
+        relu, linear = self.phi.modules[:2]
+        linear.keep(relu.forward(edges.pair_sums(self._fold(p, q, scale)), train=True))
         g = self.phi.backward((dy * edges.inv_counts[:, None])[edges.centers])
         v = x.shape[0]
         s = edges.sum_to_both(g)
         del g
         s_c, s_n = s[:v], s[v:]
 
-        bn = self.vertex_bn
         n = len(edges)
         dbeta = s_c.sum(axis=0)
         dgamma = inv_std * (_column_dot(s_c, p) + _column_dot(s_n, q))
@@ -233,19 +268,18 @@ class EdgeConvBranch:
             other *= tilt
             correction += other
             t -= correction
-        s *= bn.gamma.value * inv_std
+        s *= scale
 
         w_center, w_b = self._split_weight()
         dx = s_c @ w_center.T
         dx += s_n @ w_b.T
         # S_c and S_n each sum to zero over the vertices, so the centred x
         # gives the weight gradient that x itself would.
-        x = x - x_mean
-        center_grad = x.T @ s_c
+        center_grad = centred.T @ s_c
         weight_grad = self.vertex_linear.weight.grad
         if not self.relative:
             weight_grad[:self.in_width] += center_grad
-        weight_grad[-self.in_width:] += x.T @ s_n - center_grad
+        weight_grad[-self.in_width:] += centred.T @ s_n - center_grad
         self.vertex_linear.bias.grad += s_c.sum(axis=0)
         return dx
 

@@ -3,7 +3,11 @@
 Everything is float64 numpy. Each module caches what its backward pass
 needs during forward(train=True), accumulates parameter gradients into
 Param.grad and drops the cache; backward returns the gradient wrt the module
-input and is defined once per train-mode forward. ReLU overwrites its input
+input and is defined once per train-mode forward. A caller that can rebuild
+a Linear's input or a ReLU's mask, and would rather spend the time than the
+memory, drops them after forward with `release()` and restores them before
+backward: the Linear with `keep(x)`, the ReLU with a train forward on its
+rebuilt input. The edge convolution does this. ReLU overwrites its input
 in forward and its upstream gradient in backward, so both must be fresh
 arrays that nothing else holds: in `mlp` and the network head the input is
 the output of a BatchNorm, and the gradient that of a Linear or a gather.
@@ -46,6 +50,15 @@ class Linear:
         y = x @ self.weight.value
         y += self.bias.value
         return y
+
+    def keep(self, x):
+        """Keep x for backward, as forward(x, train=True) does, without
+        computing the output."""
+        self._x = x
+
+    def release(self):
+        """Drop the kept input; keep() must precede the next backward."""
+        self._x = None
 
     def backward(self, dy):
         x, self._x = self._x, None
@@ -123,6 +136,10 @@ class ReLU:
         if train:
             self._mask = x > 0
         return np.maximum(x, 0.0, out=x)
+
+    def release(self):
+        """Drop the kept mask; a train forward must precede the next backward."""
+        self._mask = None
 
     def backward(self, dy):
         mask, self._mask = self._mask, None

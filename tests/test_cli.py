@@ -226,6 +226,11 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     ("build-hierarchy", None, ["--radius", "inf"], EXIT_CONFIG),
     ("build-hierarchy", None, ["--cells", "0.04,nan"], EXIT_CONFIG),
     ("subdivide", None, ["--min-edge-len", "nan"], EXIT_CONFIG),
+    ("train", None, ["--lr", "nan"], EXIT_CONFIG),
+    ("train", None, ["--lr", "inf"], EXIT_CONFIG),
+    ("train", None, ["--lr=-inf"], EXIT_CONFIG),
+    ("train", None, ["--lr", "0"], EXIT_CONFIG),
+    ("train", None, ["--lr=-1e-3"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):

@@ -373,13 +373,13 @@ def test_branch_keeps_the_parameter_layout_of_the_whole_stack(rng):
 
 
 def test_branch_caches_no_concatenated_rows(rng):
-    # Widths chosen so that no cached per-edge tensor can be 2F wide by accident.
-    v, f = 20, 5
+    # Widths chosen so that no cached tensor can be 2F, H or O wide by accident.
+    v, f, hidden, out = 20, 5, 7, 3
     x = rng.normal(size=(v, f))
     prep = prepared_edges(random_edge_set(rng, v))
     num_edges = len(prep)
     assert num_edges != v
-    branch = EdgeConvBranch(f, 7, 3, rng)
+    branch = EdgeConvBranch(f, hidden, out, rng)
     branch.forward(x, prep, train=True)
 
     def arrays(value):
@@ -396,12 +396,13 @@ def test_branch_caches_no_concatenated_rows(rng):
     every = [a for arrays_of_owner in cached.values() for a in arrays_of_owner]
     assert every
     assert not [a.shape for a in every if a.ndim == 2 and a.shape[1] == 2 * f]
-    # The first batch norm keeps V x H arrays only: no per-edge xhat.
-    for owner in (branch, branch.vertex_bn):
-        assert not [a.shape for a in cached[id(owner)] if len(a) == num_edges and a.ndim == 2]
-    # The per-edge floats are the second Linear's input (H = 7 wide) and the
-    # second batch norm's xhat (3 wide).
-    relu, linear = branch.phi.modules[:2]
-    per_edge = [a for a in every if a.ndim == 2 and len(a) == num_edges and a.dtype != bool]
-    assert sorted(a.shape[1] for a in per_edge) == [3, 7]
-    assert any(a is linear._x for a in per_edge)
+    # The branch keeps x and per-channel vectors: no V x H P~, Q~ or P'/Q'.
+    assert not [a.shape for a in every if a.ndim == 2 and a.shape[1] == hidden]
+    # The only per-edge arrays are the second batch norm's xhat and the last
+    # ReLU's mask, both O wide; backward rebuilds the E x H ones.
+    per_edge = [a for a in every if len(a) == num_edges]
+    assert sorted((a.shape, a.dtype == bool) for a in per_edge) == [
+        ((num_edges, out), False), ((num_edges, out), True)]
+    bn, relu = branch.phi.modules[2:]
+    assert any(a is bn._cache[0] for a in per_edge)
+    assert any(a is relu._mask for a in per_edge)
