@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 import warnings
@@ -65,7 +66,18 @@ def _config(build):
     return checked
 
 
+# argparse reads "-1e-3" and "-inf" as flags, since its own pattern takes
+# only "-1" and "-.5" as negative numbers. This one takes every float and
+# comma-separated list of them, so that their range checks run.
+_NUMBER = r"(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan"
+_NEGATIVE_NUMBER = re.compile(rf"-({_NUMBER})(,[-+]?({_NUMBER}))*$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise ConfigError(message)
 

@@ -25,14 +25,15 @@ stay exact because neither its quadrics nor its positions changed. Rounds
 end when the target count is met or no pair is left; the latter warns
 with a "qem:" prefix.
 
-The singular test, cond(A) >= 1e10 for the 3x3 block A as the SVD
-computes it, is decided for most rows by a closed-form screen
-(`condition_screen`); only the rows it cannot prove go to the SVD. For
-any 3x3 A with singular values s1 >= s2 >= s3, F = |A|_F and
-C = |cof A|_F (the cofactor matrix has singular values s2 s3, s1 s3,
-s1 s2) satisfy s1 <= F <= sqrt(3) s1 and s1 s2 <= C <= sqrt(3) s1 s2,
-and |det A| = s1 s2 s3. So
-    F C / (3 |det|) <= cond <= F C / |det|   and   cond >= F^2 / (3 C).
+The singular test is a certified closed-form bound (`condition_screen`):
+a pair's 3x3 block A is solved only when every entry is finite and an
+upper bound on its condition number, with the rounding terms below, is
+below 1e10; every other pair takes the fallback. For any 3x3 A with
+singular values s1 >= s2 >= s3, F = |A|_F and C = |cof A|_F (the
+cofactor matrix has singular values s2 s3, s1 s3, s1 s2) satisfy
+s1 <= F <= sqrt(3) s1 and s1 s2 <= C <= sqrt(3) s1 s2, and
+|det A| = s1 s2 s3. So
+    cond = s1 / s3 <= F C / |det| <= 3 cond.
 Each block is first scaled by a power of two so that its largest entry
 lies in [1/2, 1). That leaves cond unchanged, but for entries below
 2^-1074 of the largest, and keeps the products from overflowing.
@@ -41,27 +42,18 @@ Error terms, with u = 2^-53: F and C are computed to within a factor
 1 -+ 8u; each cofactor p - r to within 3u (|p| + |r|); det, row 0 against
 its cofactors, to within 3u sum_j |a_0j| (|p_0j| + |r_0j|)
 + 4u sum_j |a_0j cof_0j|; and a further 2^-500 on C and det covers
-underflow in the products and squares. A row is certified
-well-conditioned when the upper bound, with these errors, is below
-1e10 / K, and singular when either lower bound is above 1e10 K. An
-all-zero block is singular (the SVD gives 0/0) and a non-finite one
-fails the test, as without the screen. The rows left over lie within a
-factor 6 of the threshold, or have a determinant lost in rounding
-(s2 s3 / s1^2 near u, with s2 / s1 above about 1e-12).
-
-Why the decision is exact: the margin K = 2 covers the SVD's own error,
-|s_i' - s_i| <= c u s1 for LAPACK's modest constant c, the rounding of
-the final comparisons and the scaling's underflow. The SVD's ratio
-s1' / s3' is below 1e10 whenever cond < 1e10 / K and c < 9e5, and above
-1e10 whenever cond > 1e10 K and c < 4e5. So every row gets the SVD's
-decision, and the minimizers, costs and hierarchies are bit-identical
-to SVD-only ones.
+underflow in the products and squares. A row is solved when the bound
+with F and C rounded up and det rounded down is below 1e10, so every
+solved block has cond < 1e10. An all-zero block and a non-finite one
+are never solved. The test is stricter than cond < 1e10 only for rows
+within a factor 3 of the threshold, or with a determinant lost in
+rounding (s2 s3 / s1^2 near u); those take the fallback.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -72,9 +64,8 @@ from .trace import PoolingTraceMap, pooled_mesh
 from .vertex_clustering import mapped_faces
 
 _SINGULAR_COND = 1e10
-# The condition screen of the module docstring: its margin K, the unit
-# roundoff and the absolute slack for underflow.
-_SCREEN_MARGIN = 2.0
+# The condition screen of the module docstring: the unit roundoff and the
+# absolute slack for underflow.
 _U = 2.0 ** -53
 _TINY = 2.0 ** -500
 # Entry 3 i + j of a block: cofactor k is the product of the entries
@@ -107,12 +98,12 @@ def _costs(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(h[..., None, :], q), h[..., :, None])[..., 0, 0]
 
 
-def condition_screen(a: np.ndarray):
-    """Closed-form decision of the singular test for P blocks a (P, 3, 3).
+def condition_screen(a: np.ndarray) -> np.ndarray:
+    """The singular test of P blocks a (P, 3, 3): True where a row is solved.
 
-    Returns (ok, decided): on decided rows ok is what the SVD would decide,
-    cond < 1e10 and every entry finite; the other rows are left to the SVD.
-    The bounds and error terms are in the module docstring.
+    A row is solved when every entry is finite and the certified upper
+    bound F C / |det| on its condition number, with its error terms, is
+    below 1e10; both are in the module docstring.
     """
     m = a.transpose(1, 2, 0).reshape(9, -1)  # entry 3 i + j of every block
     with np.errstate(invalid="ignore"):  # inf - inf on non-finite rows
@@ -132,30 +123,20 @@ def condition_screen(a: np.ndarray):
         err_c = 3 * _U * spread.sum(axis=0) + _TINY
         err_det = (3 * _U * np.einsum("kp,kp->p", row0, spread[:3])
                    + 4 * _U * np.einsum("kp,kp->p", row0, np.abs(cof[:3])) + _TINY)
-        f_lo, f_hi = f * (1 - 8 * _U), f * (1 + 8 * _U)
-        c_lo, c_hi = c * (1 - 8 * _U) - err_c, c * (1 + 8 * _U) + err_c
-        finite = np.isfinite(amax)
-        ok = finite & (f_hi * c_hi < (det - err_det) * (_SINGULAR_COND / _SCREEN_MARGIN))
-        high = 3 * _SINGULAR_COND * _SCREEN_MARGIN  # 3 from the lower bounds' denominators
-        singular = (f_lo * c_lo > high * (det + err_det)) | (f_lo * f_lo > high * c_hi)
-    return ok, ok | singular | (amax == 0) | ~finite
+        f_hi, c_hi = f * (1 + 8 * _U), c * (1 + 8 * _U) + err_c
+        return np.isfinite(amax) & (f_hi * c_hi < (det - err_det) * _SINGULAR_COND)
 
 
 def optimal_contractions(q: np.ndarray, v1: np.ndarray, v2: np.ndarray):
     """Minimizers and costs of P combined quadrics, one contraction per row.
 
     q is (P, 4, 4), v1 and v2 are (P, 3); returns (vbar (P, 3), cost (P,)).
-    Rows whose 3x3 block is singular (condition number >= 1e10, or not
-    finite) fall back to the cheapest of {v1, v2, midpoint}, the first of
-    them on ties.
+    A row is solved for its minimizer when `condition_screen` certifies its
+    3x3 block: every entry finite and the bound F C / |det|, with its error
+    terms, below 1e10. Every other row falls back to the cheapest of
+    {v1, v2, midpoint}, the first of them on ties.
     """
-    a = q[:, :3, :3]
-    ok, decided = condition_screen(a)
-    rest = np.flatnonzero(~decided)
-    # np.linalg.cond's own body; 0/0 gives NaN, which fails the test as inf does.
-    s = np.linalg.svd(a[rest], compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok[rest] = s[:, 0] / s[:, -1] < _SINGULAR_COND
+    ok = condition_screen(q[:, :3, :3])
     vbar = np.empty(v1.shape)
     cost = np.empty(len(q))
     q_ok = q[ok]
@@ -195,20 +176,14 @@ def _unique_pairs(a: np.ndarray, b: np.ndarray, n: int):
 
 
 def qem_pool(
-    mesh: Mesh,
-    target_ratio: float,
-    pair_distance_threshold: float = 0.04,
-    target_count: Optional[int] = None,
+    mesh: Mesh, target_ratio: float, pair_distance_threshold: float = 0.04
 ) -> Tuple[Mesh, PoolingTraceMap]:
-    """Contract rounds of vertex-disjoint pairs until target_count vertices
-    remain, ceil(target_ratio * V) by default."""
+    """Contract rounds of vertex-disjoint pairs until ceil(target_ratio * V)
+    vertices remain."""
     n = mesh.num_vertices
-    if target_count is None:
-        if not 0 < target_ratio < 1:
-            raise ValueError("target_ratio must lie in (0, 1)")
-        target_count = int(np.ceil(target_ratio * n))
-    if not 0 < target_count <= n:
-        raise ValueError("target_count out of range")
+    if not 0 < target_ratio < 1:
+        raise ValueError("target_ratio must lie in (0, 1)")
+    target = int(np.ceil(target_ratio * n))
     pos = mesh.positions.copy()
     quadrics = vertex_quadrics(mesh)
     parent = np.arange(n)
@@ -221,7 +196,7 @@ def qem_pool(
     vbar, cost = optimal_contractions(quadrics[lo] + quadrics[hi], pos[lo], pos[hi])
 
     live = n
-    while live > target_count and len(lo):
+    while live > target and len(lo):
         order = np.lexsort((_scrambled(lo * n + hi), cost))
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
@@ -229,7 +204,7 @@ def qem_pool(
         np.minimum.at(best, lo, rank)
         np.minimum.at(best, hi, rank)
         c = np.flatnonzero((best[lo] == rank) & (best[hi] == rank)
-                           & (rank < live - target_count))
+                           & (rank < live - target))
         a, b = lo[c], hi[c]
         quadrics[a] += quadrics[b]
         pos[a] = vbar[c]
@@ -246,9 +221,9 @@ def qem_pool(
         vbar[redo], cost[redo] = optimal_contractions(
             quadrics[lo[redo]] + quadrics[hi[redo]], pos[lo[redo]], pos[hi[redo]]
         )
-    if live > target_count:
+    if live > target:
         warnings.warn(
-            f"qem: candidate pairs exhausted at {live} vertices (target {target_count})",
+            f"qem: candidate pairs exhausted at {live} vertices (target {target})",
             RuntimeWarning,
         )
 

@@ -187,6 +187,18 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and "--threads 1 not applied" in err[0]
 
 
+# The range check a negative number reaches, written in every float form.
+RANGE_MESSAGES = {
+    ("--lr=-inf",): "--lr must be positive and finite",
+    ("--lr=-1e-3",): "--lr must be positive and finite",
+    ("--lr", "-1e-3"): "--lr must be positive and finite",
+    ("--lr", "-inf"): "--lr must be positive and finite",
+    ("--crop-extent", "-1e0"): "extent and stride must be positive and finite",
+    ("--cells", "-4e-2,0.08"): "cell sizes must be positive and finite",
+    ("--radius", "-1"): "radius must be positive and finite",
+}
+
+
 @pytest.mark.parametrize("command, manifest, options, code", [
     ("train", "not json", [], EXIT_VALIDATION),
     ("train", '{"cases": []}', [], EXIT_VALIDATION),
@@ -231,6 +243,10 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     ("train", None, ["--lr=-inf"], EXIT_CONFIG),
     ("train", None, ["--lr", "0"], EXIT_CONFIG),
     ("train", None, ["--lr=-1e-3"], EXIT_CONFIG),
+    ("train", None, ["--lr", "-1e-3"], EXIT_CONFIG),
+    ("train", None, ["--lr", "-inf"], EXIT_CONFIG),
+    ("train", None, ["--crop-extent", "-1e0"], EXIT_CONFIG),
+    ("build-hierarchy", None, ["--cells", "-4e-2,0.08"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -248,7 +264,9 @@ def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, m
                   "--output", str(tmp_path / "p.txt")],
     }[command]
     assert main([*argv, *options]) == code
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert RANGE_MESSAGES.get(tuple(options), "") in err
 
 
 def test_fps_count_above_vertex_count_names_both(workdir, tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 
 from meshseg.mesh.core import Mesh
 from meshseg.mesh.subdivide import midpoint_subdivide
+from meshseg.hierarchy import qem
 from meshseg.hierarchy.qem import (condition_screen, optimal_contractions, qem_pool,
                                    vertex_quadrics)
 from meshseg.hierarchy.trace import PoolingTraceMap, pooled_mesh
@@ -47,21 +48,17 @@ def refine_grid_search(q, center, half_width, rounds=40, pts=31):
     return p, quadric_cost(q, p)
 
 
-def scalar_contraction(q, v1, v2):
-    """One-pair reference: the formulas the batched costs must equal bit for bit."""
-    a = q[:3, :3]
-    b = q[:3, 3]
+def scalar_contraction(q, v1, v2, solved):
+    """One-pair reference: the formulas the batched costs must equal bit for
+    bit, given the singular test's decision `solved` for the row."""
 
     def cost_at(p):
         h = np.append(p, 1.0)
         return float(h @ q @ h)
 
-    try:
-        if np.linalg.cond(a) < 1e10:
-            vbar = np.linalg.solve(a, -b)
-            return vbar, cost_at(vbar)
-    except np.linalg.LinAlgError:
-        pass
+    if solved:
+        vbar = np.linalg.solve(q[:3, :3], -q[:3, 3])
+        return vbar, cost_at(vbar)
     candidates = [v1, v2, 0.5 * (v1 + v2)]
     costs = [cost_at(p) for p in candidates]
     best = int(np.argmin(costs))
@@ -172,8 +169,9 @@ class QemSimplifier:
 def assert_batch_matches_scalar(q, v1, v2):
     vbar, cost = optimal_contractions(q, v1, v2)
     assert vbar.shape == (len(q), 3) and cost.shape == (len(q),)
+    solved = condition_screen(q[:, :3, :3])
     for i in range(len(q)):
-        ref_vbar, ref_cost = scalar_contraction(q[i], v1[i], v2[i])
+        ref_vbar, ref_cost = scalar_contraction(q[i], v1[i], v2[i], solved[i])
         assert vbar[i].tobytes() == np.asarray(ref_vbar, dtype=np.float64).tobytes()
         assert cost[i].tobytes() == np.float64(ref_cost).tobytes()
 
@@ -261,7 +259,7 @@ def test_batched_contractions_mix_singular_rows(rng):
         rows.append(case)
     # An all-zero quadric: every candidate costs 0 and v1 wins the tie.
     rows.append((np.zeros((4, 4)), np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])))
-    # A non-finite block fails the one-row SVD; it must not fail the batch.
+    # A non-finite block is never solved; it must not fail the batch.
     rows.append((np.full((4, 4), np.nan), np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])))
     q, v1, v2 = (np.stack(c) for c in zip(*rows))
     assert_batch_matches_scalar(q, v1, v2)
@@ -291,7 +289,7 @@ def with_spectrum(rng, values):
 
 
 def screen_cases(rng):
-    """(kind, blocks) of the rows the condition screen must decide like the SVD."""
+    """(kind, blocks) of the rows the condition screen is checked against the SVD on."""
     # cond log-uniform over 1e6-1e14, half of it within a factor 10 of 1e10;
     # the middle singular value log-uniform between the outer two.
     n = 3000
@@ -330,27 +328,41 @@ def screen_cases(rng):
     yield "scaled", np.ldexp(sweep[:1000], rng.integers(-600, 601, 1000)[:, None, None])
 
 
-def test_condition_screen_decides_like_the_svd():
+def test_condition_screen_is_sound_and_complete():
     rng = np.random.default_rng(0)
     for kind, a in screen_cases(rng):
-        ok, decided = condition_screen(a)
-        want = svd_decision(a)
-        assert np.array_equal(ok[decided], want[decided]), kind
-        # Every kind of row reaches a certified branch, so a screen that
-        # defers all rows fails.
-        assert decided.any(), kind
-        if kind in ("sweep", "scaled"):
-            # The bounds lie within a factor 3 of cond and the margin is 2.
-            # So a row is left to the SVD only within a factor 10 of the
-            # threshold, or when its determinant is lost in rounding: then
-            # s2 s3 / s1^2 is below 1e-12 and s2 / s1 between 1e-12 and 1e-3.
-            s = np.linalg.svd(a, compute_uv=False)
+        solved = condition_screen(a)
+        # Sound: a solved row is finite with cond < 1e10 as the SVD computes it.
+        assert not (solved & ~svd_decision(a)).any(), kind
+        # Complete: the certified bound lies within a factor 3 of cond, so
+        # every row below 1e9 is solved unless its determinant is lost in
+        # rounding, where s2 s3 / s1^2 = middle / cond is below 1e-12.
+        finite = np.isfinite(a).all(axis=(1, 2))
+        s = np.linalg.svd(a[finite], compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
             cond, middle = s[:, 0] / s[:, 2], s[:, 1] / s[:, 0]
-            resolved = middle / cond > 1e-12
-            sure = (((cond < 1e9) & resolved)
-                    | ((cond > 1e11) & ((middle > 1e-3) | (middle < 1e-12))))
-            assert decided[sure].all(), kind
-            assert (decided & ok).any() and (decided & ~ok).any(), kind
+            sure = (cond < 1e9) & (middle / cond > 1e-12)
+        assert solved[finite][sure].all(), kind
+        if kind in ("sweep", "scaled", "negative"):
+            assert solved.any() and not solved.all(), kind
+
+
+def test_real_blocks_get_the_svd_decision(monkeypatch):
+    # Every block of three QEM levels on level 0 of the noisy toy scene 1
+    # lies outside the band where the screen is stricter than the SVD.
+    blocks = []
+
+    def recorded(q, v1, v2):
+        blocks.append(q[:, :3, :3].copy())
+        return optimal_contractions(q, v1, v2)
+
+    monkeypatch.setattr(qem, "optimal_contractions", recorded)
+    mesh = vertex_clustering_pool(make_toy_scene(1), 0.15)[0]
+    for _ in range(3):
+        mesh, _ = qem_pool(mesh, 0.3, 0.15)
+    a = np.concatenate(blocks)
+    assert len(a) > 5000
+    assert np.array_equal(condition_screen(a), svd_decision(a))
 
 
 def test_screened_contractions_equal_scalar_formulas():
@@ -445,7 +457,7 @@ def test_reaches_exact_target_when_pairs_remain(rng):
         for target in sorted({1, 2, n // 3, n - 1, n} - {0}):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                coarse, trace = qem_pool(mesh, None, 1.0, target_count=target)
+                coarse, trace = qem_pool(mesh, (target - 0.5) / n, 1.0)
             assert coarse.num_vertices == trace.coarse_count == target
             assert trace.fine_count == n
             trace.validate()  # a surjection onto the coarse vertices
@@ -561,17 +573,15 @@ def test_heap_exhaustion_warns():
         sim.run()
     assert not sim.reached_target
     with pytest.warns(RuntimeWarning, match="^qem: candidate pairs exhausted at 10 vertices"):
-        coarse, trace = qem_pool(mesh, None, 1e-6, target_count=2)
+        coarse, trace = qem_pool(mesh, 0.15, 1e-6)
     assert coarse.num_vertices == 10
     trace.validate()
 
 
 def test_invalid_args(rng):
     mesh = random_mesh(rng, 10, 5)
-    with pytest.raises(ValueError):
-        qem_pool(mesh, 1.5)
+    for ratio in (np.nan, 0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            qem_pool(mesh, ratio)
     with pytest.raises(ValueError):
         QemSimplifier(mesh, 0)
-    for target in (0, 11):
-        with pytest.raises(ValueError):
-            qem_pool(mesh, None, target_count=target)
