@@ -10,55 +10,57 @@ split into the rows W_a that act on x_i and W_b that act on x_j - x_i,
 
     [x_i, x_j - x_i] W + b = x_i (W_a - W_b) + x_j W_b + b = P[i] + Q[j] + b,
 
-where P = x (W_a - W_b) and Q = x W_b are V x H. The relative variant is the
-same formula with W_a = 0. For the adjoint, let G (E x H) be the gradient of
-the per-edge pre-activation and S_c, S_n (V x H) its sums onto the center
-and the neighbor vertex of each edge. Then
+and one product x [W_a - W_b | W_b] gives P | Q (V x 2H; the relative
+variant has W_a = 0). Its rows read as 2V interleaved rows z, with
+z[2i] = P[i] and z[2i+1] = Q[i]. Over the E edge rows (c, n), let M
+(2V x E) send edge k to rows 2c_k and 2n_k + 1. Then the per-edge
+pre-activation is M^T z + b, the gather `pair_sums`, and M scatters a
+per-edge gradient back onto the rows of z, `sum_to_both`.
 
-    dW_a = x^T S_c,    dW_b = x^T (S_n - S_c),    db = sum of the rows of S_c,
-    dx   = S_c (W_a - W_b)^T + S_n W_b^T.
+phi's first BatchNorm (Ioffe & Szegedy, arXiv 1502.03167) takes its batch
+statistics from those gathered rows. Train mode centres each half of z
+before the gather: x less its out-degree-weighted mean, so that an offset
+common to the rows of x cancels before the product, then P less its
+out-degree-weighted mean and Q less its in-degree-weighted mean. The
+gathered rows u = M^T z then sum to zero, the batch mean is that of P + Q
+plus b, and
 
-phi's first BatchNorm (Ioffe & Szegedy, arXiv 1502.03167) runs on the
-vertices too. Over the E edge rows (c, n), let deg and indeg count the rows
-that start and that end at each vertex, A (V x V) count the rows from i to
-j, and write deg X for the deg-weighted sum of the rows of X. The batch
-statistics of the pre-activation are
+    var = sum_k u_k^2 / E,    BN output = u s + beta,   s = gamma inv_std,
 
-    mean = (deg (P + b) + indeg Q) / E,
-    var  = (deg P~^2 + indeg Q~^2 + 2 sum_i P~[i] (A Q~)[i]) / E,
+with the scale and shift applied to u in place. Eval mode folds the
+running statistics into z before the gather instead. For the adjoint, let
+g (E x H) be the gradient at the BatchNorm's output, T = M g, and deg the
+interleaved (out, in) degrees of the rows of z. Then
 
-where P~ = P + b - deg (P + b) / E and Q~ = Q - indeg Q / E are the two
-halves centred over the rows. They are computed from x less its
-deg-weighted mean, so that an offset common to the rows of x cancels
-before the products and not in P~ and Q~. With s = gamma inv_std the
-normalized rows are P'[c] + Q'[n], where P' = P~ s + beta and Q' = Q~ s;
-eval mode folds the running statistics the same way. For the adjoint, let
-T_c and T_n (V x H) be the sums of the gradient at the BatchNorm's output
-onto centers and neighbors. Then
+    dbeta  = sum of the even rows of T,
+    dgamma = inv_std sum_r T[r] z[r],
+    S      = s (T - deg dbeta / E - (inv_std dgamma / E) M u)
 
-    dbeta  = sum of the rows of T_c,
-    dgamma = inv_std (sum_i T_c[i] P~[i] + sum_i T_n[i] Q~[i]),
-    S_c    = s (T_c - deg (dbeta + inv_std dgamma P~) / E - inv_std dgamma (A Q~) / E),
-    S_n    = s (T_n - indeg (dbeta + inv_std dgamma Q~) / E - inv_std dgamma (A^T P~) / E).
+is the gradient at z. Read back as V x 2H, it gives
 
-S_c and S_n each sum to zero over the vertices, so the centred x gives dW_a
-and dW_b as well. No E x 2F concatenated input, nor its gradient, nor a
-normalized E x H xhat, is ever formed: the per-edge work starts at phi's
-first ReLU, on P'[c] + Q'[n].
+    dx = S [W_a - W_b | W_b]^T,    [G_P | G_Q] = x^T S,
+
+the gradients of the two halves of the stacked weight, so dW_a = G_P and
+dW_b = G_Q - G_P. The even and the odd rows of S each sum to zero, so the
+centred x gives the weight gradient as well, and the bias, which feeds a
+train-mode BatchNorm, gets the (zero) sum of the even rows. No E x 2F
+concatenated input, nor its gradient, nor a normalized E x H copy of u is
+ever formed.
 
 Between forward and backward a train-mode branch keeps only the block input
 x, which the two branches of a block share, the level's PreparedEdges, which
 every branch on the level shares, and the per-channel inv_std. phi's second
 BatchNorm and last ReLU keep their xhat and mask, E x O each, which only the
-second Linear's product could rebuild. The E x H arrays that phi's first ReLU and second Linear keep
-are dropped after forward (`release`), as are P~ and Q~; they set the peak
-memory of a train step. Backward rebuilds them from x with forward's own
-NumPy operations in forward's order: P~ and Q~ (two V x F x H products),
-P' over Q', one `pair_sums` for the first ReLU's input, and the ReLU itself
-for its mask and the second Linear's input (`keep`). The parameters, x and
-the edges are unchanged in between, so every rebuilt float equals the one
-forward had, bit for bit, and so do the gradients; the cost is those
-products over again in each branch's backward.
+second Linear's product could rebuild. The E x H arrays that phi's first
+ReLU and second Linear keep set the peak memory of a train step; they are
+dropped after forward (`release`), and z right after the gather. Backward
+rebuilds them from x with forward's own NumPy operations in forward's
+order: z (one V x F x 2H product), u (one `pair_sums`), its scale and shift,
+and the ReLU itself for its mask and the second Linear's input (`keep`).
+M u is taken from the rebuilt u before its scale and shift. The parameters,
+x and the edges are unchanged in between, so every rebuilt float equals the
+one forward had, bit for bit, and so do the gradients; the cost is that
+product and gather over again in each branch's backward.
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ class PreparedEdges:
     """The edge rows (centers[k], nbrs[k]) of one level, centers ascending,
     and the operators over them that every branch on the level shares.
 
-    len() is the number of rows. Each operator is built on first use and
-    kept; each scatter adds in ascending row order, bit-identical to
-    scatter_sum.
+    len() is the number of rows. `degrees` holds each vertex's (out, in)
+    degree, the weights of the rows 2i and 2i + 1 of an interleaved array.
+    Each operator is built on first use and kept; each scatter adds in
+    ascending row order, bit-identical to scatter_sum.
     """
 
     def __init__(self, centers: np.ndarray, nbrs: np.ndarray, num_vertices: int):
@@ -88,8 +91,9 @@ class PreparedEdges:
         self.centers = centers
         self.nbrs = nbrs
         self.num_vertices = num_vertices
-        self.out_degree = np.bincount(centers, minlength=num_vertices).astype(np.float64)
-        self.in_degree = np.bincount(nbrs, minlength=num_vertices).astype(np.float64)
+        counts = [np.bincount(rows, minlength=num_vertices) for rows in (centers, nbrs)]
+        self.degrees = np.column_stack(counts).astype(np.float64)
+        self.out_degree, self.in_degree = self.degrees.T
         self.inv_counts = 1.0 / self.out_degree
 
     def __len__(self):
@@ -101,41 +105,27 @@ class PreparedEdges:
 
     @cached_property
     def _pair_incidence(self) -> sparse.csc_matrix:
-        """The scatter of each row onto its center and onto num_vertices plus
-        its neighbor."""
-        v = self.num_vertices
-        return scatter_incidence(np.column_stack([self.centers, self.nbrs + v]), 2 * v)
+        """M, which sends row k to rows 2 centers[k] and 2 nbrs[k] + 1."""
+        return scatter_incidence(np.column_stack([2 * self.centers, 2 * self.nbrs + 1]),
+                                 2 * self.num_vertices)
 
     @cached_property
     def _pair_gather(self) -> sparse.csr_matrix:
         return self._pair_incidence.T
-
-    @cached_property
-    def adjacency(self) -> sparse.csr_matrix:
-        """A[i, j]: the number of rows from i to j."""
-        v = self.num_vertices
-        indptr = np.zeros(v + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.centers, minlength=v), out=indptr[1:])
-        return sparse.csr_matrix((np.ones(len(self)), self.nbrs.astype(np.int32), indptr),
-                                 shape=(v, v))
-
-    @cached_property
-    def adjacency_t(self) -> sparse.csc_matrix:
-        return self.adjacency.T
 
     def sum_to_centers(self, values: np.ndarray) -> np.ndarray:
         """scatter_sum(values, centers, num_vertices)."""
         return incidence_sum(self._center_incidence, values)
 
     def sum_to_both(self, values: np.ndarray) -> np.ndarray:
-        """scatter_sum of the rows onto their centers (the first num_vertices
-        rows of the result) and onto their neighbors (the rest)."""
+        """scatter_sum of the rows onto their centers (the even rows of the
+        result) and onto their neighbors (the odd rows)."""
         return incidence_sum(self._pair_incidence, values)
 
-    def pair_sums(self, stacked: np.ndarray) -> np.ndarray:
-        """stacked[centers] + stacked[num_vertices + nbrs], without the
+    def pair_sums(self, interleaved: np.ndarray) -> np.ndarray:
+        """interleaved[2 centers] + interleaved[2 nbrs + 1], without the
         intermediate E-row gathers."""
-        return self._pair_gather @ stacked
+        return self._pair_gather @ interleaved
 
 
 def prepared_edges(edges: EdgeSet) -> PreparedEdges:
@@ -150,10 +140,6 @@ def prepared_edges(edges: EdgeSet) -> PreparedEdges:
     nbrs = centers.copy()
     nbrs[np.repeat(degrees > 0, counts)] = edges.indices
     return PreparedEdges(centers, nbrs, len(edges))
-
-
-def _column_dot(a, b):
-    return np.einsum("ij,ij->j", a, b)
 
 
 class EdgeConvBranch:
@@ -177,57 +163,50 @@ class EdgeConvBranch:
         self.phi = Sequential(*rest)
         self._cache = None
 
-    def _split_weight(self):
-        """(W_a - W_b, W_b): the weights acting on x_i and on x_j."""
+    def _pair_weight(self):
+        """[W_a - W_b | W_b] (F x 2H): x times it is P | Q."""
         w = self.vertex_linear.weight.value
         w_b = w[-self.in_width:]
-        return (-w_b if self.relative else w[:self.in_width] - w_b), w_b
+        return np.concatenate([-w_b if self.relative else w[:self.in_width] - w_b, w_b], axis=1)
 
-    def _centred(self, x, edges: PreparedEdges):
-        """Train mode: x less its deg-weighted mean, P~, Q~ and the batch mean
-        of P + Q (bias excluded), as in the module docstring."""
-        w_center, w_b = self._split_weight()
+    def _centred(self, x, edges: PreparedEdges, weight):
+        """Train mode: x less its out-degree-weighted mean, z with each half
+        centred over the rows, and the batch mean of P + Q (bias excluded),
+        as in the module docstring."""
         n = len(edges)
         x_mean = edges.out_degree @ x / n
         centred = x - x_mean
-        p = centred @ w_center
-        q = centred @ w_b
-        p_mean = edges.out_degree @ p / n
-        q_mean = edges.in_degree @ q / n
-        p -= p_mean
-        q -= q_mean
-        return centred, p, q, x_mean @ (w_center + w_b) + p_mean + q_mean
+        halves = (centred @ weight).reshape(len(x), 2, -1)
+        half_means = np.einsum("vs,vsh->sh", edges.degrees, halves) / n
+        halves -= half_means
+        mean = (x_mean @ weight).reshape(2, -1) + half_means
+        return centred, halves.reshape(2 * len(x), -1), mean.sum(axis=0)
 
-    def _fold(self, p, q, scale):
-        """P' above Q', so that one sparse product gathers P'[c] + Q'[n]."""
-        v = p.shape[0]
-        folded = np.empty((2 * v, p.shape[1]))
-        np.multiply(p, scale, out=folded[:v])
-        folded[:v] += self.vertex_bn.beta.value
-        np.multiply(q, scale, out=folded[v:])
-        return folded
-
-    def forward(self, x, edges: PreparedEdges, train: bool):
+    def _first_bn(self, x, edges: PreparedEdges, train: bool):
+        """The gathered rows after phi's first Linear and BatchNorm, as in the
+        module docstring; train mode keeps what backward needs."""
         bn = self.vertex_bn
-        bias = self.vertex_linear.bias.value
+        weight = self._pair_weight()
         if train:
             n = len(edges)
-            _, p, q, mean = self._centred(x, edges)
-            aq = edges.adjacency @ q
-            var = (edges.out_degree @ (p * p) + edges.in_degree @ (q * q)
-                   + 2.0 * _column_dot(p, aq)) / n
-            del aq
+            _, z, mean = self._centred(x, edges, weight)
+            u = edges.pair_sums(z)
+            var = np.einsum("ij,ij->j", u, u) / n
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            bn.track(mean + bias, var, n)
-            scale = bn.gamma.value * inv_std
+            bn.track(mean + self.vertex_linear.bias.value, var, n)
             self._cache = (x, edges, inv_std)
-        else:
-            w_center, w_b = self._split_weight()
-            p = x @ w_center
-            p += bias - bn.running_mean
-            q = x @ w_b
-            scale = bn.gamma.value / np.sqrt(bn.running_var + BN_EPS)
-        y = self.phi.forward(edges.pair_sums(self._fold(p, q, scale)), train)
+            u *= bn.gamma.value * inv_std
+            u += bn.beta.value
+            return u
+        z = (x @ weight).reshape(len(x), 2, -1)
+        z[:, 0] += self.vertex_linear.bias.value - bn.running_mean
+        z *= bn.gamma.value / np.sqrt(bn.running_var + BN_EPS)
+        z[:, 0] += bn.beta.value
+        return edges.pair_sums(z.reshape(2 * len(x), -1))
+
+    def forward(self, x, edges: PreparedEdges, train: bool):
+        # No name holds the rows, so that phi can free them once it is done.
+        y = self.phi.forward(self._first_bn(x, edges, train), train)
         if train:
             # Backward rebuilds these E x H arrays from x (module docstring).
             relu, linear = self.phi.modules[:2]
@@ -241,46 +220,42 @@ class EdgeConvBranch:
         x, edges, inv_std = self._cache
         self._cache = None
         bn = self.vertex_bn
+        n = len(edges)
         scale = bn.gamma.value * inv_std
+        weight = self._pair_weight()
         # Rebuild what forward dropped, with forward's operations in its order.
-        centred, p, q, _ = self._centred(x, edges)
+        centred, z, _ = self._centred(x, edges, weight)
+        u = edges.pair_sums(z)
+        mu = edges.sum_to_both(u)
+        u *= scale
+        u += bn.beta.value
         relu, linear = self.phi.modules[:2]
-        linear.keep(relu.forward(edges.pair_sums(self._fold(p, q, scale)), train=True))
+        linear.keep(relu.forward(u, train=True))
+        del u
         g = self.phi.backward((dy * edges.inv_counts[:, None])[edges.centers])
-        v = x.shape[0]
         s = edges.sum_to_both(g)
         del g
-        s_c, s_n = s[:v], s[v:]
 
-        n = len(edges)
-        dbeta = s_c.sum(axis=0)
-        dgamma = inv_std * (_column_dot(s_c, p) + _column_dot(s_n, q))
+        dbeta = s[0::2].sum(axis=0)
+        dgamma = inv_std * np.einsum("ij,ij->j", s, z)
         bn.gamma.grad += dgamma
         bn.beta.grad += dbeta
-        # T_c and T_n become S_c and S_n in place: T - degree (shift + tilt
-        # own) - tilt (the other half through A), times gamma inv_std.
-        shift, tilt = dbeta / n, inv_std * dgamma / n
-        for t, own, other, degree in ((s_c, p, edges.adjacency @ q, edges.out_degree),
-                                      (s_n, q, edges.adjacency_t @ p, edges.in_degree)):
-            correction = own * tilt
-            correction += shift
-            correction *= degree[:, None]
-            other *= tilt
-            correction += other
-            t -= correction
+        # s holds T = M g and becomes S in place (module docstring).
+        mu *= inv_std * dgamma / n
+        s -= mu
+        s -= edges.degrees.reshape(-1, 1) * (dbeta / n)
         s *= scale
 
-        w_center, w_b = self._split_weight()
-        dx = s_c @ w_center.T
-        dx += s_n @ w_b.T
-        # S_c and S_n each sum to zero over the vertices, so the centred x
-        # gives the weight gradient that x itself would.
-        center_grad = centred.T @ s_c
+        s = s.reshape(len(x), -1)
+        dx = s @ weight.T
+        grad = centred.T @ s
+        hidden = len(scale)
+        grad_p, grad_q = grad[:, :hidden], grad[:, hidden:]
         weight_grad = self.vertex_linear.weight.grad
         if not self.relative:
-            weight_grad[:self.in_width] += center_grad
-        weight_grad[-self.in_width:] += centred.T @ s_n - center_grad
-        self.vertex_linear.bias.grad += s_c.sum(axis=0)
+            weight_grad[:self.in_width] += grad_p
+        weight_grad[-self.in_width:] += grad_q - grad_p
+        self.vertex_linear.bias.grad += s[:, :hidden].sum(axis=0)
         return dx
 
     def named_modules(self):
@@ -313,18 +288,18 @@ class DualBlock:
             self.geodesic = EdgeConvBranch(in_width, geo_hidden, geo_out, rng, relative)
         if euc_out > 0:
             self.euclidean = EdgeConvBranch(in_width, euc_hidden, euc_out, rng, relative)
-        if self.geodesic is None and self.euclidean is None:
+        # (name, branch) of the branches present, in channel order.
+        self.branches = [(name, b) for name, b in (("geo", self.geodesic),
+                                                   ("euc", self.euclidean)) if b is not None]
+        if not self.branches:
             raise ValueError("dual block needs at least one branch")
         self.in_width = in_width
         self.out_width = geo_out + euc_out
         self.residual = in_width == self.out_width
 
     def forward(self, x, geo_edges, euc_edges, train: bool):
-        parts = []
-        if self.geodesic is not None:
-            parts.append(self.geodesic.forward(x, geo_edges, train))
-        if self.euclidean is not None:
-            parts.append(self.euclidean.forward(x, euc_edges, train))
+        edges = {"geo": geo_edges, "euc": euc_edges}
+        parts = [b.forward(x, edges[name], train) for name, b in self.branches]
         y = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         if self.residual:
             y = y + x
@@ -332,20 +307,13 @@ class DualBlock:
 
     def backward(self, dy):
         dx = dy if self.residual else 0.0
-        if self.geodesic is not None and self.euclidean is not None:
-            split = self.geodesic.out_width
-            dx = dx + self.geodesic.backward(dy[:, :split])
-            dx = dx + self.euclidean.backward(dy[:, split:])
-        elif self.geodesic is not None:
-            dx = dx + self.geodesic.backward(dy)
-        else:
-            dx = dx + self.euclidean.backward(dy)
+        start = 0
+        for _, b in self.branches:
+            dx = dx + b.backward(dy[:, start:start + b.out_width])
+            start += b.out_width
         return dx
 
     def parameters(self):
-        if self.geodesic is not None:
-            for name, p in self.geodesic.parameters():
-                yield f"geo.{name}", p
-        if self.euclidean is not None:
-            for name, p in self.euclidean.parameters():
-                yield f"euc.{name}", p
+        for prefix, b in self.branches:
+            for name, p in b.parameters():
+                yield f"{prefix}.{name}", p

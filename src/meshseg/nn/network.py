@@ -39,6 +39,16 @@ class NetworkConfig:
             raise ValueError("num_levels must be at least 1")
         if len(self.geo_widths) != self.num_levels or len(self.euc_widths) != self.num_levels:
             raise ValueError("need one width pair per level and branch")
+        for geo, euc in zip(self.geo_widths, self.euc_widths):
+            for pair in (geo, euc):
+                if len(pair) != 2 or (pair != (0, 0) and min(pair) < 1):
+                    raise ValueError(f"a (hidden, out) width pair must be (0, 0) or both "
+                                     f"at least 1, got {pair}")
+            if geo == euc == (0, 0):
+                raise ValueError("every level needs at least one branch")
+        for name in ("blocks_per_level", "input_width", "head_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def level_width(self, level: int) -> int:
         return self.geo_widths[level][1] + self.euc_widths[level][1]

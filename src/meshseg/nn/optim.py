@@ -7,6 +7,9 @@ import numpy as np
 BASE_LR = 1e-3
 LR_DECAY = 0.5
 LR_DECAY_EPOCHS = 40
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def learning_rate(epoch: int, base_lr: float = BASE_LR) -> float:
@@ -17,27 +20,19 @@ def learning_rate(epoch: int, base_lr: float = BASE_LR) -> float:
 class Adam:
     """Standard Adam with bias correction over a network's Param objects."""
 
-    def __init__(self, params, lr=BASE_LR, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=BASE_LR):
         self.params = list(params)  # (name, Param) pairs
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.value) for name, p in self.params}
         self.v = {name: np.zeros_like(p.value) for name, p in self.params}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1 - b1 ** self.t
-        bias2 = 1 - b2 ** self.t
+        bias1 = 1 - BETA1 ** self.t
+        bias2 = 1 - BETA2 ** self.t
         for name, p in self.params:
             g = p.grad
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-    def zero_grad(self):
-        for _, p in self.params:
-            p.grad[...] = 0.0
+            m = self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            v = self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
+            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

@@ -126,9 +126,14 @@ def _last_tensor_past_payload(header):
     (lambda d: _edit_header(d, lambda h: h["tensors"].pop(3)), "lacks tensor"),
     (lambda d: _edit_header(d, lambda h: h["config"].update(bn_momentum=0.2)), "bn_momentum"),
     (lambda d: _edit_header(d, lambda h: h["config"].update(bn_eps="1e-5")), "bn_eps"),
+    (lambda d: _edit_header(d, lambda h: h["config"].update(geo_widths=[[0, 4]] * 2)),
+     "config rejected: a .* width pair must be"),
+    (lambda d: _edit_header(d, lambda h: h["config"].update(head_hidden=0)),
+     "config rejected: head_hidden must be at least 1"),
 ], ids=["preamble", "header-past-end", "header-json", "header-utf8", "header-key",
         "config-widths", "config-field", "payload-short", "payload-long", "tensor-past-end",
-        "tensor-missing", "config-bn-momentum", "config-bn-eps"])
+        "tensor-missing", "config-bn-momentum", "config-bn-eps", "config-zero-width",
+        "config-zero-head"])
 def test_malformed_checkpoint_raises(tmp_path, rng, corrupt, message):
     net, _ = trained_net(rng)
     path = tmp_path / "ckpt.bin"

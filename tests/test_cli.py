@@ -11,6 +11,8 @@ from meshseg.mesh.io import load_mesh, save_mesh
 from meshseg.nn.checkpoint import load_checkpoint
 from meshseg.pipeline.toydata import make_toy_scene
 
+from test_checkpoint import _edit_header
+
 HIER_ARGS = [
     "--strategy", "vc", "--cells", "0.15,0.3,0.6,1.2",
     "--radius", "0.25,0.4,0.8,1.6",
@@ -196,6 +198,10 @@ RANGE_MESSAGES = {
     ("--crop-extent", "-1e0"): "extent and stride must be positive and finite",
     ("--cells", "-4e-2,0.08"): "cell sizes must be positive and finite",
     ("--radius", "-1"): "radius must be positive and finite",
+    ("--widths=8,0",): "must be (0, 0) or both at least 1",
+    ("--widths=-3,4",): "must be (0, 0) or both at least 1",
+    ("--widths=0,4",): "must be (0, 0) or both at least 1",
+    ("--widths=0,0",): "every level needs at least one branch",
 }
 
 
@@ -247,6 +253,10 @@ RANGE_MESSAGES = {
     ("train", None, ["--lr", "-inf"], EXIT_CONFIG),
     ("train", None, ["--crop-extent", "-1e0"], EXIT_CONFIG),
     ("build-hierarchy", None, ["--cells", "-4e-2,0.08"], EXIT_CONFIG),
+    ("train", None, ["--widths=8,0"], EXIT_CONFIG),
+    ("train", None, ["--widths=-3,4"], EXIT_CONFIG),
+    ("train", None, ["--widths=0,4"], EXIT_CONFIG),
+    ("train", None, ["--widths=0,0"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -315,6 +325,15 @@ def test_truncated_checkpoint_exit_2(workdir, trained, tmp_path, capsys):
     assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
                  "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
     assert "header says" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_zero_width_exit_2(workdir, trained, tmp_path, capsys):
+    ckpt = tmp_path / "zero.bin"
+    ckpt.write_bytes(_edit_header((trained / "checkpoint.bin").read_bytes(),
+                                  lambda h: h["config"].update(euc_widths=[[0, 4]] * 4)))
+    assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
+                 "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
+    assert "must be (0, 0) or both at least 1" in capsys.readouterr().err
 
 
 def test_infer_checks_network_depth_before_reading_the_scene(workdir, trained, tmp_path,

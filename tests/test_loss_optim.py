@@ -113,14 +113,6 @@ def test_adam_zero_gradient_leaves_value_unchanged(rng):
     assert np.allclose(p.value, before, atol=1e-12)
 
 
-def test_zero_grad_resets_accumulation(rng):
-    p = Param(rng.normal(size=3))
-    p.grad[...] = 5.0
-    opt = Adam([("p", p)])
-    opt.zero_grad()
-    assert np.array_equal(p.grad, np.zeros(3))
-
-
 def test_adam_descends_on_quadratic():
     p = Param(np.array([5.0]))
     opt = Adam([("p", p)], lr=0.1)
