@@ -82,18 +82,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _floats(text: str):
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}")
+def _domain(convert, ok, domain: str):
+    """An argparse type: a value `convert` reads and `ok` accepts, else an error naming `domain`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+    return parse
 
 
-def _ints(text: str):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+def _list_of(item):
+    """An argparse type: a comma-separated list, each item read by `item`."""
+    return lambda text: tuple(item(x) for x in text.split(","))
+
+
+_positive = _domain(float, lambda x: 0 < x < np.inf, "positive and finite")
+_fraction = _domain(float, lambda x: 0 < x < 1, "in (0, 1)")
+_count = _domain(int, lambda n: 1 <= n < 2**63, "an integer in [1, 2^63)")
+_natural = _domain(int, lambda n: 0 <= n < 2**63, "an integer in [0, 2^63)")
 
 
 def _limit_threads(n):
@@ -154,31 +164,31 @@ def _add_hierarchy_args(p):
     p.add_argument("--strategy", choices=("vc", "vc+qem", "fps"), default="vc+qem",
                    help="pooling strategy (default: vertex clustering then "
                         "quadric-error contractions)")
-    p.add_argument("--cells", type=_floats, default=DEFAULT_VC_CELLS,
+    p.add_argument("--cells", type=_list_of(_positive), default=DEFAULT_VC_CELLS,
                    metavar="C0,C1,...",
                    help="vertex-clustering cell sizes in meters per level "
                         "(default 0.04,0.08,0.16,0.32)")
-    p.add_argument("--qem-ratio", type=float, default=DEFAULT_QEM_RATIO,
+    p.add_argument("--qem-ratio", type=_fraction, default=DEFAULT_QEM_RATIO,
                    help="vertex reduction ratio per quadric-error level (default 0.3)")
-    p.add_argument("--qem-levels", type=int, default=3,
+    p.add_argument("--qem-levels", type=_natural, default=3,
                    help="number of quadric-error levels after the clustering "
                         "pre-pass (default 3)")
-    p.add_argument("--fps-counts", type=_ints, default=(), metavar="N0,N1,...",
+    p.add_argument("--fps-counts", type=_list_of(_count), default=(), metavar="N0,N1,...",
                    help="per-level vertex counts for farthest-point sampling")
-    p.add_argument("--radius", type=_floats, default=DEFAULT_RADII,
+    p.add_argument("--radius", type=_list_of(_positive), default=DEFAULT_RADII,
                    metavar="R0,R1,...",
                    help="Euclidean radius-graph radii per level "
                         "(default 0.05,0.10,0.20,0.40)")
-    p.add_argument("--knn", type=int, default=None,
+    p.add_argument("--knn", type=_count, default=None,
                    help="use k-nn Euclidean graphs instead of radius graphs")
 
 
 def _add_network_args(p):
     p.add_argument("--arch", choices=("dual", "geo", "euc"), default="dual",
                    help="dual geodesic+Euclidean branches, or a single branch")
-    p.add_argument("--classes", type=int, default=21, help="number of classes")
-    p.add_argument("--levels", type=int, default=4, help="network depth in mesh levels")
-    p.add_argument("--widths", type=_ints, default=None, metavar="HIDDEN,OUT",
+    p.add_argument("--classes", type=_count, default=21, help="number of classes")
+    p.add_argument("--levels", type=_count, default=4, help="network depth in mesh levels")
+    p.add_argument("--widths", type=_list_of(_natural), default=None, metavar="HIDDEN,OUT",
                    help="override per-branch (hidden, out) widths, same at every level")
 
 
@@ -198,17 +208,10 @@ def _network_config(args) -> NetworkConfig:
                          geo_widths=geo, euc_widths=euc, seed=args.seed)
 
 
-def _check_depth(net_cfg: NetworkConfig, hier_cfg: HierarchyConfig):
-    if net_cfg.num_levels > hier_cfg.num_levels:
+def _check_depth(levels: int, hier_cfg: HierarchyConfig):
+    if levels > hier_cfg.num_levels:
         raise ConfigError(
-            f"the network needs {net_cfg.num_levels} mesh levels, "
-            f"the hierarchy has {hier_cfg.num_levels}")
-
-
-def _check_at_least_one(**options):
-    for flag, value in options.items():
-        if value < 1:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be at least 1")
+            f"the network needs {levels} mesh levels, the hierarchy has {hier_cfg.num_levels}")
 
 
 @_config
@@ -245,11 +248,12 @@ def _training_scene_paths(manifest_path) -> list:
 
 def cmd_subdivide(args):
     t0 = time.perf_counter()
-    if not 0 < args.min_edge_len < np.inf:
-        raise ConfigError("--min-edge-len must be positive and finite")
     mesh = load_mesh(args.input)
     for _ in range(args.passes):
+        coarse = mesh.num_vertices
         mesh = midpoint_subdivide(mesh, args.min_edge_len)
+        if mesh.num_vertices == coarse:
+            break  # no edge split, so no later pass would split one either
     if args.cloud is not None:
         ref = load_mesh(args.cloud)
         mesh = interpolate_from_point_cloud(
@@ -307,15 +311,11 @@ def cmd_graph_stats(args):
 
 def cmd_train(args):
     t0 = time.perf_counter()
-    net_cfg = _network_config(args)
     hier_cfg = _hierarchy_config(args)
+    _check_depth(args.levels, hier_cfg)
+    net_cfg = _network_config(args)
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
     crop_cfg = _crop_config(args)
-    _check_depth(net_cfg, hier_cfg)
-    _check_at_least_one(classes=args.classes, epochs=args.epochs,
-                        batch_size=args.batch_size, res_train=args.res_train)
-    if not 0 < args.lr < np.inf:
-        raise ConfigError("--lr must be positive and finite")
     scenes = []
     for path in _training_scene_paths(args.manifest):
         scenes.append(load_mesh(path))
@@ -350,9 +350,8 @@ def cmd_infer(args):
     hier_cfg = _hierarchy_config(args)
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
     crop_cfg = _crop_config(args)
-    _check_at_least_one(res_test=args.res_test)
     net = load_checkpoint(args.checkpoint)
-    _check_depth(net.config, hier_cfg)
+    _check_depth(net.config.num_levels, hier_cfg)
     scene = load_mesh(args.scene)
     result = infer_scene(net, scene, hier_cfg, neigh_cfgs, crop_cfg,
                          res_threshold=args.res_test, seed=args.seed)
@@ -388,11 +387,10 @@ def _read_predictions(path, num_classes: int) -> np.ndarray:
 
 
 def cmd_vote(args):
-    _check_at_least_one(classes=args.classes)
     runs = [_read_predictions(p, args.classes) for p in args.predictions]
     if len({len(r) for r in runs}) != 1:
         raise MeshValidationError("prediction files differ in length")
-    voted = vote_over_runs(runs, args.classes)
+    voted = vote_over_runs(runs)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(out, voted, fmt="%d")
@@ -401,7 +399,6 @@ def cmd_vote(args):
 
 
 def cmd_eval(args):
-    _check_at_least_one(classes=args.classes)
     scene = load_mesh(args.scene)
     if scene.labels is None:
         raise MeshValidationError(f"{args.scene}: scene carries no labels")
@@ -439,7 +436,7 @@ def cmd_eval(args):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="meshseg", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_count, default=None,
                         help="cap BLAS threads (default: library choice)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -447,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
                                          "pulling labels/colors from a point cloud")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--min-edge-len", type=float, default=0.02,
+    p.add_argument("--min-edge-len", type=_positive, default=0.02,
                    help="split edges at least this long, in meters (default 0.02)")
-    p.add_argument("--passes", type=int, default=1, help="refinement passes (default 1)")
+    p.add_argument("--passes", type=_natural, default=1, help="refinement passes (default 1)")
     p.add_argument("--cloud", default=None,
                    help="labeled point cloud (PLY) to interpolate labels/colors from")
     p.add_argument("--ascii", action="store_true", help="write ASCII output")
@@ -459,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     _add_hierarchy_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.set_defaults(func=cmd_build_hierarchy)
 
     p = sub.add_parser("graph-stats", help="per-level neighborhood statistics "
@@ -473,16 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory")
     _add_hierarchy_args(p)
     _add_network_args(p)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=4, help="crops per step (default 4)")
-    p.add_argument("--res-train", type=int, default=15,
+    p.add_argument("--epochs", type=_count, default=100)
+    p.add_argument("--batch-size", type=_count, default=4, help="crops per step (default 4)")
+    p.add_argument("--res-train", type=_count, default=15,
                    help="edge-sampling threshold during training (default 15)")
-    p.add_argument("--lr", type=float, default=1e-3,
+    p.add_argument("--lr", type=_positive, default=1e-3,
                    help="base learning rate (default 1e-3, halved every 40 epochs)")
-    p.add_argument("--crop-extent", type=float, default=3.0)
-    p.add_argument("--crop-stride", type=float, default=1.5)
+    p.add_argument("--crop-extent", type=_positive, default=3.0)
+    p.add_argument("--crop-stride", type=_positive, default=1.5)
     p.add_argument("--no-augment", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -491,23 +488,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--output", required=True, help="predictions file, one class per line")
     _add_hierarchy_args(p)
-    p.add_argument("--res-test", type=int, default=25,
+    p.add_argument("--res-test", type=_count, default=25,
                    help="edge-sampling threshold during inference (default 25)")
-    p.add_argument("--crop-extent", type=float, default=3.0)
-    p.add_argument("--crop-stride", type=float, default=1.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--crop-extent", type=_positive, default=3.0)
+    p.add_argument("--crop-stride", type=_positive, default=1.5)
+    p.add_argument("--seed", type=_natural, default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("vote", help="majority-vote several prediction files")
     p.add_argument("predictions", nargs="+")
     p.add_argument("--output", required=True)
-    p.add_argument("--classes", type=int, default=21)
+    p.add_argument("--classes", type=_count, default=21)
     p.set_defaults(func=cmd_vote)
 
     p = sub.add_parser("eval", help="score predictions against scene labels")
     p.add_argument("--scene", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("--classes", type=int, default=21)
+    p.add_argument("--classes", type=_count, default=21)
     p.add_argument("--output", default=None, help="directory for metrics.json/confusion.csv")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -76,10 +76,10 @@ def majority_vote(votes: np.ndarray) -> np.ndarray:
     return np.argmax(votes, axis=1)
 
 
-def vote_over_runs(predictions: Sequence[np.ndarray], num_classes: int) -> np.ndarray:
+def vote_over_runs(predictions: Sequence[np.ndarray]) -> np.ndarray:
     """Majority vote across repeated prediction runs of the same scene."""
     preds = np.stack([np.asarray(p) for p in predictions])
-    votes = np.zeros((preds.shape[1], num_classes), dtype=np.int64)
+    votes = np.zeros((preds.shape[1], preds.max() + 1), dtype=np.int64)
     for p in preds:
         votes[np.arange(len(p)), p] += 1
     return majority_vote(votes)

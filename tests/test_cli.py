@@ -1,11 +1,14 @@
+import argparse
 import json
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from meshseg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from meshseg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from meshseg.mesh.core import UNLABELED, Mesh
 from meshseg.mesh.io import load_mesh, save_mesh
 from meshseg.nn.checkpoint import load_checkpoint
@@ -59,6 +62,20 @@ def test_subdivide_round_trip(workdir, capsys):
     assert fine.num_vertices > original.num_vertices
     assert (workdir / "sub" / "run_manifest.json").exists()
     assert "vertices" in capsys.readouterr().out
+
+
+def test_subdivide_stops_at_the_first_pass_that_splits_nothing(workdir, tmp_path):
+    scene = str(workdir / "scene0.ply")
+    written = []
+    for passes in ("1", str(2**62 - 1)):
+        out = tmp_path / passes / "scene0.ply"
+        assert main(["subdivide", scene, str(out), "--min-edge-len", "100",
+                     "--passes", passes]) == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    copy = tmp_path / "scene0.off"
+    assert main(["subdivide", scene, str(copy), "--passes", "0"]) == EXIT_OK
+    assert load_mesh(copy).num_vertices == load_mesh(scene).num_vertices
 
 
 def test_build_hierarchy_and_graph_stats(workdir, capsys):
@@ -177,6 +194,20 @@ def test_vote_length_mismatch_exit_2(workdir, tmp_path):
                  str(tmp_path / "v.txt")]) == EXIT_VALIDATION
 
 
+def test_vote_table_follows_the_predictions_not_classes(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("0\n1\n1\n0\n")
+    b.write_text("1\n0\n1\n0\n")
+    written = []
+    for classes in ("2", str(10**11)):
+        out = tmp_path / classes / "v.txt"
+        assert main(["vote", str(a), str(b), "--output", str(out),
+                     "--classes", classes]) == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert np.loadtxt(tmp_path / "2" / "v.txt", dtype=np.int64).tolist() == [0, 0, 1, 0]
+
+
 def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     preds = tmp_path / "p.txt"
@@ -189,19 +220,21 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and "--threads 1 not applied" in err[0]
 
 
-# The range check a negative number reaches, written in every float form.
+# The message a row's options reach; negative numbers come in every float form.
 RANGE_MESSAGES = {
-    ("--lr=-inf",): "--lr must be positive and finite",
-    ("--lr=-1e-3",): "--lr must be positive and finite",
-    ("--lr", "-1e-3"): "--lr must be positive and finite",
-    ("--lr", "-inf"): "--lr must be positive and finite",
-    ("--crop-extent", "-1e0"): "extent and stride must be positive and finite",
-    ("--cells", "-4e-2,0.08"): "cell sizes must be positive and finite",
-    ("--radius", "-1"): "radius must be positive and finite",
+    ("--lr=-inf",): "argument --lr: must be positive and finite",
+    ("--lr=-1e-3",): "argument --lr: must be positive and finite",
+    ("--lr", "-1e-3"): "argument --lr: must be positive and finite",
+    ("--lr", "-inf"): "argument --lr: must be positive and finite",
+    ("--crop-extent", "-1e0"): "argument --crop-extent: must be positive and finite",
+    ("--cells", "-4e-2,0.08"): "argument --cells: must be positive and finite",
+    ("--radius", "-1"): "argument --radius: must be positive and finite",
     ("--widths=8,0",): "must be (0, 0) or both at least 1",
-    ("--widths=-3,4",): "must be (0, 0) or both at least 1",
+    ("--widths=-3,4",): "argument --widths: must be an integer in [0, 2^63)",
     ("--widths=0,4",): "must be (0, 0) or both at least 1",
     ("--widths=0,0",): "every level needs at least one branch",
+    ("--levels", "1000000000000"):
+        "the network needs 1000000000000 mesh levels, the hierarchy has 4",
 }
 
 
@@ -257,6 +290,7 @@ RANGE_MESSAGES = {
     ("train", None, ["--widths=-3,4"], EXIT_CONFIG),
     ("train", None, ["--widths=0,4"], EXIT_CONFIG),
     ("train", None, ["--widths=0,0"], EXIT_CONFIG),
+    ("train", None, ["--levels", "1000000000000"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -431,3 +465,81 @@ def test_empty_prediction_file_exit_2(workdir, tmp_path, capsys):
     assert not (tmp_path / "v.txt").exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(f"{empty}: no predictions" in e for e in err)
+
+
+# Every option with a domain parser, per subcommand; --threads goes before it.
+HIER_OPTIONS = ("--cells", "--qem-ratio", "--qem-levels", "--fps-counts", "--radius", "--knn")
+NUMERIC_OPTIONS = {
+    "subdivide": ("--min-edge-len", "--passes"),
+    "build-hierarchy": (*HIER_OPTIONS, "--seed"),
+    "graph-stats": (),
+    "train": (*HIER_OPTIONS, "--classes", "--levels", "--widths", "--epochs", "--batch-size",
+              "--res-train", "--lr", "--crop-extent", "--crop-stride", "--seed"),
+    "infer": (*HIER_OPTIONS, "--res-test", "--crop-extent", "--crop-stride", "--seed"),
+    "vote": ("--classes",),
+    "eval": ("--classes",),
+}
+# A valid item to put beside the drawn one in a comma-list option.
+LIST_ITEMS = {"--cells": "0.1", "--radius": "0.1", "--fps-counts": "10", "--widths": "4"}
+BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", str(2**64), "ten", "")
+# The options whose domain holds a draw, which is then skipped for them.
+IN_DOMAIN = {
+    "0": {"--passes", "--qem-levels", "--widths", "--seed"},
+    str(2**64): {"--min-edge-len", "--lr", "--crop-extent", "--crop-stride", "--cells",
+                 "--radius"},
+}
+OPTION_CASES = [(command, option) for command, options in NUMERIC_OPTIONS.items()
+                for option in ("--threads", *options)]
+
+
+def test_numeric_options_are_the_listed_ones():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    walked = {(command, a.option_strings[0])
+              for command, sub in commands.choices.items()
+              for a in (*parser._actions, *sub._actions) if a.type is not None}
+    assert walked == set(OPTION_CASES)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(OPTION_CASES), bad=st.sampled_from(BAD_VALUES),
+       bad_first=st.booleans(), joined=st.booleans())
+@example(case=("train", "--seed"), bad="-1", bad_first=True, joined=False)
+@example(case=("infer", "--seed"), bad="-1", bad_first=True, joined=False)
+@example(case=("build-hierarchy", "--seed"), bad="-1", bad_first=True, joined=False)
+@example(case=("subdivide", "--passes"), bad="-1", bad_first=True, joined=False)
+@example(case=("vote", "--threads"), bad="0", bad_first=True, joined=False)
+@example(case=("vote", "--threads"), bad="-2", bad_first=True, joined=False)
+@example(case=("build-hierarchy", "--qem-levels"), bad="-1", bad_first=True, joined=False)
+@example(case=("train", "--levels"), bad=str(2**64), bad_first=True, joined=False)
+@example(case=("train", "--widths"), bad=str(2**64), bad_first=True, joined=False)
+def test_option_outside_its_domain_exits_naming_it(tmp_path, capsys, case, bad, bad_first,
+                                                   joined):
+    command, option = case
+    if option in IN_DOMAIN.get(bad, ()):
+        return
+    value = bad
+    if option in LIST_ITEMS:
+        items = [bad, LIST_ITEMS[option]]
+        value = ",".join(items if bad_first else items[::-1])
+    given_option = [f"{option}={value}"] if joined else [option, value]
+    # No file exists: every value is checked before any is opened.
+    missing = str(tmp_path / "missing")
+    argv = {
+        "subdivide": ["subdivide", missing, missing],
+        "build-hierarchy": ["build-hierarchy", missing, missing],
+        "graph-stats": ["graph-stats", missing],
+        "train": ["train", "--manifest", missing, "--output", missing],
+        "infer": ["infer", "--checkpoint", missing, "--scene", missing, "--output", missing],
+        "vote": ["vote", missing, "--output", missing],
+        "eval": ["eval", "--scene", missing, "--predictions", missing],
+    }[command]
+    if option == "--threads":
+        argv = [*given_option, *argv]
+    else:
+        argv = [*argv, *given_option]
+    assert main(argv) in (EXIT_VALIDATION, EXIT_CONFIG)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and option in err
+    assert not any(tmp_path.iterdir())

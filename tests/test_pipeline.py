@@ -274,8 +274,8 @@ def test_vote_over_runs(rng):
     a = np.array([0, 1, 2, 1])
     b = np.array([0, 1, 0, 2])
     c = np.array([0, 2, 0, 1])
-    assert vote_over_runs([a, a, a], 3).tolist() == a.tolist()
-    assert vote_over_runs([a, b, c], 3).tolist() == [0, 1, 0, 1]
+    assert vote_over_runs([a, a, a]).tolist() == a.tolist()
+    assert vote_over_runs([a, b, c]).tolist() == [0, 1, 0, 1]
 
 
 # ------------------------------------------------------------------ training
