@@ -208,6 +208,18 @@ def _network_config(args) -> NetworkConfig:
                          geo_widths=geo, euc_widths=euc, seed=args.seed)
 
 
+def _check_qem_levels(hier_cfg: HierarchyConfig, paths, meshes):
+    """Every vc+qem level has fewer vertices than the one before it, so no
+    mesh can take more levels than it has vertices."""
+    if hier_cfg.strategy != "vc+qem":
+        return
+    path, mesh = min(zip(paths, meshes), key=lambda item: item[1].num_vertices)
+    if hier_cfg.num_levels > mesh.num_vertices:
+        raise ConfigError(
+            f"--qem-levels {hier_cfg.qem_levels}: {hier_cfg.num_levels} levels need as many "
+            f"vertices, {path} has {mesh.num_vertices}")
+
+
 def _check_depth(levels: int, hier_cfg: HierarchyConfig):
     if levels > hier_cfg.num_levels:
         raise ConfigError(
@@ -271,8 +283,9 @@ def cmd_subdivide(args):
 def cmd_build_hierarchy(args):
     t0 = time.perf_counter()
     config = _hierarchy_config(args)
-    neigh_cfgs = _neighborhood_configs(args, config.num_levels)
     mesh = load_mesh(args.input)
+    _check_qem_levels(config, [args.input], [mesh])
+    neigh_cfgs = _neighborhood_configs(args, config.num_levels)
     hier = build_hierarchy(mesh, config)
     hier.build_euclidean_edges(neigh_cfgs)
     out = Path(args.output)
@@ -314,12 +327,14 @@ def cmd_train(args):
     hier_cfg = _hierarchy_config(args)
     _check_depth(args.levels, hier_cfg)
     net_cfg = _network_config(args)
-    neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
     crop_cfg = _crop_config(args)
+    paths = _training_scene_paths(args.manifest)
     scenes = []
-    for path in _training_scene_paths(args.manifest):
+    for path in paths:
         scenes.append(load_mesh(path))
         _check_scene_labels(path, scenes[-1].labels, args.classes)
+    _check_qem_levels(hier_cfg, paths, scenes)
+    neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
 
     net = SegmentationNetwork(net_cfg)
     train_cfg = TrainConfig(
@@ -348,11 +363,12 @@ def cmd_train(args):
 def cmd_infer(args):
     t0 = time.perf_counter()
     hier_cfg = _hierarchy_config(args)
-    neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
     crop_cfg = _crop_config(args)
     net = load_checkpoint(args.checkpoint)
     _check_depth(net.config.num_levels, hier_cfg)
     scene = load_mesh(args.scene)
+    _check_qem_levels(hier_cfg, [args.scene], [scene])
+    neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
     result = infer_scene(net, scene, hier_cfg, neigh_cfgs, crop_cfg,
                          res_threshold=args.res_test, seed=args.seed)
     out = Path(args.output)

@@ -48,8 +48,14 @@ class EdgeSet:
         each row in ascending neighbor order."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        keys = np.unique(np.concatenate([a * num_vertices + b, b * num_vertices + a]))
-        return cls.from_pairs(keys // num_vertices, keys % num_vertices, num_vertices)
+        keys = np.sort(np.concatenate([a * num_vertices + b, b * num_vertices + a]))
+        # Sort and mask, not np.unique: without index outputs, NumPy 2.3 on dedupes
+        # integers in a hash table and then sorts, several times slower.
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        centers, neighbors = np.divmod(keys[first], num_vertices)
+        # The keys sort by center, so the rows need no further ordering.
+        return cls.from_csr(np.searchsorted(centers, np.arange(num_vertices + 1)), neighbors)
 
     @classmethod
     def disjoint_union(cls, edge_sets: Sequence["EdgeSet"]) -> "EdgeSet":

@@ -8,14 +8,17 @@ is singular, at the cheapest of {v1, v2, midpoint}.
 
 Pairs are contracted in rounds of vertex-disjoint pairs, after the
 independent-set rule of Wu & Kobbelt ("Fast mesh decimation by
-multiple-choice techniques", VMV 2002). Each round ranks the pairs by
-cost, breaking ties by a fixed scramble of the pair's vertex ids, and
-contracts every pair that is the lowest-ranked pair of both of its
-endpoints and is among the live - target lowest-ranked pairs overall.
-The second condition keeps a round from spending contractions on
-expensive local minima while cheaper pairs remain. The scramble keeps
-exact ties (flat regions) from ranking in vertex order, which would let
-only a few pairs per round be lowest for both endpoints.
+multiple-choice techniques", VMV 2002). Pairs compare by cost, then by a
+fixed scramble of the pair's vertex ids; -0.0 equals +0.0 and NaN comes
+after every other cost. Each round selects every pair that is the lowest
+pair at both of its endpoints and is among the live - target lowest pairs
+overall, and contracts them. The second condition keeps a round from
+spending contractions on expensive local minima while cheaper pairs
+remain. The scramble keeps exact ties (flat regions) from breaking in
+vertex order, which would let only a few pairs per round be lowest for
+both endpoints. The selection needs no sort: per-vertex minima of
+order-preserving integer keys find the lowest pairs, and a partition the
+live - target lowest.
 
 A contracted pair (a, b), a < b, leaves a at the minimizer with the
 summed quadric, and the pairs are remapped through b -> a and
@@ -64,6 +67,8 @@ from .trace import PoolingTraceMap, pooled_mesh
 from .vertex_clustering import mapped_faces
 
 _SINGULAR_COND = 1e10
+# The sign bit of a float64 as uint64, and the largest uint64: the key of NaN.
+_SIGN, _TOP = np.uint64(1 << 63), np.uint64(2**64 - 1)
 # The condition screen of the module docstring: the unit roundoff and the
 # absolute slack for underflow.
 _U = 2.0 ** -53
@@ -163,16 +168,55 @@ def _scrambled(key: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _cost_keys(cost: np.ndarray) -> np.ndarray:
+    """uint64 keys that order like the float costs, with -0.0 equal to +0.0
+    and every NaN equal to every other and above +inf."""
+    bits = (cost + 0.0).view(np.uint64)  # -0.0 + 0.0 is +0.0
+    # Negative floats order backwards as integers: flip them whole; set the
+    # sign bit of the others to put them above.
+    key = np.where(bits >= _SIGN, ~bits, bits | _SIGN)
+    key[np.isnan(cost)] = _TOP
+    return key
+
+
+def _round_pairs(lo, hi, cost_key, scramble, n: int, k: int) -> np.ndarray:
+    """Indices of the pairs one round contracts: each pair that is the
+    lowest (cost_key, scramble) pair at both of its endpoints and is among
+    the k lowest pairs overall. The scrambles must be distinct."""
+    lowest = np.full(n, _TOP)
+    np.minimum.at(lowest, lo, cost_key)
+    np.minimum.at(lowest, hi, cost_key)
+    at_lo, at_hi = cost_key == lowest[lo], cost_key == lowest[hi]
+    # Among the pairs at a vertex's lowest cost, the lowest scramble.
+    first = np.full(n, _TOP)
+    np.minimum.at(first, lo, np.where(at_lo, scramble, _TOP))
+    np.minimum.at(first, hi, np.where(at_hi, scramble, _TOP))
+    c = np.flatnonzero(at_lo & at_hi & (scramble == first[lo]) & (scramble == first[hi]))
+    # The k-th lowest pair overall, (t, s), bounds the selection from above.
+    kth = min(k, len(cost_key)) - 1
+    t = np.partition(cost_key, kth)[kth]
+    tied = cost_key == t
+    m = kth - np.count_nonzero(cost_key < t)
+    s = np.partition(scramble[tied], m)[m]
+    return c[(cost_key[c] < t) | ((cost_key[c] == t) & (scramble[c] <= s))]
+
+
 def _unique_pairs(a: np.ndarray, b: np.ndarray, n: int):
     """Sorted unique (lo, hi), lo < hi, of the pairs (a, b) with a != b.
 
-    Returns (lo, hi, first): first is the index into (a, b) of each
-    row's first occurrence.
+    Returns (lo, hi, one): one is the index into (a, b) of an occurrence of
+    each row, any one of its copies (an unstable sort picks it, several
+    times faster than a stable one).
     """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     distinct = np.flatnonzero(lo != hi)
-    key, first = np.unique(lo[distinct] * n + hi[distinct], return_index=True)
-    return key // n, key % n, distinct[first]
+    key = lo[distinct] * n + hi[distinct]
+    order = np.argsort(key)
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    lo, hi = np.divmod(key[first], n)
+    return lo, hi, distinct[order[first]]
 
 
 def qem_pool(
@@ -197,14 +241,7 @@ def qem_pool(
 
     live = n
     while live > target and len(lo):
-        order = np.lexsort((_scrambled(lo * n + hi), cost))
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        best = np.full(n, len(order))
-        np.minimum.at(best, lo, rank)
-        np.minimum.at(best, hi, rank)
-        c = np.flatnonzero((best[lo] == rank) & (best[hi] == rank)
-                           & (rank < live - target))
+        c = _round_pairs(lo, hi, _cost_keys(cost), _scrambled(lo * n + hi), n, live - target)
         a, b = lo[c], hi[c]
         quadrics[a] += quadrics[b]
         pos[a] = vbar[c]
@@ -213,6 +250,8 @@ def qem_pool(
 
         moved = np.arange(n)
         moved[b] = a
+        # A pair with copies after the remap has a contracted endpoint, so it
+        # is redone below: which copy's cost is kept does not matter.
         lo, hi, kept = _unique_pairs(moved[lo], moved[hi], n)
         vbar, cost = vbar[kept], cost[kept]
         touched = np.zeros(n, dtype=bool)
@@ -231,7 +270,8 @@ def qem_pool(
     root = parent[parent]
     while not np.array_equal(root, parent):
         parent, root = root, root[root]
-    survivors, assignment = np.unique(parent, return_inverse=True)
+    is_root = parent == np.arange(n)
+    survivors, assignment = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[parent]
     trace = PoolingTraceMap(assignment, len(survivors))
     coarse = pooled_mesh(mesh, trace, pos[survivors], mapped_faces(mesh.faces, assignment))
     return coarse, trace

@@ -34,10 +34,11 @@ def vertex_clustering_pool(mesh: Mesh, cell_size: float) -> Tuple[Mesh, PoolingT
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
 
-    cells = grid_cell_indices(mesh.positions, cell_size)
-    _, assignment = np.unique(cells, axis=0, return_inverse=True)
-    coarse_count = int(assignment.max()) + 1 if assignment.size else 0
-    trace = PoolingTraceMap(assignment, coarse_count)
+    order, starts = _sorted_rows(grid_cell_indices(mesh.positions, cell_size))
+    # Cells are numbered in lexicographic (i, j, k) order.
+    assignment = np.empty(len(order), dtype=np.int64)
+    assignment[order] = np.cumsum(starts) - 1
+    trace = PoolingTraceMap(assignment, np.count_nonzero(starts))
 
     coarse = pooled_mesh(mesh, trace, pool_features(mesh.positions, trace),
                          mapped_faces(mesh.faces, assignment))
@@ -54,10 +55,28 @@ def mapped_faces(faces: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     mapped = mapped[keep]
     if mapped.size == 0:
         return np.empty((0, 3), dtype=np.int64)
-    # Deduplicate up to vertex order within the face.
-    key = np.sort(mapped, axis=1)
-    _, first = np.unique(key, axis=0, return_index=True)
-    return mapped[np.sort(first)]
+    # Deduplicate up to vertex order within the face, keeping each first copy.
+    order, starts = _sorted_rows(np.sort(mapped, axis=1))
+    first = np.zeros(len(mapped), dtype=bool)
+    first[order[starts]] = True
+    return mapped[first]
+
+
+def _sorted_rows(rows: np.ndarray):
+    """(order, starts): the stable lexicographic order of the rows of an
+    integer array, and a mask over it marking the first row of each run of
+    equal rows.
+
+    np.unique(rows, axis=0) groups the rows the same way, but sorts them as
+    structured records, several times slower; and a 1-D key such as
+    (a V + b) V + c overflows int64 once the values pass 2^21. The column
+    lexsort does neither.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    return order, starts
 
 
 def pooled_edge_set(fine_edges: EdgeSet, trace: PoolingTraceMap) -> EdgeSet:

@@ -235,6 +235,8 @@ RANGE_MESSAGES = {
     ("--widths=0,0",): "every level needs at least one branch",
     ("--levels", "1000000000000"):
         "the network needs 1000000000000 mesh levels, the hierarchy has 4",
+    ("--qem-levels", "1000000000000", "--radius", "0.1"):
+        "--qem-levels 1000000000000: 1000000000001 levels need as many vertices",
 }
 
 
@@ -291,6 +293,8 @@ RANGE_MESSAGES = {
     ("train", None, ["--widths=0,4"], EXIT_CONFIG),
     ("train", None, ["--widths=0,0"], EXIT_CONFIG),
     ("train", None, ["--levels", "1000000000000"], EXIT_CONFIG),
+    ("build-hierarchy", None, ["--qem-levels", "1000000000000", "--radius", "0.1"], EXIT_CONFIG),
+    ("train", None, ["--qem-levels", "1000000000000", "--radius", "0.1"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -311,6 +315,22 @@ def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, m
     err = capsys.readouterr().err
     assert "error" in err
     assert RANGE_MESSAGES.get(tuple(options), "") in err
+
+
+def test_more_qem_levels_than_vertices_write_nothing(workdir, trained, tmp_path, capsys):
+    scene = str(workdir / "scene0.ply")
+    for argv in (["build-hierarchy", scene, str(tmp_path / "hier")],
+                 ["train", "--manifest", str(workdir / "dataset.json"),
+                  "--output", str(tmp_path / "run")],
+                 # The checkpoint is read first: the network depth is checked
+                 # before the scene is read.
+                 ["infer", "--checkpoint", str(trained / "checkpoint.bin"), "--scene", scene,
+                  "--output", str(tmp_path / "p.txt")]):
+        # Scene 0 has 1751 vertices.
+        assert main([*argv, "--qem-levels", "1751"]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+    message = f"--qem-levels 1751: 1752 levels need as many vertices, {scene} has 1751"
+    assert capsys.readouterr().err.count(message) == 3
 
 
 def test_fps_count_above_vertex_count_names_both(workdir, tmp_path, capsys):

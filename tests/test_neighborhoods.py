@@ -161,6 +161,19 @@ def test_edge_set_flatten_from_pairs_round_trip(lists):
     assert back == edges
 
 
+@given(st.integers(1, 30), st.data())
+@settings(max_examples=300, deadline=None)
+def test_symmetric_matches_unique_of_the_keys(n, data):
+    vertex = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    keys = np.unique(np.concatenate([a * n + b, b * n + a]))
+    want = EdgeSet.from_pairs(keys // n, keys % n, n)
+    edges = EdgeSet.symmetric(a, b, n)
+    assert np.array_equal(edges.indptr, want.indptr)
+    assert np.array_equal(edges.indices, want.indices)
+
+
 def test_edge_set_validate_range():
     edges = EdgeSet([np.array([0, 3])])
     with pytest.raises(ValueError):

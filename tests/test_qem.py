@@ -5,6 +5,7 @@ from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from meshseg.mesh.core import Mesh
@@ -417,6 +418,68 @@ def test_round_output_on_noisy_mesh_is_pinned():
     coarse, trace = qem_pool(level0, 0.3, 0.15)
     digest = output_digest(coarse, trace)
     assert digest == "7e6c13b3acd764b9242613cfb9929ab67406c6aec26e6e9f3f40048fee990b2a"
+
+
+def lexsort_round(lo, hi, cost, scramble, n, k):
+    """The round rule by the ranks of a full sort on (cost, scramble): the
+    oracle of the selection in `qem._round_pairs`."""
+    order = np.lexsort((scramble, cost))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    best = np.full(n, len(order))
+    np.minimum.at(best, lo, rank)
+    np.minimum.at(best, hi, rank)
+    return np.flatnonzero((best[lo] == rank) & (best[hi] == rank) & (rank < k))
+
+
+# Exact ties, both zeros, both infinities, NaN and the least subnormal.
+_COSTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324]),
+                   st.floats())
+
+
+@st.composite
+def round_cases(draw):
+    """(lo, hi, cost, scramble, n, k) of one round; some vertices have no pair."""
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair.map(sorted).map(tuple), min_size=1, max_size=30, unique=True))
+    lo, hi = np.array(pairs, dtype=np.int64).T
+    cost = np.array(draw(st.lists(_COSTS, min_size=len(lo), max_size=len(lo))))
+    if draw(st.booleans()):
+        scramble = qem._scrambled(lo * n + hi)
+    else:
+        extremes = st.sampled_from([0, 2**64 - 1])
+        scramble = np.array(draw(st.lists(st.one_of(extremes, st.integers(0, 2**64 - 1)),
+                                          min_size=len(lo), max_size=len(lo), unique=True)),
+                            dtype=np.uint64)
+    return lo, hi, cost, scramble, n, draw(st.integers(1, len(lo) + 2))
+
+
+@given(round_cases())
+@settings(max_examples=500, deadline=None)
+def test_round_selection_matches_the_lexsort_ranks(case):
+    lo, hi, cost, scramble, n, k = case
+    got = qem._round_pairs(lo, hi, qem._cost_keys(cost), scramble, n, k)
+    assert np.array_equal(got, lexsort_round(lo, hi, cost, scramble, n, k))
+
+
+@pytest.mark.parametrize("mesh, threshold, rounds", [
+    (grid_mesh(30, 0.1), 0.1, 15),
+    (noise_free_level0(), 0.15, 92),
+], ids=["flat-grid", "noise-free-toy"])
+def test_round_count_on_flat_meshes(monkeypatch, mesh, threshold, rounds):
+    # Nearly every contraction on these meshes costs exactly 0. The counts
+    # are the baseline for a round rule that contracts more pairs per round.
+    calls = []
+    select = qem._round_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return select(*args)
+    monkeypatch.setattr(qem, "_round_pairs", counted)
+    coarse, _ = qem_pool(mesh, 0.3, threshold)
+    assert coarse.num_vertices == int(np.ceil(0.3 * mesh.num_vertices))
+    assert len(calls) == rounds
 
 
 def test_popped_costs_non_decreasing(rng):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meshseg.mesh.core import geodesic_edge_set
+from meshseg.mesh.core import Mesh, geodesic_edge_set
 from meshseg.hierarchy.trace import PoolingTraceMap
 from meshseg.hierarchy.vertex_clustering import (
     grid_cell_indices,
@@ -121,6 +122,47 @@ def test_mapped_faces_all_degenerate():
     faces = np.array([[0, 1, 2]])
     assignment = np.array([0, 0, 0])
     assert mapped_faces(faces, assignment).shape == (0, 3)
+
+
+# Cell indices past 2^21 per axis, where a key (i S + j) S + k overflows int64.
+_CELL = st.one_of(st.integers(0, 3), st.sampled_from([2**21 - 1, 2**21, 2**21 + 1, 2**39]))
+
+
+@given(st.lists(st.tuples(_CELL, _CELL, _CELL), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_cells_group_like_unique_rows(cells):
+    # Vertices at the cell centres of a 2^-10 m grid, exact in binary.
+    size = 2.0 ** -10
+    positions = (np.array(cells, dtype=np.float64) + 0.5) * size
+    _, trace = vertex_clustering_pool(Mesh(positions, np.empty((0, 3))), size)
+    unique, inverse = np.unique(grid_cell_indices(positions, size), axis=0, return_inverse=True)
+    assert trace.coarse_count == len(unique)
+    assert np.array_equal(trace.assignment, inverse.reshape(-1))
+
+
+def unique_mapped_faces(faces, assignment):
+    """mapped_faces deduplicated by np.unique over rows: the oracle of its dedupe."""
+    mapped = assignment[faces]
+    a, b, c = mapped.T
+    mapped = mapped[(a != b) & (b != c) & (a != c)]
+    if mapped.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    _, first = np.unique(np.sort(mapped, axis=1), axis=0, return_index=True)
+    return mapped[np.sort(first)]
+
+
+# Coarse indices past 2^21, where a key (a C + b) C + c overflows int64.
+_COARSE = st.one_of(st.integers(0, 4), st.sampled_from([2**21, 2**21 + 1, 2**40, 2**63 - 1]))
+
+
+@given(st.lists(_COARSE, min_size=3, max_size=12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mapped_faces_match_unique_rows(assignment, data):
+    corner = st.integers(0, len(assignment) - 1)
+    faces = np.array(data.draw(st.lists(st.tuples(corner, corner, corner), min_size=1,
+                                        max_size=40)), dtype=np.int64)
+    assignment = np.array(assignment, dtype=np.int64)
+    assert np.array_equal(mapped_faces(faces, assignment), unique_mapped_faces(faces, assignment))
 
 
 def test_pooled_edge_set_no_self_loops(rng):
