@@ -25,8 +25,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from meshseg import cli
 from meshseg.graph.neighborhoods import NeighborhoodConfig
 from meshseg.hierarchy.build import DEFAULT_RADII, HierarchyConfig, build_hierarchy
@@ -67,9 +65,7 @@ def crop_archives(workdir: Path):
     config = HierarchyConfig(strategy="vc+qem")
     radii = [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII]
     for w, idx in enumerate(crop_windows(scene, CropConfig())):
-        mask = np.zeros(scene.num_vertices, dtype=bool)
-        mask[idx] = True
-        hier = build_hierarchy(submesh(scene, mask), config)
+        hier = build_hierarchy(submesh(scene, idx), config)
         hier.build_euclidean_edges(radii)
         out = workdir / f"crop{w}"
         serialize_hierarchy(hier, out)

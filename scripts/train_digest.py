@@ -37,14 +37,6 @@ RES_THRESHOLD = 15
 SCENE = ToySceneConfig(tiles_per_side=4, tile_spacing=0.045)
 
 
-def batch_norms(net: SegmentationNetwork):
-    for blk in [b for blocks in net.encoder + net.decoder for b in blocks]:
-        for branch in (blk.geodesic, blk.euclidean):
-            if branch is not None:
-                yield from (m for _, m in branch.named_modules() if isinstance(m, BatchNorm))
-    yield net.head_bn
-
-
 def main():
     sample = prepare_sample(make_toy_scene(SEED, SCENE),
                             HierarchyConfig(strategy="vc+qem", fps_seed=SEED),
@@ -60,9 +52,10 @@ def main():
         for _, p in net.parameters():
             parts["parameters"].update(p.value.tobytes())
             parts["gradients"].update(p.grad.tobytes())
-        for bn in batch_norms(net):
-            parts["running_stats"].update(bn.running_mean.tobytes())
-            parts["running_stats"].update(bn.running_var.tobytes())
+        for _, m in net.named_modules():
+            if isinstance(m, BatchNorm):
+                parts["running_stats"].update(m.running_mean.tobytes())
+                parts["running_stats"].update(m.running_var.tobytes())
     logits = net.forward(sample.features,
                          *network_inputs(net, sample.hierarchy, RES_THRESHOLD, SEED),
                          train=False)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: subdivide, build-hierarchy, graph-stats, train, infer, vote,
-eval. Every run writes a run manifest (command, config snapshot, seeds,
-paths, timings, version) next to its primary output.
+eval. Every run that writes files writes a run manifest (command, config
+snapshot, seeds, paths, timings, version) next to its primary output:
+graph-stats only prints, and eval writes files only with --output.
 
 Exit codes: 0 success, 2 input validation error, 3 configuration error,
 4 I/O error.
@@ -261,13 +262,17 @@ def _training_scene_paths(manifest_path) -> list:
 def cmd_subdivide(args):
     t0 = time.perf_counter()
     mesh = load_mesh(args.input)
+    if args.cloud is not None:
+        ref = load_mesh(args.cloud)
+        for name in ("colors", "labels"):
+            if getattr(ref, name) is None:
+                raise MeshValidationError(f"{args.cloud}: point cloud carries no {name}")
     for _ in range(args.passes):
         coarse = mesh.num_vertices
         mesh = midpoint_subdivide(mesh, args.min_edge_len)
         if mesh.num_vertices == coarse:
             break  # no edge split, so no later pass would split one either
     if args.cloud is not None:
-        ref = load_mesh(args.cloud)
         mesh = interpolate_from_point_cloud(
             mesh, LabeledPointCloud(ref.positions, ref.colors, ref.labels)
         )
@@ -403,6 +408,7 @@ def _read_predictions(path, num_classes: int) -> np.ndarray:
 
 
 def cmd_vote(args):
+    t0 = time.perf_counter()
     runs = [_read_predictions(p, args.classes) for p in args.predictions]
     if len({len(r) for r in runs}) != 1:
         raise MeshValidationError("prediction files differ in length")
@@ -410,6 +416,7 @@ def cmd_vote(args):
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(out, voted, fmt="%d")
+    _write_run_manifest(out.parent, "vote", args, {"total": time.perf_counter() - t0}, [out])
     print(f"majority vote over {len(runs)} runs -> {out}")
     return EXIT_OK
 

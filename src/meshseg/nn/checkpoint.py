@@ -8,8 +8,10 @@ Byte layout:
               name, shape, byte offset into the payload)
   then        payload: the tensors, row-major float32, in index order
 
-Running batch-norm statistics are stored alongside the trainable tensors
-under "<bn>.running_mean/var" names.
+Tensor names come from the network's module walk: first every parameter
+under its `net.parameters()` name, then each BatchNorm's running statistics
+under "<bn>.running_mean/var". Version 1 named some of them differently
+and is refused.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import struct
 
 import numpy as np
 
-from .layers import BN_EPS, BN_MOMENTUM, BatchNorm
+from .layers import BatchNorm
 from .network import NetworkConfig, SegmentationNetwork
 
 MAGIC = b"MSEGCKPT"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -34,27 +36,10 @@ class CheckpointError(ValueError):
 def _all_tensors(net: SegmentationNetwork):
     for name, p in net.parameters():
         yield name, p.value
-    for name, bn in _batch_norms(net):
-        yield f"{name}.running_mean", bn.running_mean
-        yield f"{name}.running_var", bn.running_var
-
-
-def _batch_norms(net: SegmentationNetwork):
-    def walk(prefix, blocks):
-        for b, blk in enumerate(blocks):
-            for branch_name in ("geodesic", "euclidean"):
-                branch = getattr(blk, branch_name, None)
-                if branch is None:
-                    continue
-                for name, m in branch.named_modules():
-                    if isinstance(m, BatchNorm):
-                        yield f"{prefix}.{b}.{branch_name}.{name}", m
-
-    for lvl, blocks in enumerate(net.encoder):
-        yield from walk(f"encoder.{lvl}", blocks)
-    for i, blocks in enumerate(net.decoder):
-        yield from walk(f"decoder.{i}", blocks)
-    yield "head.bn", net.head_bn
+    for name, m in net.named_modules():
+        if isinstance(m, BatchNorm):
+            yield f"{name}.running_mean", m.running_mean
+            yield f"{name}.running_var", m.running_var
 
 
 def save_checkpoint(net: SegmentationNetwork, path):
@@ -88,7 +73,9 @@ def load_checkpoint(path) -> SegmentationNetwork:
         raise CheckpointError("truncated checkpoint: incomplete preamble")
     (version,) = struct.unpack_from("<I", data, 8)
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(
+            f"unsupported checkpoint version {version} (this reader reads version "
+            f"{VERSION}); train the network again with `meshseg train`")
     (hlen,) = struct.unpack_from("<Q", data, 12)
     if 20 + hlen > len(data):
         raise CheckpointError(
@@ -106,12 +93,6 @@ def load_checkpoint(path) -> SegmentationNetwork:
     if len(payload) != payload_bytes:
         raise CheckpointError(
             f"payload is {len(payload)} bytes, the header says {payload_bytes}")
-
-    # Older checkpoints echo the BatchNorm constants in their config.
-    for key, value in (("bn_momentum", BN_MOMENTUM), ("bn_eps", BN_EPS)):
-        stored = cfg.pop(key, value)
-        if stored != value:
-            raise CheckpointError(f"stored {key} {stored!r} differs from the fixed {value!r}")
     try:
         net = SegmentationNetwork(NetworkConfig(**cfg))
     except (TypeError, ValueError) as e:

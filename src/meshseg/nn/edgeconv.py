@@ -72,7 +72,7 @@ import numpy as np
 from scipy import sparse
 
 from ..graph.neighborhoods import EdgeSet, incidence_sum, scatter_incidence
-from .layers import BN_EPS, BatchNorm, Linear, Sequential, mlp
+from .layers import BN_EPS, BatchNorm, Container, Linear, Sequential, mlp, prefixed
 
 
 class PreparedEdges:
@@ -142,7 +142,7 @@ def prepared_edges(edges: EdgeSet) -> PreparedEdges:
     return PreparedEdges(centers, nbrs, len(edges))
 
 
-class EdgeConvBranch:
+class EdgeConvBranch(Container):
     """One branch (geodesic or Euclidean) of a dual block.
 
     phi is Linear, BN, ReLU, Linear, BN, ReLU. Its first Linear and BN are
@@ -265,13 +265,8 @@ class EdgeConvBranch:
         for i, m in enumerate(self.phi.modules, start=2):
             yield f"phi.{i}", m
 
-    def parameters(self):
-        for prefix, m in self.named_modules():
-            for name, p in m.parameters():
-                yield f"{prefix}.{name}", p
 
-
-class DualBlock:
+class DualBlock(Container):
     """Parallel geodesic/Euclidean edge convolutions, channel-concatenated.
 
     A branch with zero output width is omitted entirely, which reduces the
@@ -313,7 +308,6 @@ class DualBlock:
             start += b.out_width
         return dx
 
-    def parameters(self):
+    def named_modules(self):
         for prefix, b in self.branches:
-            for name, p in b.parameters():
-                yield f"{prefix}.{name}", p
+            yield from prefixed(prefix, b)

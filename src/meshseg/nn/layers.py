@@ -149,7 +149,27 @@ class ReLU:
         return iter(())
 
 
-class Sequential:
+class Container:
+    """A module built of others. `named_modules()` yields (dotted name,
+    leaf) for every Linear, BatchNorm and ReLU under it, in parameter
+    order; parameters, running statistics and checkpoint tensors all take
+    their names from it."""
+
+    def named_modules(self) -> Iterator[Tuple[str, object]]:
+        raise NotImplementedError
+
+    def parameters(self) -> Iterator[Tuple[str, Param]]:
+        for prefix, m in self.named_modules():
+            for name, p in m.parameters():
+                yield f"{prefix}.{name}", p
+
+
+def prefixed(prefix: str, container: Container):
+    """The container's named modules with `prefix.` before each name."""
+    return ((f"{prefix}.{name}", m) for name, m in container.named_modules())
+
+
+class Sequential(Container):
     def __init__(self, *modules):
         self.modules = list(modules)
 
@@ -163,10 +183,8 @@ class Sequential:
             dy = m.backward(dy)
         return dy
 
-    def parameters(self) -> Iterator[Tuple[str, Param]]:
-        for i, m in enumerate(self.modules):
-            for name, p in m.parameters():
-                yield f"{i}.{name}", p
+    def named_modules(self):
+        return ((str(i), m) for i, m in enumerate(self.modules))
 
 
 def mlp(widths, rng) -> Sequential:

@@ -2,9 +2,9 @@
 
 Per level the encoder runs three dual blocks and mean-pools to the next
 level; the decoder unpools, concatenates the skip features of the same
-level and runs three more dual blocks. A small linear head maps the
-level-0 features to class logits. The very first convolution is the
-relative (translation-invariant) variant.
+level and runs three more dual blocks. A small head (Linear, BN, ReLU,
+Linear) maps the level-0 features to class logits. The very first
+convolution is the relative (translation-invariant) variant.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from ..graph.neighborhoods import EdgeSet, scatter_sum
 from ..hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
 from .edgeconv import DualBlock, prepared_edges
-from .layers import BatchNorm, Linear, ReLU
+from .layers import Container, Linear, Sequential, mlp, prefixed
 
 
 @dataclass
@@ -67,7 +67,7 @@ class NetworkConfig:
                              geo_widths=geo, euc_widths=euc, seed=seed)
 
 
-class SegmentationNetwork:
+class SegmentationNetwork(Container):
     def __init__(self, config: NetworkConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
@@ -97,28 +97,17 @@ class SegmentationNetwork:
                 blocks.append(block(fused if b == 0 else config.level_width(lvl), lvl))
             self.decoder.append(blocks)
 
-        self.head_linear1 = Linear(config.level_width(0), config.head_hidden, rng)
-        self.head_bn = BatchNorm(config.head_hidden)
-        self.head_relu = ReLU()
-        self.head_linear2 = Linear(config.head_hidden, config.num_classes, rng)
+        self.head = Sequential(*mlp((config.level_width(0), config.head_hidden), rng).modules,
+                               Linear(config.head_hidden, config.num_classes, rng))
 
     # ------------------------------------------------------------- plumbing
 
-    def parameters(self):
-        for lvl, blocks in enumerate(self.encoder):
-            for b, blk in enumerate(blocks):
-                for name, p in blk.parameters():
-                    yield f"encoder.{lvl}.{b}.{name}", p
-        for i, blocks in enumerate(self.decoder):
-            for b, blk in enumerate(blocks):
-                for name, p in blk.parameters():
-                    yield f"decoder.{i}.{b}.{name}", p
-        for name, p in self.head_linear1.parameters():
-            yield f"head.linear1.{name}", p
-        for name, p in self.head_bn.parameters():
-            yield f"head.bn.{name}", p
-        for name, p in self.head_linear2.parameters():
-            yield f"head.linear2.{name}", p
+    def named_modules(self):
+        for part, stack in (("encoder", self.encoder), ("decoder", self.decoder)):
+            for i, blocks in enumerate(stack):
+                for b, blk in enumerate(blocks):
+                    yield from prefixed(f"{part}.{i}.{b}", blk)
+        yield from prefixed("head", self.head)
 
     def num_parameters(self) -> int:
         return sum(p.size for _, p in self.parameters())
@@ -166,20 +155,14 @@ class SegmentationNetwork:
             for blk in blocks:
                 x = blk.forward(x, geo[lvl], euc[lvl], train)
 
-        h = self.head_linear1.forward(x, train)
-        h = self.head_bn.forward(h, train)
-        h = self.head_relu.forward(h, train)
-        return self.head_linear2.forward(h, train)
+        return self.head.forward(x, train)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns the input-feature gradient."""
         L = self.config.num_levels
         traces = self._traces
 
-        dy = self.head_linear2.backward(dlogits)
-        dy = self.head_relu.backward(dy)
-        dy = self.head_bn.backward(dy)
-        dy = self.head_linear1.backward(dy)
+        dy = self.head.backward(dlogits)
 
         dskips = [np.zeros(s) for s in self._skip_shapes]
         for i in range(len(self.decoder) - 1, -1, -1):

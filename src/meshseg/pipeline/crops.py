@@ -10,17 +10,18 @@ import numpy as np
 from ..mesh.core import Mesh, UNLABELED
 
 
+# Training rejects a crop whose unlabeled fraction exceeds this.
+REJECT_THRESHOLD = 0.8
+
+
 @dataclass
 class CropConfig:
     extent: float = 3.0       # crop side length in meters (square, xy plane)
     stride: float = 1.5
-    reject_threshold: float = 0.8  # max tolerated unlabeled fraction (training only)
 
     def __post_init__(self):
         if not (0 < self.extent < np.inf and 0 < self.stride < np.inf):
             raise ValueError("extent and stride must be positive and finite")
-        if not 0.0 <= self.reject_threshold <= 1.0:
-            raise ValueError("reject_threshold must lie in [0, 1]")
 
 
 def crop_windows(mesh: Mesh, config: CropConfig) -> List[np.ndarray]:
@@ -55,34 +56,27 @@ def crop_windows(mesh: Mesh, config: CropConfig) -> List[np.ndarray]:
 def crop_scene(mesh: Mesh, config: CropConfig) -> List[Mesh]:
     """Square-window sweep; each crop keeps the inside vertices and the
     faces whose three vertices survive."""
-    crops = []
-    for idx in crop_windows(mesh, config):
-        mask = np.zeros(mesh.num_vertices, dtype=bool)
-        mask[idx] = True
-        crops.append(submesh(mesh, mask))
-    return crops
+    return [submesh(mesh, idx) for idx in crop_windows(mesh, config)]
 
 
-def submesh(mesh: Mesh, keep_mask: np.ndarray) -> Mesh:
-    keep = np.flatnonzero(keep_mask)
+def submesh(mesh: Mesh, indices: np.ndarray) -> Mesh:
+    """The vertices at `indices` (distinct), in that order, and the faces
+    whose three vertices are among them."""
     remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-    if mesh.faces.size:
-        face_keep = keep_mask[mesh.faces].all(axis=1)
-        faces = remap[mesh.faces[face_keep]]
-    else:
-        faces = np.empty((0, 3), dtype=np.int64)
+    remap[indices] = np.arange(len(indices))
+    face_keep = (remap >= 0)[mesh.faces].all(axis=1)
     return Mesh(
-        positions=mesh.positions[keep],
-        faces=faces,
-        colors=None if mesh.colors is None else mesh.colors[keep],
-        normals=None if mesh.normals is None else mesh.normals[keep],
-        labels=None if mesh.labels is None else mesh.labels[keep],
+        positions=mesh.positions[indices],
+        faces=remap[mesh.faces[face_keep]],
+        colors=None if mesh.colors is None else mesh.colors[indices],
+        normals=None if mesh.normals is None else mesh.normals[indices],
+        labels=None if mesh.labels is None else mesh.labels[indices],
     )
 
 
-def reject_crop(crop: Mesh, threshold: float = 0.8) -> bool:
-    """True iff the crop should be rejected (unlabeled fraction > threshold).
+def reject_crop(crop: Mesh) -> bool:
+    """True iff the crop should be rejected (unlabeled fraction above
+    REJECT_THRESHOLD).
 
     Applied during training only; inference never filters.
     """
@@ -92,4 +86,4 @@ def reject_crop(crop: Mesh, threshold: float = 0.8) -> bool:
         unlabeled = 1.0
     else:
         unlabeled = float((crop.labels == UNLABELED).mean())
-    return unlabeled > threshold
+    return unlabeled > REJECT_THRESHOLD

@@ -50,10 +50,7 @@ def infer_scene(net: SegmentationNetwork, scene: Mesh,
     votes = np.zeros((scene.num_vertices, num_classes), dtype=np.int64)
     windows = crop_windows(scene, crop_config)
     for w, idx in enumerate(windows):
-        mask = np.zeros(scene.num_vertices, dtype=bool)
-        mask[idx] = True
-        crop = submesh(scene, mask)
-        hier = build_hierarchy(crop, hier_config)
+        hier = build_hierarchy(submesh(scene, idx), hier_config)
         hier.build_euclidean_edges(neigh_configs)
         pred = predict_hierarchy(net, hier, vertex_features(hier.levels[0]),
                                  res_threshold, seed + w)

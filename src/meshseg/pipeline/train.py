@@ -56,7 +56,7 @@ def collect_crops(scenes: Sequence[Mesh], crop_config: CropConfig) -> List[Mesh]
     crops = []
     for scene in scenes:
         for crop in crop_scene(scene, crop_config):
-            if not reject_crop(crop, crop_config.reject_threshold):
+            if not reject_crop(crop):
                 crops.append(crop)
     if not crops:
         raise ValueError("every crop was rejected; nothing to train on")

@@ -10,7 +10,8 @@ from meshseg.nn.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from meshseg.nn.network import SegmentationNetwork
+from meshseg.nn.layers import BatchNorm, Param
+from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 
 from test_network import small_config, small_instance
 
@@ -41,9 +42,10 @@ def test_round_trip_preserves_running_stats(tmp_path, rng):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(net, path)
     back = load_checkpoint(path)
-    assert not np.allclose(net.head_bn.running_mean, 0.0)
-    assert np.allclose(back.head_bn.running_mean, net.head_bn.running_mean, atol=1e-6)
-    assert np.allclose(back.head_bn.running_var, net.head_bn.running_var, atol=1e-6)
+    bn, back_bn = net.head.modules[1], back.head.modules[1]
+    assert not np.allclose(bn.running_mean, 0.0)
+    assert np.allclose(back_bn.running_mean, bn.running_mean, atol=1e-6)
+    assert np.allclose(back_bn.running_var, bn.running_var, atol=1e-6)
 
 
 def test_parameters_stored_float32(tmp_path, rng):
@@ -72,6 +74,62 @@ def test_unsupported_version(tmp_path, rng):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="version 99"):
         load_checkpoint(path)
+
+
+def test_version_1_is_refused(tmp_path, rng):
+    net, _ = trained_net(rng)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(net, path)
+    data = bytearray(path.read_bytes())
+    data[8:12] = struct.pack("<I", 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="version 1 .*train the network again"):
+        load_checkpoint(path)
+
+
+def _reachable(obj, kind, seen=None):
+    """Every `kind` instance reachable from obj through meshseg objects'
+    attributes and the lists, tuples and dicts they hold, by id."""
+    seen = {} if seen is None else seen
+    if isinstance(obj, kind):
+        seen[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _reachable(item, kind, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _reachable(item, kind, seen)
+    elif type(obj).__module__.startswith("meshseg") and hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            _reachable(item, kind, seen)
+    return seen
+
+
+@pytest.mark.parametrize("config", [
+    NetworkConfig.dual_default(),
+    NetworkConfig.single_default("geo"),
+    NetworkConfig.single_default("euc"),
+], ids=["dual", "geo", "euc"])
+def test_tensor_names_follow_the_module_walk(tmp_path, config):
+    net = SegmentationNetwork(config)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(net, path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", data, 12)
+    stored = [e["name"] for e in json.loads(data[20:20 + hlen])["tensors"]]
+
+    params = list(net.parameters())
+    bns = [(name, m) for name, m in net.named_modules() if isinstance(m, BatchNorm)]
+    expected = [name for name, _ in params]
+    for name, _ in bns:
+        expected += [f"{name}.running_mean", f"{name}.running_var"]
+    assert stored == expected
+    assert len(set(stored)) == len(stored)
+    # Every Param and BatchNorm of the network is walked exactly once.
+    ids = [id(p) for _, p in params]
+    assert len(set(ids)) == len(ids)
+    assert set(ids) == set(_reachable(net, Param))
+    assert sorted(id(m) for _, m in bns) == sorted(_reachable(net, BatchNorm))
 
 
 def _edit_header(data, mutate):
@@ -141,19 +199,6 @@ def test_malformed_checkpoint_raises(tmp_path, rng, corrupt, message):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
-
-
-def test_header_with_batch_norm_constants_loads(tmp_path, rng):
-    # Checkpoints written while the network config carried the BatchNorm
-    # constants still load.
-    net, (features, geo, euc, traces) = trained_net(rng)
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint(net, path)
-    _rewrite_header(path, lambda h: h["config"].update(bn_momentum=0.1, bn_eps=1e-5))
-    back = load_checkpoint(path)
-    assert back.config == net.config
-    assert np.allclose(back.forward(features, geo, euc, traces, train=False),
-                       net.forward(features, geo, euc, traces, train=False), atol=1e-4)
 
 
 def test_magic_constant():

@@ -1,5 +1,6 @@
 import argparse
 import json
+import struct
 import sys
 import warnings
 
@@ -78,6 +79,21 @@ def test_subdivide_stops_at_the_first_pass_that_splits_nothing(workdir, tmp_path
     assert load_mesh(copy).num_vertices == load_mesh(scene).num_vertices
 
 
+@pytest.mark.parametrize("missing", ["colors", "labels"])
+def test_subdivide_cloud_without_an_attribute_exit_2(workdir, tmp_path, capsys, missing):
+    cloud = make_toy_scene(0)
+    setattr(cloud, missing, None)
+    save_mesh(cloud, tmp_path / "cloud.ply", binary=True)
+    out = tmp_path / "out" / "fine.ply"
+    code = main(["subdivide", str(workdir / "scene0.ply"), str(out),
+                 "--cloud", str(tmp_path / "cloud.ply")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"cloud.ply: point cloud carries no {missing}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_hierarchy_and_graph_stats(workdir, capsys):
     hdir = workdir / "hier"
     code = main(["build-hierarchy", str(workdir / "scene0.ply"), str(hdir),
@@ -132,6 +148,7 @@ def test_infer_eval_vote_loop(workdir, trained, capsys):
                  "--output", str(voted), "--classes", "3"])
     assert code == EXIT_OK
     assert np.array_equal(np.loadtxt(voted, dtype=np.int64), predictions)
+    assert json.loads((voted.parent / "run_manifest.json").read_text())["command"] == "vote"
 
 
 def test_config_errors_exit_3(workdir, capsys):
@@ -379,6 +396,18 @@ def test_truncated_checkpoint_exit_2(workdir, trained, tmp_path, capsys):
     assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
                  "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
     assert "header says" in capsys.readouterr().err
+
+
+def test_version_1_checkpoint_exit_2(workdir, trained, tmp_path, capsys):
+    data = bytearray((trained / "checkpoint.bin").read_bytes())
+    data[8:12] = struct.pack("<I", 1)
+    ckpt = tmp_path / "v1.bin"
+    ckpt.write_bytes(bytes(data))
+    assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
+                 "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unsupported checkpoint version 1" in err and "Traceback" not in err
+    assert not (tmp_path / "p.txt").exists()
 
 
 def test_checkpoint_with_a_zero_width_exit_2(workdir, trained, tmp_path, capsys):

@@ -95,10 +95,11 @@ def test_forward_matches_manual_wiring(rng):
     x = np.concatenate([unpool_features(x, traces[0]), skip], axis=1)
     for blk in net.decoder[0]:
         x = blk.forward(x, g[0], e[0], train=False)
-    h = net.head_linear1.forward(x, train=False)
-    h = net.head_bn.forward(h, train=False)
-    h = net.head_relu.forward(h, train=False)
-    manual = net.head_linear2.forward(h, train=False)
+    linear1, bn, relu, linear2 = net.head.modules
+    h = linear1.forward(x, train=False)
+    h = bn.forward(h, train=False)
+    h = relu.forward(h, train=False)
+    manual = linear2.forward(h, train=False)
     assert np.allclose(logits, manual, atol=1e-12)
 
 

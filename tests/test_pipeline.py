@@ -50,7 +50,7 @@ def test_submesh_remaps_faces():
     mesh = grid_mesh(2)  # 3x3 vertices
     keep = np.ones(9, dtype=bool)
     keep[4] = False  # drop the center vertex
-    sub = submesh(mesh, keep)
+    sub = submesh(mesh, np.flatnonzero(keep))
     assert sub.num_vertices == 8
     # Every face touching the center vertex disappears; the rest reindex.
     assert sub.num_faces == mesh.num_faces - int((mesh.faces == 4).any(axis=1).sum())
@@ -78,14 +78,14 @@ def test_reject_crop_boundary():
             labels=labels,
         )
 
-    assert not reject_crop(crop_with_unlabeled(80), threshold=0.8)
-    assert reject_crop(crop_with_unlabeled(81), threshold=0.8)
+    assert not reject_crop(crop_with_unlabeled(80))
+    assert reject_crop(crop_with_unlabeled(81))
 
 
 def test_reject_crop_unlabeled_and_empty(rng):
     mesh = random_mesh(rng, 10, 4)  # no labels at all
-    assert reject_crop(mesh, threshold=0.8)
-    empty = submesh(mesh, np.zeros(10, dtype=bool))
+    assert reject_crop(mesh)
+    empty = submesh(mesh, np.flatnonzero(np.zeros(10, dtype=bool)))
     with pytest.raises(ValueError):
         reject_crop(empty)
 
@@ -93,8 +93,6 @@ def test_reject_crop_unlabeled_and_empty(rng):
 def test_crop_config_validation():
     with pytest.raises(ValueError):
         CropConfig(extent=0.0)
-    with pytest.raises(ValueError):
-        CropConfig(reject_threshold=1.5)
 
 
 # ------------------------------------------------------------------- augment
