@@ -11,7 +11,8 @@ Byte layout:
 Tensor names come from the network's module walk: first every parameter
 under its `net.parameters()` name, then each BatchNorm's running statistics
 under "<bn>.running_mean/var". Version 1 named some of them differently
-and is refused.
+and is refused, and so is a tensor with a non-finite value or a running
+variance with a negative one.
 """
 
 from __future__ import annotations
@@ -112,8 +113,12 @@ def load_checkpoint(path) -> SegmentationNetwork:
         end = offset + 4 * target.size
         if offset < 0 or end > len(payload):
             raise CheckpointError(f"tensor {name!r} runs past the end of the payload")
-        target[...] = np.frombuffer(payload, dtype="<f4", count=target.size,
-                                    offset=offset).reshape(shape)
+        values = np.frombuffer(payload, dtype="<f4", count=target.size, offset=offset)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
+        if name.endswith(".running_var") and (values < 0).any():
+            raise CheckpointError(f"tensor {name!r} holds a negative variance")
+        target[...] = values.reshape(shape)
     if missing:
         raise CheckpointError(f"checkpoint lacks tensor {min(missing)!r}")
     return net

@@ -28,9 +28,17 @@ plus b, and
     var = sum_k u_k^2 / E,    BN output = u s + beta,   s = gamma inv_std,
 
 with the scale and shift applied to u in place. Eval mode folds the
-running statistics into z before the gather instead. For the adjoint, let
-g (E x H) be the gradient at the BatchNorm's output, T = M g, and deg the
-interleaved (out, in) degrees of the rows of z. Then
+BatchNorm into the product instead: its eval map is v -> v s + t
+(`BatchNorm.eval_affine`), so with W' = W s and b' = b s + t
+
+    z = x [W'_a - W'_b | W'_b] + [b' | 0],
+
+one V x F x 2H product and one 2H shift row, and M^T z is the BatchNorm's
+output. phi's second BatchNorm folds into its Linear in `Sequential.forward`,
+so an eval forward makes no E-row BatchNorm pass or array.
+
+For the adjoint, let g (E x H) be the gradient at the BatchNorm's output,
+T = M g, and deg the interleaved (out, in) degrees of the rows of z. Then
 
     dbeta  = sum of the even rows of T,
     dgamma = inv_std sum_r T[r] z[r],
@@ -43,9 +51,9 @@ is the gradient at z. Read back as V x 2H, it gives
 the gradients of the two halves of the stacked weight, so dW_a = G_P and
 dW_b = G_Q - G_P. The even and the odd rows of S each sum to zero, so the
 centred x gives the weight gradient as well, and the bias, which feeds a
-train-mode BatchNorm, gets the (zero) sum of the even rows. No E x 2F
-concatenated input, nor its gradient, nor a normalized E x H copy of u is
-ever formed.
+train-mode BatchNorm, gets the (zero) sum of the even rows; both sums over
+rows are `column_sums`, one BLAS product. No E x 2F concatenated input,
+nor its gradient, nor a normalized E x H copy of u is ever formed.
 
 Between forward and backward a train-mode branch keeps only the block input
 x, which the two branches of a block share, the level's PreparedEdges, which
@@ -72,7 +80,8 @@ import numpy as np
 from scipy import sparse
 
 from ..graph.neighborhoods import EdgeSet, incidence_sum, scatter_incidence
-from .layers import BN_EPS, BatchNorm, Container, Linear, Sequential, mlp, prefixed
+from .layers import (BN_EPS, BatchNorm, Container, Linear, Sequential, column_sums, mlp,
+                     prefixed)
 
 
 class PreparedEdges:
@@ -163,9 +172,9 @@ class EdgeConvBranch(Container):
         self.phi = Sequential(*rest)
         self._cache = None
 
-    def _pair_weight(self):
-        """[W_a - W_b | W_b] (F x 2H): x times it is P | Q."""
-        w = self.vertex_linear.weight.value
+    def _pair_weight(self, w):
+        """[W_a - W_b | W_b] (F x 2H) of the first Linear's weight w: x times
+        it is P | Q."""
         w_b = w[-self.in_width:]
         return np.concatenate([-w_b if self.relative else w[:self.in_width] - w_b, w_b], axis=1)
 
@@ -186,9 +195,9 @@ class EdgeConvBranch(Container):
         """The gathered rows after phi's first Linear and BatchNorm, as in the
         module docstring; train mode keeps what backward needs."""
         bn = self.vertex_bn
-        weight = self._pair_weight()
         if train:
             n = len(edges)
+            weight = self._pair_weight(self.vertex_linear.weight.value)
             _, z, mean = self._centred(x, edges, weight)
             u = edges.pair_sums(z)
             var = np.einsum("ij,ij->j", u, u) / n
@@ -198,10 +207,9 @@ class EdgeConvBranch(Container):
             u *= bn.gamma.value * inv_std
             u += bn.beta.value
             return u
-        z = (x @ weight).reshape(len(x), 2, -1)
-        z[:, 0] += self.vertex_linear.bias.value - bn.running_mean
-        z *= bn.gamma.value / np.sqrt(bn.running_var + BN_EPS)
-        z[:, 0] += bn.beta.value
+        weight, bias = self.vertex_linear.folded(bn)
+        z = x @ self._pair_weight(weight)
+        z += np.concatenate([bias, np.zeros_like(bias)])
         return edges.pair_sums(z.reshape(2 * len(x), -1))
 
     def forward(self, x, edges: PreparedEdges, train: bool):
@@ -222,7 +230,7 @@ class EdgeConvBranch(Container):
         bn = self.vertex_bn
         n = len(edges)
         scale = bn.gamma.value * inv_std
-        weight = self._pair_weight()
+        weight = self._pair_weight(self.vertex_linear.weight.value)
         # Rebuild what forward dropped, with forward's operations in its order.
         centred, z, _ = self._centred(x, edges, weight)
         u = edges.pair_sums(z)
@@ -236,7 +244,7 @@ class EdgeConvBranch(Container):
         s = edges.sum_to_both(g)
         del g
 
-        dbeta = s[0::2].sum(axis=0)
+        dbeta = column_sums(s[0::2])
         dgamma = inv_std * np.einsum("ij,ij->j", s, z)
         bn.gamma.grad += dgamma
         bn.beta.grad += dbeta
@@ -255,7 +263,7 @@ class EdgeConvBranch(Container):
         if not self.relative:
             weight_grad[:self.in_width] += grad_p
         weight_grad[-self.in_width:] += grad_q - grad_p
-        self.vertex_linear.bias.grad += s[:, :hidden].sum(axis=0)
+        self.vertex_linear.bias.grad += column_sums(s[:, :hidden])
         return dx
 
     def named_modules(self):

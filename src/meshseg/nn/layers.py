@@ -11,6 +11,15 @@ rebuilt input. The edge convolution does this. ReLU overwrites its input
 in forward and its upstream gradient in backward, so both must be fresh
 arrays that nothing else holds: in `mlp` and the network head the input is
 the output of a BatchNorm, and the gradient that of a Linear or a gather.
+
+Eval mode folds every BatchNorm into the product before it (Ioffe &
+Szegedy, arXiv 1502.03167): with running statistics the BatchNorm is the
+affine map x s + t of `BatchNorm.eval_affine`, so a Linear followed by one
+is the single product x (W s) + (b s + t), and `Sequential.forward` runs
+such a pair that way. The fold is rebuilt from the current parameters on
+every call. Train mode takes every sum over rows, the column sums of the
+BatchNorm statistics and of the bias and beta gradients, as one BLAS
+product `column_sums(x)` = ones @ x.
 """
 
 from __future__ import annotations
@@ -21,6 +30,11 @@ import numpy as np
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+
+
+def column_sums(x: np.ndarray) -> np.ndarray:
+    """The sum of the rows of a 2-D array, as the product ones @ x."""
+    return np.ones(x.shape[0]) @ x
 
 
 class Param:
@@ -63,8 +77,15 @@ class Linear:
     def backward(self, dy):
         x, self._x = self._x, None
         self.weight.grad += x.T @ dy
-        self.bias.grad += dy.sum(axis=0)
+        self.bias.grad += column_sums(dy)
         return dy @ self.weight.value.T
+
+    def folded(self, bn: "BatchNorm"):
+        """The weight and bias of this Linear followed by bn in eval mode."""
+        scale, shift = bn.eval_affine()
+        bias = self.bias.value * scale
+        bias += shift
+        return self.weight.value * scale, bias
 
     def parameters(self):
         yield "weight", self.weight
@@ -84,7 +105,7 @@ class BatchNorm:
     def forward(self, x, train: bool):
         if train:
             n = x.shape[0]
-            mean = x.mean(axis=0)
+            mean = column_sums(x) / n
             xhat = x - mean
             var = np.einsum("ij,ij->j", xhat, xhat) / n
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -92,12 +113,18 @@ class BatchNorm:
             self._cache = (xhat, inv_std)
             self.track(mean, var, n)
             y = xhat * self.gamma.value
-        else:
-            # Nothing is cached, so the normalized rows can take the output.
-            y = x - self.running_mean
-            y *= self.gamma.value / np.sqrt(self.running_var + BN_EPS)
-        y += self.beta.value
+            y += self.beta.value
+            return y
+        scale, shift = self.eval_affine()
+        y = x * scale
+        y += shift
         return y
+
+    def eval_affine(self):
+        """(scale, shift) of the eval map x -> x scale + shift, from the
+        running statistics."""
+        scale = self.gamma.value / np.sqrt(self.running_var + BN_EPS)
+        return scale, self.beta.value - self.running_mean * scale
 
     def track(self, mean, var, n: int):
         """Fold one batch's mean and (biased) variance over n rows into the
@@ -111,8 +138,8 @@ class BatchNorm:
         xhat, inv_std = self._cache
         self._cache = None
         n = dy.shape[0]
-        dbeta = dy.sum(axis=0)
-        dgamma = (dy * xhat).sum(axis=0)
+        dbeta = column_sums(dy)
+        dgamma = np.einsum("ij,ij->j", dy, xhat)
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
         # The cache is spent, so dx is built in xhat's rows.
@@ -174,8 +201,19 @@ class Sequential(Container):
         self.modules = list(modules)
 
     def forward(self, x, train: bool):
-        for m in self.modules:
-            x = m.forward(x, train)
+        """The modules in order; in eval mode a Linear followed by a
+        BatchNorm runs as one product with the BatchNorm folded in."""
+        modules, i = self.modules, 0
+        while i < len(modules):
+            m, after = modules[i], modules[i + 1] if i + 1 < len(modules) else None
+            if not train and isinstance(m, Linear) and isinstance(after, BatchNorm):
+                weight, bias = m.folded(after)
+                x = x @ weight
+                x += bias
+                i += 2
+            else:
+                x = m.forward(x, train)
+                i += 1
         return x
 
     def backward(self, dy):

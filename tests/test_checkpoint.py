@@ -144,6 +144,44 @@ def _rewrite_header(path, mutate):
     path.write_bytes(_edit_header(path.read_bytes(), mutate))
 
 
+def _set_payload_value(data, name, value):
+    """data with the first float of tensor `name` set to value."""
+    (hlen,) = struct.unpack_from("<Q", data, 12)
+    entry = next(e for e in json.loads(data[20:20 + hlen])["tensors"] if e["name"] == name)
+    start = 20 + hlen + entry["offset"]
+    return data[:start] + np.float32(value).astype("<f4").tobytes() + data[start + 4:]
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("encoder.0.0.geo.phi.0.weight", np.nan, "non-finite"),
+    ("head.3.bias", np.inf, "non-finite"),
+    ("head.1.running_mean", -np.inf, "non-finite"),
+    ("encoder.0.0.euc.phi.4.running_var", np.nan, "non-finite"),
+    ("head.1.running_var", -1e-3, "negative variance"),
+], ids=["nan-weight", "inf-bias", "inf-running-mean", "nan-running-var", "negative-var"])
+def test_bad_tensor_values_raise_naming_the_tensor(tmp_path, rng, name, value, message):
+    net, _ = trained_net(rng)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(net, path)
+    path.write_bytes(_set_payload_value(path.read_bytes(), name, value))
+    with pytest.raises(CheckpointError, match=f"{name!r} holds .*{message}"):
+        load_checkpoint(path)
+
+
+def test_negative_values_outside_running_variances_load(tmp_path, rng):
+    net, _ = trained_net(rng)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(net, path)
+    data = path.read_bytes()
+    for name in ("head.1.running_mean", "head.1.gamma", "head.3.weight"):
+        data = _set_payload_value(data, name, -2.5)
+    path.write_bytes(data)
+    back = load_checkpoint(path)
+    assert back.head.modules[1].running_mean[0] == -2.5
+    assert back.head.modules[1].gamma.value[0] == -2.5
+    assert back.head.modules[3].weight.value[0, 0] == -2.5
+
+
 def test_unknown_tensor_name(tmp_path, rng):
     net, _ = trained_net(rng)
     path = tmp_path / "ckpt.bin"

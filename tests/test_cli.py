@@ -15,7 +15,7 @@ from meshseg.mesh.io import load_mesh, save_mesh
 from meshseg.nn.checkpoint import load_checkpoint
 from meshseg.pipeline.toydata import make_toy_scene
 
-from test_checkpoint import _edit_header
+from test_checkpoint import _edit_header, _set_payload_value
 
 HIER_ARGS = [
     "--strategy", "vc", "--cells", "0.15,0.3,0.6,1.2",
@@ -407,6 +407,20 @@ def test_version_1_checkpoint_exit_2(workdir, trained, tmp_path, capsys):
                  "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "unsupported checkpoint version 1" in err and "Traceback" not in err
+    assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("encoder.0.0.geo.phi.0.weight", np.nan),
+    ("head.1.running_var", -1.0),
+], ids=["nan-weight", "negative-var"])
+def test_checkpoint_with_a_bad_tensor_exit_2(workdir, trained, tmp_path, capsys, name, value):
+    ckpt = tmp_path / "bad.bin"
+    ckpt.write_bytes(_set_payload_value((trained / "checkpoint.bin").read_bytes(), name, value))
+    assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
+                 "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"tensor {name!r} holds" in err and "Traceback" not in err
     assert not (tmp_path / "p.txt").exists()
 
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from meshseg.nn.layers import BN_EPS, BatchNorm, Linear, Param, ReLU, Sequential, mlp
+from meshseg.nn.layers import (BN_EPS, BatchNorm, Linear, Param, ReLU, Sequential, column_sums,
+                               mlp)
 
 
 def analytic_vs_fd(module, x, h=1e-6):
@@ -116,6 +119,22 @@ def test_batchnorm_backward_matches_fd(rng):
     assert analytic_vs_fd(bn, x) < 1e-5
 
 
+def exact_column_sums(x):
+    return np.array([math.fsum(column) for column in x.T])
+
+
+@pytest.mark.parametrize("shape", [(38_000, 8), (21_000, 64), (0, 5)])
+def test_column_sums_match_exact_sums(rng, shape):
+    x = rng.normal(loc=0.5, size=shape)
+    got = column_sums(x)
+    assert got.shape == (shape[1],)
+    assert np.all(np.abs(got - exact_column_sums(x)) <= 1e-12 * np.abs(x).sum(axis=0))
+    # Strided row and column views, as the edge convolution passes them.
+    for view in (x[0::2], x[:, : shape[1] // 2]):
+        assert np.all(np.abs(column_sums(view) - exact_column_sums(view))
+                      <= 1e-12 * np.abs(view).sum(axis=0))
+
+
 def textbook_batchnorm_backward(xhat, inv_std, gamma, dy):
     """Train-mode batch-norm adjoint through dxhat = dy * gamma: (dx, dgamma, dbeta)."""
     n = dy.shape[0]
@@ -137,8 +156,14 @@ def test_batchnorm_backward_matches_textbook(rng):
     dx_ref, dgamma_ref, dbeta_ref = textbook_batchnorm_backward(xhat, inv_std,
                                                                 bn.gamma.value, dy)
     dx = bn.backward(dy)
-    assert np.array_equal(bn.gamma.grad, dgamma_ref)
-    assert np.array_equal(bn.beta.grad, dbeta_ref)
+    # Both the layer and NumPy's pairwise sum round; each is compared with
+    # the exactly rounded column sums.
+    for got, ref, rows in ((bn.gamma.grad, dgamma_ref, dy * xhat),
+                           (bn.beta.grad, dbeta_ref, dy)):
+        exact = exact_column_sums(rows)
+        bound = 1e-12 * np.abs(rows).sum(axis=0)
+        assert np.all(np.abs(got - exact) <= bound)
+        assert np.all(np.abs(ref - exact) <= bound)
     assert np.abs(dx - dx_ref).max() <= 1e-12 * np.abs(dx_ref).max()
     # The cached normalized input is the textbook one.
     expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + BN_EPS)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig
+from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig, scatter_sum
 from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy
 from meshseg.hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
 from meshseg.nn.edgeconv import prepared_edges
 from meshseg.nn.gradcheck import finite_difference_check
+from meshseg.nn.layers import BN_EPS, BatchNorm, Linear
 from meshseg.nn.loss import cross_entropy_loss
 from meshseg.graph.res import res_sample
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
@@ -101,6 +102,53 @@ def test_forward_matches_manual_wiring(rng):
     h = relu.forward(h, train=False)
     manual = linear2.forward(h, train=False)
     assert np.allclose(logits, manual, atol=1e-12)
+
+
+def textbook_eval(modules, h):
+    """Eval of the modules one at a time, each BatchNorm as
+    (h - running_mean) / sqrt(running_var + eps) gamma + beta."""
+    for m in modules:
+        if isinstance(m, Linear):
+            h = h @ m.weight.value + m.bias.value
+        elif isinstance(m, BatchNorm):
+            h = (h - m.running_mean) / np.sqrt(m.running_var + BN_EPS) * m.gamma.value \
+                + m.beta.value
+        else:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+@pytest.mark.parametrize("config", [NetworkConfig.dual_default(num_classes=5),
+                                    NetworkConfig.single_default("geo", num_classes=5)],
+                         ids=["dual", "geo"])
+def test_folded_eval_matches_module_by_module_eval(rng, config):
+    """Eval folds every BatchNorm into the product before it; each branch and
+    the head agree with their modules run one at a time, per edge row."""
+    net = SegmentationNetwork(config)
+    for _, m in net.named_modules():
+        if isinstance(m, BatchNorm):
+            m.gamma.value = rng.normal(size=m.gamma.value.shape)
+            m.beta.value = rng.normal(size=m.beta.value.shape)
+            m.running_mean = rng.normal(size=m.running_mean.shape)
+            m.running_var = rng.uniform(0.05, 3.0, size=m.running_var.shape)
+    edges = prepared_edges(random_edge_set(rng, 30))
+    branches = [b for stack in (net.encoder, net.decoder) for blocks in stack
+                for blk in blocks for _, b in blk.branches]
+    assert len(branches) == (42 if config.euc_widths[0][1] else 21)
+    for branch in branches:
+        x = rng.normal(size=(30, branch.in_width))
+        diff = x[edges.nbrs] - x[edges.centers]
+        rows = diff if branch.relative else np.concatenate([x[edges.centers], diff], axis=1)
+        per_edge = textbook_eval([m for _, m in branch.named_modules()], rows)
+        ref = scatter_sum(per_edge, edges.centers, 30) * edges.inv_counts[:, None]
+        got = branch.forward(x, edges, train=False)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    x = rng.normal(size=(200, config.level_width(0)))
+    ref = textbook_eval(net.head.modules, x)
+    got = net.head.forward(x, train=False)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1))
 
 
 def test_seed_controls_initialization(rng):
