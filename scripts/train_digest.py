@@ -12,8 +12,9 @@ lr 1e-3 and RES T=15. After each step it hashes
 - every BatchNorm running mean and variance;
 then it hashes the eval-mode logits of the trained network (RES T=15).
 
-Each part's digest goes to stderr, the combined one to stdout. Run from the
-root of a checkout:
+Each step's loss (as its repr, so that a change at rounding level can be
+read off) and each part's digest go to stderr, the combined digest to stdout.
+Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/train_digest.py
 """
@@ -46,8 +47,9 @@ def main():
     rng = np.random.default_rng(SEED)
     parts = {name: hashlib.sha256() for name in
              ("losses", "parameters", "gradients", "running_stats", "eval_logits")}
-    for _ in range(STEPS):
+    for step in range(STEPS):
         loss = train_step(net, optimizer, [sample], RES_THRESHOLD, int(rng.integers(2 ** 31)))
+        print(f"loss {step} {float(loss)!r}", file=sys.stderr)
         parts["losses"].update(np.float64(loss).tobytes())
         for _, p in net.parameters():
             parts["parameters"].update(p.value.tobytes())

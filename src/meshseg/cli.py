@@ -422,6 +422,7 @@ def cmd_vote(args):
 
 
 def cmd_eval(args):
+    t0 = time.perf_counter()
     scene = load_mesh(args.scene)
     if scene.labels is None:
         raise MeshValidationError(f"{args.scene}: scene carries no labels")
@@ -449,7 +450,8 @@ def cmd_eval(args):
         with open(out / "confusion.csv", "w") as f:
             for row in result.confusion:
                 f.write(",".join(str(int(x)) for x in row) + "\n")
-        _write_run_manifest(out, "eval", args, {}, [out / "metrics.json"])
+        _write_run_manifest(out, "eval", args, {"total": time.perf_counter() - t0},
+                            [out / "metrics.json"])
     return EXIT_OK
 
 

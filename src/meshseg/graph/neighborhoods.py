@@ -1,10 +1,11 @@
-"""CSR edge sets, the scatter-sum over them, the nearest-point query, and
-k-nn / radius graphs of 3D points."""
+"""CSR edge sets, sums and means over segments of rows, the nearest-point
+query, and k-nn / radius graphs of 3D points."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -112,43 +113,70 @@ class EdgeSet:
             raise ValueError(f"edge index out of range at vertex {vertex}")
 
 
-def scatter_sum(values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
-    """out[s] = sum of values[k] over index[k] == s, added in ascending k
-    (for an (n, k) index, see scatter_incidence).
+class Segments:
+    """n rows grouped into `count` segments: row k belongs to segment
+    index[k], or, for an (n, j) index, to each of the j segments index[k].
 
-    That is the order of np.add.at, and the result is bit-identical to it:
-    the sum is a product with the CSC incidence matrix, whose kernel visits
-    its columns (one per row of values) in order.
+    `sum` adds each segment's rows in the order np.add.at visits them, and
+    is bit-identical to it: it is a product with the CSC incidence matrix,
+    whose kernel visits its columns, one per row, in order. `gather` is the
+    transpose product. Both matrices are built on first use and kept.
     """
-    return incidence_sum(scatter_incidence(index, num_segments), values)
+
+    def __init__(self, index, count: int):
+        self.index = np.asarray(index, dtype=np.int64)
+        self.count = int(count)
+
+    def __len__(self):
+        return len(self.index)
+
+    @cached_property
+    def incidence(self) -> sparse.csc_matrix:
+        """The count x n 0/1 matrix that `sum` multiplies by."""
+        per_row = self.index.shape[1] if self.index.ndim == 2 else 1
+        flat = self.index.reshape(-1)
+        # The sparse kernel does not bounds-check its indices.
+        if flat.size and (flat.min() < 0 or flat.max() >= self.count):
+            raise IndexError(f"segment index out of range for {self.count} segments")
+        # int32 indices spare the constructor a range scan and a copy.
+        return sparse.csc_matrix(
+            (np.ones(flat.size), flat.astype(np.int32),
+             np.arange(0, flat.size + 1, per_row, dtype=np.int32)),
+            shape=(self.count, len(self)))
+
+    @cached_property
+    def transpose(self) -> sparse.csr_matrix:
+        """The n x count matrix that `gather` multiplies by."""
+        return self.incidence.T
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of rows in each segment, as floats."""
+        return np.bincount(self.index.reshape(-1), minlength=self.count).astype(np.float64)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """out[s] = the sum of values[k] over the rows k in segment s."""
+        return _product(self.incidence, values)
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """out[k] = the sum of values[s] over the segments s of row k; a copy
+        of values[index[k]] for a one-segment index."""
+        return _product(self.transpose, values)
+
+    def mean(self, values: np.ndarray) -> np.ndarray:
+        out = self.sum(values)
+        out /= self.sizes.reshape((-1,) + (1,) * (out.ndim - 1))
+        return out
+
+    def mean_adjoint(self, dy: np.ndarray) -> np.ndarray:
+        return self.gather(dy / self.sizes.reshape((-1,) + (1,) * (dy.ndim - 1)))
 
 
-def scatter_incidence(index: np.ndarray, num_segments: int) -> sparse.csc_matrix:
-    """The num_segments x len(index) 0/1 matrix that scatter_sum multiplies by.
-
-    An index of shape (n, k) sends row i of the values to each of the k
-    segments index[i], in the order np.add.at visits them. Build the matrix
-    once to scatter several arrays over the same index with incidence_sum;
-    its transpose gathers the sum of the k segments' rows back to each row.
-    """
-    n = len(index)
-    per_row = index.shape[1] if index.ndim == 2 else 1
-    flat = index.reshape(-1)
-    # The sparse kernel does not bounds-check its indices.
-    if n and (flat.min() < 0 or flat.max() >= num_segments):
-        raise IndexError(f"scatter index out of range for {num_segments} segments")
-    # int32 indices spare the constructor a range scan and a copy.
-    return sparse.csc_matrix(
-        (np.ones(flat.size), flat.astype(np.int32),
-         np.arange(0, flat.size + 1, per_row, dtype=np.int32)),
-        shape=(num_segments, n))
-
-
-def incidence_sum(incidence: sparse.csc_matrix, values: np.ndarray) -> np.ndarray:
-    """scatter_sum of values over the index that `incidence` was built from."""
-    num_segments, n = incidence.shape
+def _product(matrix, values: np.ndarray) -> np.ndarray:
+    """matrix @ values over the first axis of values, of any rank."""
+    rows, cols = matrix.shape
     width = math.prod(values.shape[1:])
-    return (incidence @ values.reshape(n, width)).reshape((num_segments,) + values.shape[1:])
+    return (matrix @ values.reshape(cols, width)).reshape((rows,) + values.shape[1:])
 
 
 @dataclass

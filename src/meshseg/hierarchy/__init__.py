@@ -10,5 +10,5 @@ from .build import (
 from .fps import farthest_point_indices, fps_pool
 from .qem import optimal_contractions, qem_pool, vertex_quadrics
 from .store import HierarchyFormatError, deserialize_hierarchy, serialize_hierarchy
-from .trace import PoolingTraceMap, pool_features, pool_labels, unpool_features
+from .trace import PoolingTraceMap, pool_labels
 from .vertex_clustering import grid_cell_indices, pooled_edge_set, vertex_clustering_pool

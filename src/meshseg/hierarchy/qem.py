@@ -61,7 +61,7 @@ from typing import Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..graph.neighborhoods import scatter_sum
+from ..graph.neighborhoods import Segments
 from ..mesh.core import Mesh, face_normals_and_areas
 from .trace import PoolingTraceMap, pooled_mesh
 from .vertex_clustering import mapped_faces
@@ -93,7 +93,7 @@ def vertex_quadrics(mesh: Mesh) -> np.ndarray:
     outer = planes[:, :, None] * planes[:, None, :]
     outer[~ok] = 0.0
     # Corner 0 of every face, then corner 1, then corner 2.
-    return scatter_sum(np.tile(outer, (3, 1, 1)), mesh.faces.T.ravel(), v)
+    return Segments(mesh.faces.T.ravel(), v).sum(np.tile(outer, (3, 1, 1)))
 
 
 def _costs(q: np.ndarray, p: np.ndarray) -> np.ndarray:

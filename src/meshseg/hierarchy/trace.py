@@ -1,31 +1,38 @@
-"""Pooling trace maps and the feature pooling/unpooling they drive."""
+"""Pooling trace maps, and the label pooling and coarse meshes they drive."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..graph.neighborhoods import scatter_sum
+from ..graph.neighborhoods import Segments
 from ..mesh.core import UNLABELED, Mesh
 
 
-@dataclass
-class PoolingTraceMap:
-    """Surjective fine-to-coarse vertex assignment between adjacent levels."""
+class PoolingTraceMap(Segments):
+    """Surjective fine-to-coarse vertex assignment between adjacent levels.
 
-    assignment: np.ndarray  # (fine,) coarse index per fine vertex
-    coarse_count: int
+    Its segments are the groups of fine vertices of each coarse vertex:
+    `mean` pools fine rows, `gather` copies each coarse row back to its
+    group, and `sum` and `mean_adjoint` are their adjoints. It is built as
+    PoolingTraceMap(assignment, coarse_count).
+    """
 
-    def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=np.int64).reshape(-1)
-        self.coarse_count = int(self.coarse_count)
+    @property
+    def assignment(self) -> np.ndarray:
+        """(fine,) coarse index per fine vertex."""
+        return self.index
+
+    @property
+    def coarse_count(self) -> int:
+        return self.count
 
     @property
     def fine_count(self) -> int:
-        return self.assignment.shape[0]
+        return len(self.index)
 
     def validate(self):
+        # Counts from the assignment, not from the cached `sizes`, so that it
+        # checks the array as it is now.
         if self.assignment.size:
             if self.assignment.min() < 0 or self.assignment.max() >= self.coarse_count:
                 raise ValueError("trace assignment index out of range")
@@ -33,32 +40,6 @@ class PoolingTraceMap:
         if (counts == 0).any():
             missing = int(np.flatnonzero(counts == 0)[0])
             raise ValueError(f"trace map not surjective: coarse vertex {missing} has no preimage")
-
-    def group_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.coarse_count)
-
-
-def pool_features(features: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
-    """Mean of the fine feature rows over each trace group."""
-    features = np.asarray(features)
-    if features.shape[0] != trace.fine_count:
-        raise ValueError(
-            f"feature rows ({features.shape[0]}) != trace fine size ({trace.fine_count})"
-        )
-    c = trace.coarse_count
-    out = scatter_sum(features, trace.assignment, c)
-    out /= trace.group_sizes().reshape((c,) + (1,) * (features.ndim - 1))
-    return out
-
-
-def unpool_features(coarse: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
-    """Copy each coarse row back to all of its fine vertices."""
-    coarse = np.asarray(coarse)
-    if coarse.shape[0] != trace.coarse_count:
-        raise ValueError(
-            f"coarse rows ({coarse.shape[0]}) != trace coarse count ({trace.coarse_count})"
-        )
-    return coarse[trace.assignment]
 
 
 def pool_labels(labels: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
@@ -92,14 +73,14 @@ def pooled_mesh(mesh: Mesh, trace: PoolingTraceMap, positions: np.ndarray,
     return Mesh(
         positions=positions,
         faces=faces,
-        colors=None if mesh.colors is None else pool_features(mesh.colors, trace),
+        colors=None if mesh.colors is None else trace.mean(mesh.colors),
         normals=None if mesh.normals is None else _pooled_normals(mesh.normals, trace),
         labels=None if mesh.labels is None else pool_labels(mesh.labels, trace),
     )
 
 
 def _pooled_normals(normals: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
-    mean = pool_features(normals, trace)
+    mean = trace.mean(normals)
     norms = np.linalg.norm(mean, axis=1)
     ok = norms > 1e-12
     mean[ok] /= norms[ok, None]

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..graph.neighborhoods import EdgeSet
 from ..mesh.core import Mesh
-from .trace import PoolingTraceMap, pool_features, pooled_mesh
+from .trace import PoolingTraceMap, pooled_mesh
 
 
 def grid_cell_indices(positions: np.ndarray, cell_size: float) -> np.ndarray:
@@ -40,7 +40,7 @@ def vertex_clustering_pool(mesh: Mesh, cell_size: float) -> Tuple[Mesh, PoolingT
     assignment[order] = np.cumsum(starts) - 1
     trace = PoolingTraceMap(assignment, np.count_nonzero(starts))
 
-    coarse = pooled_mesh(mesh, trace, pool_features(mesh.positions, trace),
+    coarse = pooled_mesh(mesh, trace, trace.mean(mesh.positions),
                          mapped_faces(mesh.faces, assignment))
     return coarse, trace
 

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.neighborhoods import EdgeSet, scatter_sum
+from ..graph.neighborhoods import EdgeSet, Segments
 
 # Sentinel label for vertices without ground-truth annotation.
 UNLABELED = -1
@@ -180,7 +180,7 @@ def compute_vertex_normals(mesh: Mesh) -> np.ndarray:
     if mesh.faces.size:
         fn, fa = face_normals_and_areas(mesh)
         # Corner 0 of every face, then corner 1, then corner 2.
-        accum = scatter_sum(np.tile(fn * fa[:, None], (3, 1)), mesh.faces.T.ravel(), v)
+        accum = Segments(mesh.faces.T.ravel(), v).sum(np.tile(fn * fa[:, None], (3, 1)))
     norms = np.linalg.norm(accum, axis=1)
     normals = np.zeros((v, 3))
     ok = norms > 1e-20

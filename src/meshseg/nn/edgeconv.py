@@ -14,8 +14,8 @@ and one product x [W_a - W_b | W_b] gives P | Q (V x 2H; the relative
 variant has W_a = 0). Its rows read as 2V interleaved rows z, with
 z[2i] = P[i] and z[2i+1] = Q[i]. Over the E edge rows (c, n), let M
 (2V x E) send edge k to rows 2c_k and 2n_k + 1. Then the per-edge
-pre-activation is M^T z + b, the gather `pair_sums`, and M scatters a
-per-edge gradient back onto the rows of z, `sum_to_both`.
+pre-activation is M^T z + b, the gather `pairs.gather`, and M scatters a
+per-edge gradient back onto the rows of z, `pairs.sum`.
 
 phi's first BatchNorm (Ioffe & Szegedy, arXiv 1502.03167) takes its batch
 statistics from those gathered rows. Train mode centres each half of z
@@ -63,8 +63,9 @@ second Linear's product could rebuild. The E x H arrays that phi's first
 ReLU and second Linear keep set the peak memory of a train step; they are
 dropped after forward (`release`), and z right after the gather. Backward
 rebuilds them from x with forward's own NumPy operations in forward's
-order: z (one V x F x 2H product), u (one `pair_sums`), its scale and shift,
-and the ReLU itself for its mask and the second Linear's input (`keep`).
+order: z (one V x F x 2H product), u (one `pairs.gather`), its scale and
+shift, and the ReLU itself for its mask and the second Linear's input
+(`keep`).
 M u is taken from the rebuilt u before its scale and shift. The parameters,
 x and the edges are unchanged in between, so every rebuilt float equals the
 one forward had, bit for bit, and so do the gradients; the cost is that
@@ -73,25 +74,23 @@ product and gather over again in each branch's backward.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
-from ..graph.neighborhoods import EdgeSet, incidence_sum, scatter_incidence
+from ..graph.neighborhoods import EdgeSet, Segments
 from .layers import (BN_EPS, BatchNorm, Container, Linear, Sequential, column_sums, mlp,
                      prefixed)
 
 
 class PreparedEdges:
     """The edge rows (centers[k], nbrs[k]) of one level, centers ascending,
-    and the operators over them that every branch on the level shares.
+    and the segments over them that every branch on the level shares.
 
-    len() is the number of rows. `degrees` holds each vertex's (out, in)
-    degree, the weights of the rows 2i and 2i + 1 of an interleaved array.
-    Each operator is built on first use and kept; each scatter adds in
-    ascending row order, bit-identical to scatter_sum.
+    len() is the number of rows. `rows` groups them by center, `pairs` sends
+    row k to rows 2 centers[k] and 2 nbrs[k] + 1 of an interleaved array (M
+    in the module docstring). `degrees` holds each vertex's (out, in)
+    degree, the sizes of those two rows.
     """
 
     def __init__(self, centers: np.ndarray, nbrs: np.ndarray, num_vertices: int):
@@ -99,42 +98,15 @@ class PreparedEdges:
             raise ValueError("edge rows must be grouped by ascending center")
         self.centers = centers
         self.nbrs = nbrs
-        self.num_vertices = num_vertices
-        counts = [np.bincount(rows, minlength=num_vertices) for rows in (centers, nbrs)]
-        self.degrees = np.column_stack(counts).astype(np.float64)
-        self.out_degree, self.in_degree = self.degrees.T
-        self.inv_counts = 1.0 / self.out_degree
+        self.rows = Segments(centers, num_vertices)
+        self.pairs = Segments(np.column_stack([2 * centers, 2 * nbrs + 1]), 2 * num_vertices)
 
     def __len__(self):
         return len(self.centers)
 
-    @cached_property
-    def _center_incidence(self) -> sparse.csc_matrix:
-        return scatter_incidence(self.centers, self.num_vertices)
-
-    @cached_property
-    def _pair_incidence(self) -> sparse.csc_matrix:
-        """M, which sends row k to rows 2 centers[k] and 2 nbrs[k] + 1."""
-        return scatter_incidence(np.column_stack([2 * self.centers, 2 * self.nbrs + 1]),
-                                 2 * self.num_vertices)
-
-    @cached_property
-    def _pair_gather(self) -> sparse.csr_matrix:
-        return self._pair_incidence.T
-
-    def sum_to_centers(self, values: np.ndarray) -> np.ndarray:
-        """scatter_sum(values, centers, num_vertices)."""
-        return incidence_sum(self._center_incidence, values)
-
-    def sum_to_both(self, values: np.ndarray) -> np.ndarray:
-        """scatter_sum of the rows onto their centers (the even rows of the
-        result) and onto their neighbors (the odd rows)."""
-        return incidence_sum(self._pair_incidence, values)
-
-    def pair_sums(self, interleaved: np.ndarray) -> np.ndarray:
-        """interleaved[2 centers] + interleaved[2 nbrs + 1], without the
-        intermediate E-row gathers."""
-        return self._pair_gather @ interleaved
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.pairs.sizes.reshape(-1, 2)
 
 
 def prepared_edges(edges: EdgeSet) -> PreparedEdges:
@@ -183,7 +155,7 @@ class EdgeConvBranch(Container):
         centred over the rows, and the batch mean of P + Q (bias excluded),
         as in the module docstring."""
         n = len(edges)
-        x_mean = edges.out_degree @ x / n
+        x_mean = edges.degrees[:, 0] @ x / n
         centred = x - x_mean
         halves = (centred @ weight).reshape(len(x), 2, -1)
         half_means = np.einsum("vs,vsh->sh", edges.degrees, halves) / n
@@ -199,7 +171,7 @@ class EdgeConvBranch(Container):
             n = len(edges)
             weight = self._pair_weight(self.vertex_linear.weight.value)
             _, z, mean = self._centred(x, edges, weight)
-            u = edges.pair_sums(z)
+            u = edges.pairs.gather(z)
             var = np.einsum("ij,ij->j", u, u) / n
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             bn.track(mean + self.vertex_linear.bias.value, var, n)
@@ -210,7 +182,7 @@ class EdgeConvBranch(Container):
         weight, bias = self.vertex_linear.folded(bn)
         z = x @ self._pair_weight(weight)
         z += np.concatenate([bias, np.zeros_like(bias)])
-        return edges.pair_sums(z.reshape(2 * len(x), -1))
+        return edges.pairs.gather(z.reshape(2 * len(x), -1))
 
     def forward(self, x, edges: PreparedEdges, train: bool):
         # No name holds the rows, so that phi can free them once it is done.
@@ -220,9 +192,7 @@ class EdgeConvBranch(Container):
             relu, linear = self.phi.modules[:2]
             relu.release()
             linear.release()
-        y = edges.sum_to_centers(y)
-        y *= edges.inv_counts[:, None]
-        return y
+        return edges.rows.mean(y)
 
     def backward(self, dy):
         x, edges, inv_std = self._cache
@@ -233,15 +203,15 @@ class EdgeConvBranch(Container):
         weight = self._pair_weight(self.vertex_linear.weight.value)
         # Rebuild what forward dropped, with forward's operations in its order.
         centred, z, _ = self._centred(x, edges, weight)
-        u = edges.pair_sums(z)
-        mu = edges.sum_to_both(u)
+        u = edges.pairs.gather(z)
+        mu = edges.pairs.sum(u)
         u *= scale
         u += bn.beta.value
         relu, linear = self.phi.modules[:2]
         linear.keep(relu.forward(u, train=True))
         del u
-        g = self.phi.backward((dy * edges.inv_counts[:, None])[edges.centers])
-        s = edges.sum_to_both(g)
+        g = self.phi.backward(edges.rows.mean_adjoint(dy))
+        s = edges.pairs.sum(g)
         del g
 
         dbeta = column_sums(s[0::2])
@@ -251,7 +221,7 @@ class EdgeConvBranch(Container):
         # s holds T = M g and becomes S in place (module docstring).
         mu *= inv_std * dgamma / n
         s -= mu
-        s -= edges.degrees.reshape(-1, 1) * (dbeta / n)
+        s -= edges.pairs.sizes[:, None] * (dbeta / n)
         s *= scale
 
         s = s.reshape(len(x), -1)

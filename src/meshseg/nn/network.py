@@ -14,8 +14,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..graph.neighborhoods import EdgeSet, scatter_sum
-from ..hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
+from ..graph.neighborhoods import EdgeSet
+from ..hierarchy.trace import PoolingTraceMap
 from .edgeconv import DualBlock, prepared_edges
 from .layers import Container, Linear, Sequential, mlp, prefixed
 
@@ -145,12 +145,12 @@ class SegmentationNetwork(Container):
                 x = blk.forward(x, geo[lvl], euc[lvl], train)
             if lvl < L - 1:
                 skips.append(x)
-                x = pool_features(x, traces[lvl])
+                x = traces[lvl].mean(x)
         self._skip_shapes = [s.shape for s in skips]
 
         for i, blocks in enumerate(self.decoder):
             lvl = L - 2 - i
-            x = unpool_features(x, traces[lvl])
+            x = traces[lvl].gather(x)
             x = np.concatenate([x, skips[lvl]], axis=1)
             for blk in blocks:
                 x = blk.forward(x, geo[lvl], euc[lvl], train)
@@ -171,14 +171,11 @@ class SegmentationNetwork(Container):
                 dy = blk.backward(dy)
             w = self.config.level_width(lvl + 1)
             dskips[lvl] += dy[:, w:]
-            # Adjoint of the copy: sum the upstream gradient over each group.
-            dy = scatter_sum(dy[:, :w], traces[lvl].assignment, traces[lvl].coarse_count)
+            dy = traces[lvl].sum(dy[:, :w])
 
         for lvl in range(L - 1, -1, -1):
             if lvl < L - 1:
-                # Adjoint of the group mean: divide by the group size, copy back.
-                sizes = traces[lvl].group_sizes()[:, None]
-                dy = unpool_features(dy / sizes, traces[lvl]) + dskips[lvl]
+                dy = traces[lvl].mean_adjoint(dy) + dskips[lvl]
             for blk in reversed(self.encoder[lvl]):
                 dy = blk.backward(dy)
         return dy

@@ -27,27 +27,28 @@ class CropConfig:
 def crop_windows(mesh: Mesh, config: CropConfig) -> List[np.ndarray]:
     """Vertex index arrays of an axis-aligned xy-window sweep.
 
-    Windows are closed intervals; empty windows are skipped.
+    Windows are closed intervals; empty windows are skipped. The last window
+    on each axis reaches the largest coordinate, so every vertex is in one.
     """
     p = mesh.positions
     lo = p.min(axis=0)[:2]
     hi = p.max(axis=0)[:2]
-    span = hi - lo
 
-    def offsets(width):
-        if width <= config.extent:
-            return np.array([0.0])
-        n = int(np.ceil((width - config.extent) / config.stride)) + 1
-        return np.arange(n) * config.stride
+    def intervals(axis):
+        width = hi[axis] - lo[axis]
+        n = 1
+        if width > config.extent:
+            n = int(np.ceil((width - config.extent) / config.stride)) + 1
+        starts = lo[axis] + np.arange(n) * config.stride
+        ends = starts + config.extent
+        # lo + k stride + extent can round below hi.
+        ends[-1] = max(ends[-1], hi[axis])
+        return list(zip(starts, ends))
 
     windows = []
-    for ox in offsets(span[0]):
-        for oy in offsets(span[1]):
-            x0, y0 = lo[0] + ox, lo[1] + oy
-            inside = (
-                (p[:, 0] >= x0) & (p[:, 0] <= x0 + config.extent)
-                & (p[:, 1] >= y0) & (p[:, 1] <= y0 + config.extent)
-            )
+    for x0, x1 in intervals(0):
+        for y0, y1 in intervals(1):
+            inside = (p[:, 0] >= x0) & (p[:, 0] <= x1) & (p[:, 1] >= y0) & (p[:, 1] <= y1)
             if inside.any():
                 windows.append(np.flatnonzero(inside))
     return windows

@@ -13,7 +13,7 @@ from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig
 from meshseg.graph.res import res_sample, sampling_probability
 from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy
 from meshseg.hierarchy.qem import optimal_contractions, qem_pool
-from meshseg.hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
+from meshseg.hierarchy.trace import PoolingTraceMap
 from meshseg.hierarchy.vertex_clustering import vertex_clustering_pool, pooled_edge_set
 from meshseg.mesh.core import UNLABELED, geodesic_edge_set
 from meshseg.nn.edgeconv import EdgeConvBranch, prepared_edges
@@ -170,7 +170,7 @@ def test_criterion_3_trace_algebra(rng):
         trace = PoolingTraceMap(assignment, coarse)
         trace.validate()  # total and surjective
         features = rng.normal(size=(coarse, 3))
-        back = pool_features(unpool_features(features, trace), trace)
+        back = trace.mean(trace.gather(features))
         assert np.allclose(back, features, atol=1e-12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -142,6 +142,8 @@ def test_infer_eval_vote_loop(workdir, trained, capsys):
     assert 0.0 <= metrics["mean_iou"] <= 1.0
     rows = (out / "confusion.csv").read_text().strip().split("\n")
     assert len(rows) == 3 and all(len(r.split(",")) == 3 for r in rows)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert "total" in manifest["timings_seconds"]
 
     voted = workdir / "pred" / "voted.txt"
     code = main(["vote", str(pred), str(pred), str(pred),

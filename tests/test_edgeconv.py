@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from meshseg.graph.neighborhoods import EdgeSet, scatter_sum
+from meshseg.graph.neighborhoods import EdgeSet, Segments
 from meshseg.nn.edgeconv import DualBlock, EdgeConvBranch, PreparedEdges, prepared_edges
 from meshseg.nn.layers import BatchNorm, Sequential
 
@@ -49,13 +49,17 @@ def test_prepared_edges_flatten_and_inverse_counts(rng):
     assert len(prep) == 4
     assert prep.centers.tolist() == [0, 0, 1, 2]
     assert prep.nbrs.tolist() == [1, 2, 1, 0]
-    assert np.allclose(prep.inv_counts, [0.5, 1.0, 1.0])
-    assert prep.out_degree.tolist() == [2, 1, 1]
-    assert prep.in_degree.tolist() == [1, 2, 1]
+    assert prep.rows.sizes.tolist() == [2, 1, 1]
     assert prep.degrees.tolist() == [[2, 1], [1, 2], [1, 1]]
     # M sends row k to 2 centers[k] and 2 nbrs[k] + 1, one column per row.
-    assert prep.sum_to_both(np.eye(4)).tolist() == [
+    assert prep.pairs.sum(np.eye(4)).tolist() == [
         [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]]
+
+
+def add_at(values, index, count):
+    out = np.zeros((count,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
 
 
 def test_prepared_edges_scatters_match_scatter_sum(rng):
@@ -67,11 +71,11 @@ def test_prepared_edges_scatters_match_scatter_sum(rng):
     values = rng.normal(size=(e, 4))
     interleaved = rng.normal(size=(2 * v, 4))
     for _ in range(2):  # built on first use, then reused
-        assert np.array_equal(prep.sum_to_centers(values), scatter_sum(values, centers, v))
-        both = prep.sum_to_both(values)
-        assert np.array_equal(both[0::2], scatter_sum(values, centers, v))
-        assert np.array_equal(both[1::2], scatter_sum(values, nbrs, v))
-        assert np.array_equal(prep.pair_sums(interleaved),
+        assert np.array_equal(prep.rows.sum(values), add_at(values, centers, v))
+        both = prep.pairs.sum(values)
+        assert np.array_equal(both[0::2], add_at(values, centers, v))
+        assert np.array_equal(both[1::2], add_at(values, nbrs, v))
+        assert np.array_equal(prep.pairs.gather(interleaved),
                               interleaved[2 * centers] + interleaved[2 * nbrs + 1])
     assert np.array_equal(prep.degrees, np.column_stack(
         [np.bincount(centers, minlength=v), np.bincount(nbrs, minlength=v)]))
@@ -251,21 +255,22 @@ def concatenated_reference(branch, x, edges, train, dy=None):
     """
     ref = copy.deepcopy(branch)
     phi = whole_stack(ref)
-    centers, nbrs, inv_counts = edges.centers, edges.nbrs, edges.inv_counts
+    centers, nbrs = edges.centers, edges.nbrs
     diff = x[nbrs] - x[centers]
     h = diff if ref.relative else np.concatenate([x[centers], diff], axis=1)
-    y = scatter_sum(phi.forward(h, train), centers, x.shape[0]) * inv_counts[:, None]
+    y = edges.rows.mean(phi.forward(h, train))
     if dy is None:
         return ref, y, None, None
     for _, p in ref.parameters():
         p.grad[...] = 0.0
-    dh = phi.backward((dy * inv_counts[:, None])[centers])
+    dh = phi.backward(edges.rows.mean_adjoint(dy))
     v, f = x.shape
+    to_nbrs = Segments(nbrs, v).sum(dh)
     if ref.relative:
-        dx = scatter_sum(dh, nbrs, v) - scatter_sum(dh, centers, v)
+        dx = to_nbrs - edges.rows.sum(dh)
     else:
-        to_centers = scatter_sum(dh, centers, v)
-        dx = to_centers[:, :f] - to_centers[:, f:] + scatter_sum(dh, nbrs, v)[:, f:]
+        to_centers = edges.rows.sum(dh)
+        dx = to_centers[:, :f] - to_centers[:, f:] + to_nbrs[:, f:]
     return ref, y, dx, {name: p.grad.copy() for name, p in ref.parameters()}
 
 
@@ -318,8 +323,7 @@ def test_branch_matches_concatenated_reference(rng, relative, train):
             pairs = np.column_stack([prep.centers, prep.nbrs])
             assert len(np.unique(pairs, axis=0)) < len(pairs)
         elif case == "neighbor-only":
-            assert prep.out_degree[0] == 1 and prep.in_degree[0] == v
-            assert prep.in_degree[-1] == 0
+            assert prep.degrees[0].tolist() == [1, v] and prep.degrees[-1, 1] == 0
         branch = randomized_branch(rng, f, relative)
         dy = rng.normal(size=(v, branch.out_width)) if train else None
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from meshseg.graph.neighborhoods import (
     EdgeSet,
     NeighborhoodConfig,
+    Segments,
     knn_graph,
     nearest_points,
     radius_graph,
-    scatter_incidence,
-    scatter_sum,
 )
 
 
@@ -200,12 +200,12 @@ def test_scatter_sum_matches_add_at_bitwise(rng):
     index = rng.integers(0, 40, 500)
     expected = np.zeros((45, 7))
     np.add.at(expected, index, values)
-    assert np.array_equal(scatter_sum(values, index, 45), expected)
-    assert np.array_equal(scatter_sum(values[:, 2], index, 45), expected[:, 2])
+    assert np.array_equal(Segments(index, 45).sum(values), expected)
+    assert np.array_equal(Segments(index, 45).sum(values[:, 2]), expected[:, 2])
     with pytest.raises(IndexError):
-        scatter_sum(values, np.where(index == 3, 45, index), 45)
+        Segments(np.where(index == 3, 45, index), 45).sum(values)
     with pytest.raises(IndexError):
-        scatter_sum(values, np.where(index == 3, -1, index), 45)
+        Segments(np.where(index == 3, -1, index), 45).sum(values)
 
 
 def test_scatter_sum_to_several_segments_per_row_matches_add_at(rng):
@@ -213,11 +213,49 @@ def test_scatter_sum_to_several_segments_per_row_matches_add_at(rng):
     index = rng.integers(0, 30, (300, 2))
     expected = np.zeros((30, 5))
     np.add.at(expected, index, values[:, None, :])
-    assert np.array_equal(scatter_sum(values, index, 30), expected)
+    segments = Segments(index, 30)
+    assert np.array_equal(segments.sum(values), expected)
     # The transpose gathers each row's segments back and adds them.
-    segments = rng.standard_normal((30, 5))
-    gathered = scatter_incidence(index, 30).T @ segments
-    assert np.array_equal(gathered, segments[index[:, 0]] + segments[index[:, 1]])
+    rows = rng.standard_normal((30, 5))
+    assert np.array_equal(segments.gather(rows), rows[index[:, 0]] + rows[index[:, 1]])
+
+
+@pytest.mark.parametrize("shape", [(300,), (300, 2)], ids=["one", "two"])
+def test_segment_operators_are_adjoint(rng, shape):
+    """<sum v, w> = <v, gather w> and <mean v, w> = <v, mean_adjoint w>."""
+    index = rng.integers(0, 30, shape)
+    index.reshape(-1)[:30] = np.arange(30)  # no empty segment
+    segments = Segments(index, 30)
+    v = rng.standard_normal((300, 4))
+    w = rng.standard_normal((30, 4))
+    for forward, adjoint in ((segments.sum, segments.gather),
+                             (segments.mean, segments.mean_adjoint)):
+        lhs, rhs = np.vdot(forward(v), w), np.vdot(v, adjoint(w))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    # The mean of each segment, and its adjoint, by definition.
+    sizes = np.bincount(index.reshape(-1), minlength=30)
+    assert np.array_equal(segments.sizes, sizes)
+    assert np.array_equal(segments.mean(v), segments.sum(v) / sizes[:, None])
+    if index.ndim == 1:
+        assert np.array_equal(segments.mean_adjoint(w), (w / sizes[:, None])[index])
+
+
+def test_segments_build_each_operator_once(rng, monkeypatch):
+    transposes = []
+    transpose = sparse.csc_matrix.transpose
+
+    def counted(self, *args, **kwargs):
+        transposes.append(self)
+        return transpose(self, *args, **kwargs)
+    monkeypatch.setattr(sparse.csc_matrix, "transpose", counted)
+    segments = Segments(rng.integers(0, 10, (40, 2)), 10)
+    v, w = rng.standard_normal((40, 3)), rng.standard_normal((10, 3))
+    for _ in range(3):
+        segments.sum(v)
+        segments.gather(w)
+        segments.mean(v)
+        segments.mean_adjoint(w)
+    assert len(transposes) == 1 and transposes[0] is segments.incidence
 
 
 def test_edge_set_num_edges():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig, scatter_sum
+from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig
 from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy
-from meshseg.hierarchy.trace import PoolingTraceMap, pool_features, unpool_features
+from meshseg.hierarchy.trace import PoolingTraceMap
 from meshseg.nn.edgeconv import prepared_edges
 from meshseg.nn.gradcheck import finite_difference_check
 from meshseg.nn.layers import BN_EPS, BatchNorm, Linear
@@ -90,10 +90,10 @@ def test_forward_matches_manual_wiring(rng):
     for blk in net.encoder[0]:
         x = blk.forward(x, g[0], e[0], train=False)
     skip = x
-    x = pool_features(x, traces[0])
+    x = traces[0].mean(x)
     for blk in net.encoder[1]:
         x = blk.forward(x, g[1], e[1], train=False)
-    x = np.concatenate([unpool_features(x, traces[0]), skip], axis=1)
+    x = np.concatenate([traces[0].gather(x), skip], axis=1)
     for blk in net.decoder[0]:
         x = blk.forward(x, g[0], e[0], train=False)
     linear1, bn, relu, linear2 = net.head.modules
@@ -140,7 +140,7 @@ def test_folded_eval_matches_module_by_module_eval(rng, config):
         diff = x[edges.nbrs] - x[edges.centers]
         rows = diff if branch.relative else np.concatenate([x[edges.centers], diff], axis=1)
         per_edge = textbook_eval([m for _, m in branch.named_modules()], rows)
-        ref = scatter_sum(per_edge, edges.centers, 30) * edges.inv_counts[:, None]
+        ref = edges.rows.mean(per_edge)
         got = branch.forward(x, edges, train=False)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshseg.mesh.core import Mesh, UNLABELED
 from meshseg.graph.neighborhoods import NeighborhoodConfig
@@ -10,7 +11,7 @@ from meshseg.pipeline.crops import CropConfig, crop_scene, crop_windows, reject_
 from meshseg.pipeline.features import FEATURE_WIDTH, normalize_positions, vertex_features
 from meshseg.pipeline.infer import majority_vote, vote_over_runs
 from meshseg.pipeline.metrics import confusion_matrix, evaluate
-from meshseg.pipeline.toydata import NUM_TOY_CLASSES, make_toy_scene
+from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
 from meshseg.pipeline.train import TrainConfig, collect_crops, train
 
 from conftest import grid_mesh, random_mesh
@@ -44,6 +45,45 @@ def test_scene_smaller_than_crop_gives_single_window(rng):
     windows = crop_windows(mesh, CropConfig(extent=3.0, stride=1.5))
     assert len(windows) == 1
     assert np.array_equal(windows[0], np.arange(40))
+
+
+def uncovered(mesh, config):
+    covered = np.zeros(mesh.num_vertices, dtype=bool)
+    for idx in crop_windows(mesh, config):
+        covered[idx] = True
+    return np.flatnonzero(~covered)
+
+
+def test_last_crop_window_reaches_the_far_edge():
+    # The 6x6-tile toy scene stretched to span lo .. hi in x, with hi the
+    # largest double at which hi - lo still rounds to 18.0. The ninth window
+    # ends at lo + 8 * 1.8 + 3.6, which rounds below hi.
+    lo, hi = -19.680517070835503, -1.680517070835501
+    assert hi - lo == 18.0 and lo + 8 * 1.8 + 3.6 < hi
+    scene = make_toy_scene(1, ToySceneConfig(tiles_per_side=6))
+    xy = scene.positions[:, :2]
+    far = np.argmax(xy[:, 0])
+    xy[:] = lo + (xy - xy.min(axis=0)) * (18.0 / np.ptp(xy[:, 0]))
+    xy[far, 0] = hi
+    assert scene.num_vertices == 3558 and xy[:, 0].min() == lo
+    assert uncovered(scene, CropConfig(extent=3.6, stride=1.8)).size == 0
+
+
+@given(lo=st.floats(-1e3, 1e3), k=st.integers(0, 12),
+       extent=st.floats(1e-3, 10.0), ratio=st.floats(1e-2, 1.0, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_crop_windows_cover_a_span_of_whole_strides(lo, k, extent, ratio):
+    # A span of k strides plus one extent: before rounding, the last window
+    # ends exactly at the far edge. The window ends add lo + k stride first,
+    # so hi adds in the other order to round either way. A stride at or
+    # above the extent may leave gaps between windows.
+    stride = extent * ratio
+    hi = lo + (k * stride + extent)
+    grid = np.array([lo, (lo + hi) / 2, hi])
+    xy = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    mesh = Mesh(positions=np.column_stack([xy, np.zeros(len(xy))]),
+                faces=np.empty((0, 3), dtype=np.int64))
+    assert uncovered(mesh, CropConfig(extent=extent, stride=stride)).size == 0
 
 
 def test_submesh_remaps_faces():

@@ -506,7 +506,7 @@ def test_additive_quadrics_after_contraction(rng):
     sim = QemSimplifier(mesh, 19, pair_distance_threshold=1.0)
     before = sim.quadrics.copy()
     coarse, trace = sim.run()
-    merged = np.flatnonzero(trace.group_sizes() > 1)
+    merged = np.flatnonzero(trace.sizes > 1)
     assert len(merged) == 1
     members = np.flatnonzero(trace.assignment == merged[0])
     root = sim.find(members[0])
@@ -532,7 +532,7 @@ def assert_groups_minimize_summed_quadrics(mesh, coarse, trace):
     the others took a fallback candidate. Returns the number checked."""
     quadrics = vertex_quadrics(mesh)
     checked = 0
-    for g in np.flatnonzero(trace.group_sizes() > 1):
+    for g in np.flatnonzero(trace.sizes > 1):
         members = np.flatnonzero(trace.assignment == g)
         q = quadrics[members].sum(axis=0)
         if np.linalg.cond(q[:3, :3]) >= 1e9:
@@ -552,7 +552,7 @@ def test_position_is_contraction_minimizer(rng):
     assert coarse.num_vertices == int(np.ceil(0.6 * 15))
     # A group of two was formed by one merge: its position costs no more
     # than either original endpoint under the summed quadric of the two.
-    pairs = np.flatnonzero(trace.group_sizes() == 2)
+    pairs = np.flatnonzero(trace.sizes == 2)
     assert len(pairs) > 0
     for g in pairs:
         i, j = np.flatnonzero(trace.assignment == g)

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshseg.graph.neighborhoods import scatter_sum
 from meshseg.mesh.core import UNLABELED
-from meshseg.hierarchy.trace import (
-    PoolingTraceMap,
-    pool_features,
-    pool_labels,
-    unpool_features,
-)
+from meshseg.hierarchy.trace import PoolingTraceMap, pool_labels
 
 
 def random_trace(rng, fine, coarse):
@@ -34,15 +28,14 @@ surjective_traces = st.integers(1, 40).flatmap(
 def test_pool_mean_of_unpool_is_identity(trace):
     rng = np.random.default_rng(0)
     coarse = rng.standard_normal((trace.coarse_count, 5))
-    assert np.allclose(pool_features(unpool_features(coarse, trace), trace),
-                       coarse, atol=1e-12)
+    assert np.allclose(trace.mean(trace.gather(coarse)), coarse, atol=1e-12)
 
 
 @given(surjective_traces)
 @settings(max_examples=200, deadline=None)
 def test_trace_validates_and_group_sizes_sum(trace):
     trace.validate()
-    sizes = trace.group_sizes()
+    sizes = trace.sizes
     assert sizes.sum() == trace.fine_count
     assert (sizes >= 1).all()
 
@@ -64,8 +57,7 @@ def test_pool_modes_match_loops(rng):
     trace = random_trace(rng, 30, 7)
     x = rng.standard_normal((30, 4))
     # The mean pools features; the sum is the adjoint of unpooling.
-    for out, fn in ((pool_features(x, trace), np.mean),
-                    (scatter_sum(x, trace.assignment, 7), np.sum)):
+    for out, fn in ((trace.mean(x), np.mean), (trace.sum(x), np.sum)):
         for c in range(7):
             rows = x[trace.assignment == c]
             assert np.allclose(out[c], fn(rows, axis=0), atol=1e-12)
@@ -74,15 +66,15 @@ def test_pool_modes_match_loops(rng):
 def test_pool_shape_mismatch(rng):
     trace = random_trace(rng, 5, 2)
     with pytest.raises(ValueError):
-        pool_features(np.zeros((6, 1)), trace)
+        trace.mean(np.zeros((6, 1)))
     with pytest.raises(ValueError):
-        unpool_features(np.zeros((3, 1)), trace)
+        trace.gather(np.zeros((3, 1)))
 
 
 def test_unpool_copies_rows(rng):
     trace = random_trace(rng, 12, 4)
     coarse = rng.standard_normal((4, 3))
-    fine = unpool_features(coarse, trace)
+    fine = trace.gather(coarse)
     for i in range(12):
         assert np.array_equal(fine[i], coarse[trace.assignment[i]])
 
