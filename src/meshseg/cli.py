@@ -32,7 +32,7 @@ from .hierarchy.build import (
     build_hierarchy,
 )
 from .hierarchy.store import HierarchyFormatError, deserialize_hierarchy, serialize_hierarchy
-from .mesh.core import UNLABELED, LabeledPointCloud, MeshValidationError
+from .mesh.core import MeshValidationError
 from .mesh.io import MeshParseError, load_mesh, save_mesh
 from .mesh.subdivide import interpolate_from_point_cloud, midpoint_subdivide
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -233,10 +233,10 @@ def _crop_config(args) -> CropConfig:
 
 
 def _check_scene_labels(path, labels, num_classes: int):
-    """Every label is UNLABELED or a class in [0, num_classes)."""
+    """Every label of a loaded scene, UNLABELED or above, is below num_classes."""
     if labels is None:
         return
-    bad = np.flatnonzero((labels != UNLABELED) & ((labels < 0) | (labels >= num_classes)))
+    bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
         raise MeshValidationError(
             f"{path}: vertex {bad[0]}: label {labels[bad[0]]} outside [0, {num_classes})")
@@ -273,9 +273,7 @@ def cmd_subdivide(args):
         if mesh.num_vertices == coarse:
             break  # no edge split, so no later pass would split one either
     if args.cloud is not None:
-        mesh = interpolate_from_point_cloud(
-            mesh, LabeledPointCloud(ref.positions, ref.colors, ref.labels)
-        )
+        mesh = interpolate_from_point_cloud(mesh, ref)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_mesh(mesh, out, binary=not args.ascii)

@@ -206,7 +206,12 @@ def merge_hierarchies(hiers: Sequence[Hierarchy]) -> Hierarchy:
     for lvl in range(depth):
         meshes = [h.levels[lvl] for h in hiers]
         offsets = np.cumsum([0] + [m.num_vertices for m in meshes[:-1]])
-        levels.append(_concat_meshes(meshes, offsets))
+        # A per-vertex array survives only when every part has it.
+        arrays = [m.vertex_arrays() for m in meshes]
+        levels.append(Mesh(
+            faces=np.concatenate([m.faces + off for m, off in zip(meshes, offsets)]),
+            **{name: np.concatenate([a[name] for a in arrays])
+               for name in arrays[0] if all(name in a for a in arrays)}))
         geo.append(EdgeSet.disjoint_union([h.geodesic_edges[lvl] for h in hiers]))
         if has_euc:
             euc.append(EdgeSet.disjoint_union([h.euclidean_edges[lvl] for h in hiers]))
@@ -222,21 +227,3 @@ def merge_hierarchies(hiers: Sequence[Hierarchy]) -> Hierarchy:
             )
     return Hierarchy(levels, traces, geo, euc if has_euc else None)
 
-
-def _concat_meshes(meshes, offsets):
-    def cat(attr):
-        vals = [getattr(m, attr) for m in meshes]
-        if any(v is None for v in vals):
-            return None
-        return np.concatenate(vals)
-
-    faces = np.concatenate(
-        [m.faces + off for m, off in zip(meshes, offsets)]
-    ) if any(m.faces.size for m in meshes) else np.empty((0, 3), dtype=np.int64)
-    return Mesh(
-        positions=cat("positions"),
-        faces=faces,
-        colors=cat("colors"),
-        normals=cat("normals"),
-        labels=cat("labels"),
-    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.neighborhoods import Segments
-from ..mesh.core import UNLABELED, Mesh
+from ..mesh.core import UNLABELED, Mesh, unit_rows
 
 
 class PoolingTraceMap(Segments):
@@ -45,21 +45,24 @@ class PoolingTraceMap(Segments):
 def pool_labels(labels: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
     """Majority label per group; ties -> lowest class index.
 
-    UNLABELED wins only when the whole group is unlabeled.
+    UNLABELED wins only when the whole group is unlabeled. Memory stays
+    linear in the vertex count whatever the label values: the labels are
+    renumbered 0 .. D-1 in sorted order and the (group, label) pairs
+    counted by sorting the keys group * D + label.
     """
     labels = np.asarray(labels, dtype=np.int64)
     out = np.full(trace.coarse_count, UNLABELED, dtype=np.int64)
     labeled = labels != UNLABELED
     if labeled.any():
-        shifted = labels[labeled]
-        groups = trace.assignment[labeled]
-        num_classes = int(shifted.max()) + 1
-        counts = np.bincount(groups * num_classes + shifted,
-                             minlength=trace.coarse_count * num_classes
-                             ).reshape(trace.coarse_count, num_classes)
-        has_any = counts.sum(axis=1) > 0
-        # argmax takes the first maximum, i.e. the lowest class index on ties.
-        out[has_any] = np.argmax(counts[has_any], axis=1)
+        values, renumbered = np.unique(labels[labeled], return_inverse=True)
+        keys, counts = np.unique(trace.assignment[labeled] * len(values) + renumbered,
+                                 return_counts=True)
+        groups = keys // len(values)
+        # Keys run in (group, label) order; the stable sort by falling count
+        # puts each group's majority first, the lowest label among ties.
+        best = np.lexsort((-counts, groups))
+        first = best[np.r_[True, groups[best[1:]] != groups[best[:-1]]]]
+        out[groups[first]] = values[keys[first] % len(values)]
     return out
 
 
@@ -74,16 +77,7 @@ def pooled_mesh(mesh: Mesh, trace: PoolingTraceMap, positions: np.ndarray,
         positions=positions,
         faces=faces,
         colors=None if mesh.colors is None else trace.mean(mesh.colors),
-        normals=None if mesh.normals is None else _pooled_normals(mesh.normals, trace),
+        normals=None if mesh.normals is None else unit_rows(trace.mean(mesh.normals), 1e-12),
         labels=None if mesh.labels is None else pool_labels(mesh.labels, trace),
     )
-
-
-def _pooled_normals(normals: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
-    mean = trace.mean(normals)
-    norms = np.linalg.norm(mean, axis=1)
-    ok = norms > 1e-12
-    mean[ok] /= norms[ok, None]
-    mean[~ok] = (0.0, 0.0, 1.0)
-    return mean
 

@@ -1,6 +1,5 @@
 from .core import (
     Mesh,
-    LabeledPointCloud,
     MeshValidationError,
     UNLABELED,
     check_mesh,

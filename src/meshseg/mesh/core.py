@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,16 @@ class MeshValidationError(ValueError):
     """Raised when a mesh violates a structural invariant."""
 
 
+# Every per-vertex array a mesh can carry: name -> (dtype, shape of one row).
+# Only positions is required.
+VERTEX_ARRAYS = {
+    "positions": (np.float64, (3,)),
+    "colors": (np.float64, (3,)),
+    "normals": (np.float64, (3,)),
+    "labels": (np.int64, ()),
+}
+
+
 @dataclass
 class Mesh:
     """Triangle mesh with optional per-vertex attributes.
@@ -31,6 +41,8 @@ class Mesh:
     colors    : optional (V, 3) float array, RGB in [0, 1]
     normals   : optional (V, 3) float array, unit length
     labels    : optional (V,) int array, class index or UNLABELED
+
+    A mesh without faces is a point cloud.
     """
 
     positions: np.ndarray
@@ -40,14 +52,11 @@ class Mesh:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
-        if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        for name, (dtype, row) in VERTEX_ARRAYS.items():
+            values = getattr(self, name)
+            if values is not None:
+                setattr(self, name, np.asarray(values, dtype=dtype).reshape(-1, *row))
 
     @property
     def num_vertices(self) -> int:
@@ -57,86 +66,61 @@ class Mesh:
     def num_faces(self) -> int:
         return self.faces.shape[0]
 
+    def vertex_arrays(self) -> dict:
+        """Name -> array of each per-vertex array the mesh has, in VERTEX_ARRAYS order."""
+        return {name: getattr(self, name) for name in VERTEX_ARRAYS
+                if getattr(self, name) is not None}
+
     def copy(self) -> "Mesh":
-        return Mesh(
-            positions=self.positions.copy(),
-            faces=self.faces.copy(),
-            colors=None if self.colors is None else self.colors.copy(),
-            normals=None if self.normals is None else self.normals.copy(),
-            labels=None if self.labels is None else self.labels.copy(),
-        )
-
-
-@dataclass
-class LabeledPointCloud:
-    """Annotated point cloud used as the label/color source for meshes."""
-
-    points: np.ndarray
-    colors: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        n = self.points.shape[0]
-        if self.colors.shape[0] != n or self.labels.shape[0] != n:
-            raise ValueError("points/colors/labels must have the same length")
-        if not np.isfinite(self.points).all():
-            raise ValueError("point coordinates must be finite")
-
-    @property
-    def num_points(self) -> int:
-        return self.points.shape[0]
+        return Mesh(faces=self.faces.copy(),
+                    **{name: values.copy() for name, values in self.vertex_arrays().items()})
 
 
 def validate_mesh(mesh: Mesh) -> list:
-    """Return a list of human-readable invariant violations (empty if valid)."""
+    """Return a list of human-readable invariant violations (empty if valid).
+
+    Each kind of violation is reported once, with its first vertex or face
+    and, when there are more, their number.
+    """
     violations = []
+
+    def report(bad, what, where):
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            more = f", first of {bad.size}" if bad.size > 1 else ""
+            violations.append(f"{what} at {where} {bad[0]}{more}")
+
     v = mesh.num_vertices
     if v == 0:
         violations.append("mesh has no vertices")
 
     finite = np.isfinite(mesh.positions).all(axis=1)
-    for i in np.flatnonzero(~finite):
-        violations.append(f"non-finite coordinate at vertex {i}")
-    for i in np.flatnonzero(finite & (np.abs(mesh.positions) > MAX_COORDINATE).any(axis=1)):
-        violations.append(f"coordinate beyond {MAX_COORDINATE:g} m at vertex {i}")
+    report(~finite, "non-finite coordinate", "vertex")
+    report(finite & (np.abs(mesh.positions) > MAX_COORDINATE).any(axis=1),
+           f"coordinate beyond {MAX_COORDINATE:g} m", "vertex")
 
     if mesh.faces.size:
-        out_of_range = np.flatnonzero(
-            (mesh.faces < 0).any(axis=1) | (mesh.faces >= v).any(axis=1)
-        )
-        for i in out_of_range:
-            violations.append(f"face index out of range at face {i}")
+        report((mesh.faces < 0).any(axis=1) | (mesh.faces >= v).any(axis=1),
+               "face index out of range", "face")
         a, b, c = mesh.faces[:, 0], mesh.faces[:, 1], mesh.faces[:, 2]
-        degenerate = np.flatnonzero((a == b) | (b == c) | (a == c))
-        for i in degenerate:
-            violations.append(f"degenerate face (repeated vertex index) at face {i}")
+        report((a == b) | (b == c) | (a == c), "degenerate face (repeated vertex index)", "face")
 
-    if mesh.colors is not None:
-        if mesh.colors.shape[0] != v:
-            violations.append("color count does not match vertex count")
+    # Row checks run on each array whose count matches.
+    arrays = {}
+    for name, values in mesh.vertex_arrays().items():
+        if len(values) == v:
+            arrays[name] = values
         else:
-            bad = np.flatnonzero(
-                (~np.isfinite(mesh.colors)).any(axis=1)
-                | (mesh.colors < 0.0).any(axis=1)
-                | (mesh.colors > 1.0).any(axis=1)
-            )
-            for i in bad:
-                violations.append(f"color outside [0, 1] at vertex {i}")
-
-    if mesh.normals is not None:
-        if mesh.normals.shape[0] != v:
-            violations.append("normal count does not match vertex count")
-        else:
-            norms = np.linalg.norm(mesh.normals, axis=1)
-            bad = np.flatnonzero(~np.isfinite(norms) | (np.abs(norms - 1.0) > 1e-6))
-            for i in bad:
-                violations.append(f"non-unit normal at vertex {i}")
-
-    if mesh.labels is not None and mesh.labels.shape[0] != v:
-        violations.append("label count does not match vertex count")
+            violations.append(f"{name[:-1]} count does not match vertex count")
+    if "colors" in arrays:
+        colors = arrays["colors"]
+        report(~np.isfinite(colors).all(axis=1) | (colors < 0.0).any(axis=1)
+               | (colors > 1.0).any(axis=1), "color outside [0, 1]", "vertex")
+    if "normals" in arrays:
+        norms = np.linalg.norm(arrays["normals"], axis=1)
+        report(~np.isfinite(norms) | (np.abs(norms - 1.0) > 1e-6), "non-unit normal", "vertex")
+    if "labels" in arrays:
+        report(arrays["labels"] < UNLABELED, f"label below {UNLABELED}", "vertex")
 
     return violations
 
@@ -181,12 +165,17 @@ def compute_vertex_normals(mesh: Mesh) -> np.ndarray:
         fn, fa = face_normals_and_areas(mesh)
         # Corner 0 of every face, then corner 1, then corner 2.
         accum = Segments(mesh.faces.T.ravel(), v).sum(np.tile(fn * fa[:, None], (3, 1)))
-    norms = np.linalg.norm(accum, axis=1)
-    normals = np.zeros((v, 3))
-    ok = norms > 1e-20
-    normals[ok] = accum[ok] / norms[ok, None]
-    normals[~ok] = (0.0, 0.0, 1.0)
-    return normals
+    return unit_rows(accum, 1e-20)
+
+
+def unit_rows(v: np.ndarray, tiny: float) -> np.ndarray:
+    """Each row of the (n, 3) array v divided by its length; (0, 0, 1) for
+    a row no longer than `tiny`."""
+    norms = np.linalg.norm(v, axis=1)
+    ok = norms > tiny
+    out = np.tile((0.0, 0.0, 1.0), (len(v), 1))
+    out[ok] = v[ok] / norms[ok, None]
+    return out
 
 
 def surface_area(mesh: Mesh) -> float:

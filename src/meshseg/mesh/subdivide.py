@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.neighborhoods import nearest_points
-from .core import Mesh, LabeledPointCloud
+from .core import Mesh, unit_rows
 
 
 # Replacement triangles per split case; see midpoint_subdivide.
@@ -78,12 +78,7 @@ def midpoint_subdivide(mesh: Mesh, min_edge_len: float = 0.02) -> Mesh:
 
     out = Mesh(positions=interp(p), faces=new_faces, colors=interp(mesh.colors))
     if mesh.normals is not None:
-        normals = interp(mesh.normals)
-        norms = np.linalg.norm(normals, axis=1)
-        ok = norms > 1e-12
-        normals[ok] /= norms[ok, None]
-        normals[~ok] = (0.0, 0.0, 1.0)
-        out.normals = normals
+        out.normals = unit_rows(interp(mesh.normals), 1e-12)
     if mesh.labels is not None:
         # Midpoints inherit the label of their lower-index endpoint; the
         # intended pipeline overwrites labels via interpolate_from_point_cloud.
@@ -91,15 +86,16 @@ def midpoint_subdivide(mesh: Mesh, min_edge_len: float = 0.02) -> Mesh:
     return out
 
 
-def interpolate_from_point_cloud(mesh: Mesh, cloud: LabeledPointCloud) -> Mesh:
-    """Assign each vertex the color/label of its nearest cloud point.
+def interpolate_from_point_cloud(mesh: Mesh, cloud: Mesh) -> Mesh:
+    """Assign each vertex the color/label of its nearest cloud vertex.
 
-    Distance ties resolve to the lowest point index.
+    The cloud is a mesh with colors and labels; its faces are ignored.
+    Distance ties resolve to the lowest vertex index.
     """
-    if cloud.num_points == 0:
+    if cloud.num_vertices == 0:
         raise ValueError("point cloud is empty")
     out = mesh.copy()
-    nearest = nearest_points(cloud.points, queries=mesh.positions)[:, 0]
+    nearest = nearest_points(cloud.positions, queries=mesh.positions)[:, 0]
     out.colors = cloud.colors[nearest]
     out.labels = cloud.labels[nearest]
     return out

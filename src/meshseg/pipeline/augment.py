@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mesh.core import Mesh
+from ..mesh.core import Mesh, unit_rows
 
 MAX_ROTATION = 2.0 * np.pi
 SCALE_RANGE = (0.9, 1.1)
@@ -39,7 +39,5 @@ def apply_affine(mesh: Mesh, matrix: np.ndarray) -> Mesh:
     if mesh.normals is not None:
         # Rotation only: drop the scale, renormalize against rounding.
         rot = matrix[:3, :3] / np.cbrt(np.linalg.det(matrix[:3, :3]))
-        n = mesh.normals @ rot.T
-        norms = np.linalg.norm(n, axis=1, keepdims=True)
-        out.normals = n / np.maximum(norms, 1e-12)
+        out.normals = unit_rows(mesh.normals @ rot.T, 1e-12)
     return out

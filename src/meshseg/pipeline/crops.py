@@ -22,6 +22,11 @@ class CropConfig:
     def __post_init__(self):
         if not (0 < self.extent < np.inf and 0 < self.stride < np.inf):
             raise ValueError("extent and stride must be positive and finite")
+        # Windows are closed intervals, so a stride equal to the extent
+        # still leaves no gap between them.
+        if self.stride > self.extent:
+            raise ValueError(f"crop stride {self.stride} exceeds the crop extent "
+                             f"{self.extent}; vertices between windows would get no crop")
 
 
 def crop_windows(mesh: Mesh, config: CropConfig) -> List[np.ndarray]:
@@ -66,13 +71,8 @@ def submesh(mesh: Mesh, indices: np.ndarray) -> Mesh:
     remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
     remap[indices] = np.arange(len(indices))
     face_keep = (remap >= 0)[mesh.faces].all(axis=1)
-    return Mesh(
-        positions=mesh.positions[indices],
-        faces=remap[mesh.faces[face_keep]],
-        colors=None if mesh.colors is None else mesh.colors[indices],
-        normals=None if mesh.normals is None else mesh.normals[indices],
-        labels=None if mesh.labels is None else mesh.labels[indices],
-    )
+    return Mesh(faces=remap[mesh.faces[face_keep]],
+                **{name: values[indices] for name, values in mesh.vertex_arrays().items()})
 
 
 def reject_crop(crop: Mesh) -> bool:

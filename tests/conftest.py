@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ def cube_mesh(side=1.0):
         [3, 0, 4], [3, 4, 7],  # x=0
     ], dtype=np.int64)
     return Mesh(positions=p, faces=f)
+
+
+def mesh_digest(mesh):
+    """sha256 over the faces and every per-vertex array, in a fixed layout."""
+    h = hashlib.sha256(mesh.faces.astype("<i8").tobytes())
+    h.update(mesh.positions.astype("<f8").tobytes())
+    for attr in (mesh.colors, mesh.normals):
+        h.update(b"-" if attr is None else attr.astype("<f8").tobytes())
+    h.update(b"-" if mesh.labels is None else mesh.labels.astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture

@@ -256,6 +256,8 @@ RANGE_MESSAGES = {
         "the network needs 1000000000000 mesh levels, the hierarchy has 4",
     ("--qem-levels", "1000000000000", "--radius", "0.1"):
         "--qem-levels 1000000000000: 1000000000001 levels need as many vertices",
+    ("--crop-extent", "1.0", "--crop-stride", "2.0"):
+        "crop stride 2.0 exceeds the crop extent 1.0",
 }
 
 
@@ -277,7 +279,8 @@ RANGE_MESSAGES = {
     ("build-hierarchy", None, FPS_ARGS + ["5000,100"], EXIT_VALIDATION),
     ("build-hierarchy", None, FPS_ARGS + ["100,500"], EXIT_CONFIG),
     ("build-hierarchy", None, FPS_ARGS + ["0,5"], EXIT_CONFIG),
-    ("train", None, FPS_ARGS + ["1000,300,100,30", "--crop-extent", "1.0"], EXIT_VALIDATION),
+    ("train", None, FPS_ARGS + ["1000,300,100,30", "--crop-extent", "1.0", "--crop-stride", "1.0"],
+     EXIT_VALIDATION),
     ("train", None, ["--batch-size", "0"], EXIT_CONFIG),
     ("train", None, ["--res-train", "0"], EXIT_CONFIG),
     ("infer", None, ["--res-test", "0"], EXIT_CONFIG),
@@ -314,6 +317,7 @@ RANGE_MESSAGES = {
     ("train", None, ["--levels", "1000000000000"], EXIT_CONFIG),
     ("build-hierarchy", None, ["--qem-levels", "1000000000000", "--radius", "0.1"], EXIT_CONFIG),
     ("train", None, ["--qem-levels", "1000000000000", "--radius", "0.1"], EXIT_CONFIG),
+    ("train", None, ["--crop-extent", "1.0", "--crop-stride", "2.0"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -350,6 +354,35 @@ def test_more_qem_levels_than_vertices_write_nothing(workdir, trained, tmp_path,
     assert list(tmp_path.iterdir()) == []
     message = f"--qem-levels 1751: 1752 levels need as many vertices, {scene} has 1751"
     assert capsys.readouterr().err.count(message) == 3
+
+
+def test_crop_stride_above_extent_writes_nothing(workdir, trained, tmp_path, capsys):
+    # Toy scene 1 swept with these windows leaves 1,037 of its 1,751
+    # vertices in no window; infer used to fail on them after the crops.
+    out = tmp_path / "pred" / "p.txt"
+    code = main(["infer", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--scene", str(workdir / "scene1.ply"), "--output", str(out), *HIER_ARGS,
+                 "--crop-extent", "1.0", "--crop-stride", "2.0"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "crop stride 2.0 exceeds the crop extent 1.0" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("label, code", [(2_000_000_000, EXIT_OK), (-5, EXIT_VALIDATION)])
+def test_extreme_scene_label(tmp_path, capsys, label, code):
+    # Label pooling once allocated a coarse vertices x (largest label + 1)
+    # table, and a label below UNLABELED landed in another group's count.
+    scene = make_toy_scene(0)
+    scene.labels[17] = label
+    save_mesh(scene, tmp_path / "scene.ply")
+    assert main(["build-hierarchy", str(tmp_path / "scene.ply"), str(tmp_path / "hier"),
+                 *HIER_ARGS]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_VALIDATION:
+        assert "label below -1 at vertex 17" in err
+        assert not (tmp_path / "hier").exists()
 
 
 def test_fps_count_above_vertex_count_names_both(workdir, tmp_path, capsys):

@@ -199,6 +199,18 @@ def test_merge_hierarchies_disjoint_union(scene):
     merged.validate()
 
 
+def test_merge_drops_an_array_that_one_part_lacks(scene):
+    a = build_hierarchy(scene, TOY_VC)
+    colorless = scene.copy()
+    colorless.colors = None
+    b = build_hierarchy(colorless, TOY_VC)
+    for lvl, level in enumerate(merge_hierarchies([a, b]).levels):
+        assert set(level.vertex_arrays()) == {"positions", "normals", "labels"}
+        assert np.array_equal(level.labels,
+                              np.concatenate([a.levels[lvl].labels, b.levels[lvl].labels]))
+        assert len(level.faces) == a.levels[lvl].num_faces + b.levels[lvl].num_faces
+
+
 def test_merge_depth_mismatch(scene):
     a = build_hierarchy(scene, TOY_VC)
     b = build_hierarchy(scene, HierarchyConfig(strategy="vc", cells=(0.15, 0.3)))

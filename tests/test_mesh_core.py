@@ -43,6 +43,40 @@ def test_validate_non_finite_vertex():
     assert any("vertex 2" in m for m in msgs)
 
 
+def test_validation_message_is_bounded():
+    # One report per kind of violation, however many vertices break it.
+    pos = np.random.default_rng(0).uniform(0.0, 1.0, (200_000, 3))
+    pos[7:100_007, 0] = np.nan
+    message = str(pytest.raises(MeshValidationError, check_mesh,
+                                Mesh(positions=pos, faces=np.empty((0, 3)))).value)
+    assert len(message) < 1000
+    assert message == "non-finite coordinate at vertex 7, first of 100000"
+
+
+def test_validate_counts_and_labels():
+    mesh = Mesh(positions=np.zeros((3, 3)), faces=np.empty((0, 3)),
+                colors=np.zeros((2, 3)), normals=np.tile((0.0, 0.0, 1.0), (4, 1)),
+                labels=np.array([0, -1, -5]))
+    assert validate_mesh(mesh) == ["color count does not match vertex count",
+                                   "normal count does not match vertex count",
+                                   "label below -1 at vertex 2"]
+
+
+def test_copy_is_deep(rng):
+    mesh = random_mesh(rng, 10, 4, labeled=True, colors=True)
+    mesh.normals = compute_vertex_normals(mesh)
+    copy = mesh.copy()
+    before = {name: values.copy() for name, values in mesh.vertex_arrays().items()}
+    faces = mesh.faces.copy()
+    for values in copy.vertex_arrays().values():
+        values[...] = 0
+    copy.faces[...] = 0
+    assert set(before) == {"positions", "colors", "normals", "labels"}
+    for name, values in mesh.vertex_arrays().items():
+        assert np.array_equal(values, before[name])
+    assert np.array_equal(mesh.faces, faces)
+
+
 def test_geodesic_edge_set_matches_brute_force(rng):
     for _ in range(20):
         mesh = random_mesh(rng, 30, 25)

@@ -14,7 +14,7 @@ from meshseg.pipeline.metrics import confusion_matrix, evaluate
 from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
 from meshseg.pipeline.train import TrainConfig, collect_crops, train
 
-from conftest import grid_mesh, random_mesh
+from conftest import grid_mesh, mesh_digest, random_mesh
 
 
 # --------------------------------------------------------------------- crops
@@ -75,8 +75,8 @@ def test_last_crop_window_reaches_the_far_edge():
 def test_crop_windows_cover_a_span_of_whole_strides(lo, k, extent, ratio):
     # A span of k strides plus one extent: before rounding, the last window
     # ends exactly at the far edge. The window ends add lo + k stride first,
-    # so hi adds in the other order to round either way. A stride at or
-    # above the extent may leave gaps between windows.
+    # so hi adds in the other order to round either way. CropConfig refuses
+    # a stride above the extent, which would leave gaps between windows.
     stride = extent * ratio
     hi = lo + (k * stride + extent)
     grid = np.array([lo, (lo + hi) / 2, hi])
@@ -97,6 +97,22 @@ def test_submesh_remaps_faces():
     assert sub.faces.max() < 8
     orig = mesh.positions[keep]
     assert np.array_equal(sub.positions, orig)
+
+
+@pytest.mark.parametrize("present", [(), ("colors",), ("normals", "labels"),
+                                     ("colors", "normals", "labels")])
+def test_submesh_keeps_exactly_the_arrays_of_its_mesh(present):
+    mesh = grid_mesh(3)
+    mesh.colors = np.linspace(0.0, 1.0, 48).reshape(16, 3)
+    mesh.labels = np.arange(16) % 3
+    for name in ("colors", "normals", "labels"):
+        if name not in present:
+            setattr(mesh, name, None)
+    indices = np.array([9, 2, 5, 0, 6])
+    sub = submesh(mesh, indices)
+    assert set(sub.vertex_arrays()) == {"positions", *present}
+    for name, values in sub.vertex_arrays().items():
+        assert np.array_equal(values, getattr(mesh, name)[indices])
 
 
 def test_crop_scene_preserves_attributes(rng):
@@ -133,6 +149,12 @@ def test_reject_crop_unlabeled_and_empty(rng):
 def test_crop_config_validation():
     with pytest.raises(ValueError):
         CropConfig(extent=0.0)
+    # Toy scene 1 swept with these windows leaves 1,037 of its 1,751
+    # vertices in no window.
+    with pytest.raises(ValueError, match="stride 2.0 exceeds the crop extent 1.0"):
+        CropConfig(extent=1.0, stride=2.0)
+    # Closed windows a stride apart meet.
+    assert CropConfig(extent=1.0, stride=1.0).stride == 1.0
 
 
 # ------------------------------------------------------------------- augment
@@ -180,6 +202,16 @@ def test_random_affine_deterministic_per_seed(rng):
     c = random_affine(mesh, np.random.default_rng(6))
     assert np.array_equal(a.positions, b.positions)
     assert not np.allclose(a.positions, c.positions)
+
+
+def test_toy_scene_augmentation_is_pinned():
+    scene = make_toy_scene(0)
+    fixed = apply_affine(scene, affine_from_draws(0.7, 1.05, (0.03, -0.02, 0.01)))
+    assert mesh_digest(fixed) == (
+        "3606569f8a819a5e6adcb42d8b0f47ce1562d57122d2c9f77fe1d4b8ab19885f")
+    drawn = random_affine(scene, np.random.default_rng(5))
+    assert mesh_digest(drawn) == (
+        "b09b5c8c8e146f9de9dee4695f4854c86f4b20f6dfd6c23a40a9758a8b4b1bc3")
 
 
 def test_random_affine_scale_within_range(rng):

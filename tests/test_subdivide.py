@@ -1,13 +1,11 @@
-import hashlib
-
 import numpy as np
 import pytest
 
-from meshseg.mesh.core import Mesh, LabeledPointCloud, compute_vertex_normals, surface_area
+from meshseg.mesh.core import Mesh, compute_vertex_normals, surface_area
 from meshseg.mesh.subdivide import interpolate_from_point_cloud, midpoint_subdivide
 from meshseg.pipeline.toydata import make_toy_scene
 
-from conftest import random_mesh
+from conftest import mesh_digest, random_mesh
 
 
 def triangle(scale=1.0):
@@ -121,8 +119,9 @@ def test_midpoint_attributes_are_endpoint_means():
 def test_interpolation_matches_brute_force(rng):
     mesh = random_mesh(rng, 50, 0)
     points = rng.uniform(0, 1, (200, 3))
-    cloud = LabeledPointCloud(
-        points=points,
+    cloud = Mesh(
+        positions=points,
+        faces=np.empty((0, 3), dtype=np.int64),
         colors=rng.uniform(0, 1, (200, 3)),
         labels=rng.integers(0, 5, 200),
     )
@@ -137,28 +136,20 @@ def test_interpolation_matches_brute_force(rng):
 def test_interpolation_tie_breaks_to_lowest_index():
     mesh = Mesh(positions=np.zeros((1, 3)), faces=np.empty((0, 3), dtype=np.int64))
     points = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
-    cloud = LabeledPointCloud(points=points, colors=np.eye(2, 3), labels=np.array([7, 9]))
+    cloud = Mesh(positions=points, faces=np.empty((0, 3), dtype=np.int64),
+                 colors=np.eye(2, 3), labels=np.array([7, 9]))
     out = interpolate_from_point_cloud(mesh, cloud)
     assert out.labels[0] == 7
 
 
 def test_interpolation_empty_cloud_raises():
     mesh = triangle()
-    cloud = LabeledPointCloud(
-        points=np.empty((0, 3)), colors=np.empty((0, 3)), labels=np.empty(0, dtype=int)
+    cloud = Mesh(
+        positions=np.empty((0, 3)), faces=np.empty((0, 3), dtype=np.int64),
+        colors=np.empty((0, 3)), labels=np.empty(0, dtype=int)
     )
     with pytest.raises(ValueError):
         interpolate_from_point_cloud(mesh, cloud)
-
-
-def mesh_digest(mesh):
-    """sha256 over the faces and every per-vertex array, in a fixed layout."""
-    h = hashlib.sha256(mesh.faces.astype("<i8").tobytes())
-    h.update(mesh.positions.astype("<f8").tobytes())
-    for attr in (mesh.colors, mesh.normals):
-        h.update(b"-" if attr is None else attr.astype("<f8").tobytes())
-    h.update(b"-" if mesh.labels is None else mesh.labels.astype("<i8").tobytes())
-    return h.hexdigest()
 
 
 def split_cases(mesh, threshold):

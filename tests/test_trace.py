@@ -88,6 +88,20 @@ def test_pool_labels_majority_and_ties():
     assert out[2] == 2
 
 
+def test_pool_labels_matches_a_loop_for_any_label_values(rng):
+    # Labels far apart and far from zero: no table of label values fits.
+    values = np.array([UNLABELED, 3, 2_000_000_000, 2**62, 9])
+    for _ in range(50):
+        trace = random_trace(rng, 40, 9)
+        labels = values[rng.integers(0, len(values), 40)]
+        expected = []
+        for group in range(9):
+            members = labels[(trace.assignment == group) & (labels != UNLABELED)]
+            kinds, counts = np.unique(members, return_counts=True)
+            expected.append(kinds[np.argmax(counts)] if members.size else UNLABELED)
+        assert pool_labels(labels, trace).tolist() == expected
+
+
 def test_pool_labels_unlabeled_rules():
     trace = PoolingTraceMap(np.array([0, 0, 1, 1, 1]), 2)
     labels = np.array([UNLABELED, UNLABELED, UNLABELED, 2, UNLABELED])
