@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""One sha256 over a short training run, to show that a change keeps the
-network's arithmetic bit-identical.
+"""Two sha256 digests over a short training run, one per precision, to show
+that a change keeps the network's arithmetic bit-identical.
 
 On the scaled-train sample of the benchmark (toy scene 1 at 4x4 tiles and
 0.045 m spacing, the CLI-default vc+qem hierarchy and radii), it builds the
@@ -12,8 +12,14 @@ lr 1e-3 and RES T=15. After each step it hashes
 - every BatchNorm running mean and variance;
 then it hashes the eval-mode logits of the trained network (RES T=15).
 
-Each step's loss (as its repr, so that a change at rounding level can be
-read off) and each part's digest go to stderr, the combined digest to stdout.
+The network computes in its features' dtype. The float64 digest feeds it
+the sample's features computed in float64 (`vertex_features(mesh,
+np.float64)`): the arithmetic of the gradient oracles. Each of its step
+losses (as its repr, so that a change at rounding level can be read off)
+and each part's digest go to stderr, and the combined digest to stdout.
+The float32 digest runs the same steps on a fresh network fed the
+pipeline's float32 features, as `train` and `infer` do; its losses and its
+combined digest go to stderr, the digest on the line `float32 <digest>`.
 Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/train_digest.py
@@ -29,8 +35,9 @@ from meshseg.hierarchy.build import DEFAULT_RADII, HierarchyConfig
 from meshseg.nn.layers import BatchNorm
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.nn.optim import Adam
+from meshseg.pipeline.features import vertex_features
 from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
-from meshseg.pipeline.train import network_inputs, prepare_sample, train_step
+from meshseg.pipeline.train import Sample, network_inputs, prepare_sample, train_step
 
 SEED = 1
 STEPS = 3
@@ -38,10 +45,9 @@ RES_THRESHOLD = 15
 SCENE = ToySceneConfig(tiles_per_side=4, tile_spacing=0.045)
 
 
-def main():
-    sample = prepare_sample(make_toy_scene(SEED, SCENE),
-                            HierarchyConfig(strategy="vc+qem", fps_seed=SEED),
-                            [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII])
+def digest(sample, prefix=""):
+    """The combined digest of the training run on sample; stderr gets each
+    loss, and with no prefix each part's digest."""
     net = SegmentationNetwork(NetworkConfig.dual_default(NUM_TOY_CLASSES, 4, SEED))
     optimizer = Adam(net.parameters(), lr=1e-3)
     rng = np.random.default_rng(SEED)
@@ -49,7 +55,7 @@ def main():
              ("losses", "parameters", "gradients", "running_stats", "eval_logits")}
     for step in range(STEPS):
         loss = train_step(net, optimizer, [sample], RES_THRESHOLD, int(rng.integers(2 ** 31)))
-        print(f"loss {step} {float(loss)!r}", file=sys.stderr)
+        print(f"{prefix}loss {step} {float(loss)!r}", file=sys.stderr)
         parts["losses"].update(np.float64(loss).tobytes())
         for _, p in net.parameters():
             parts["parameters"].update(p.value.tobytes())
@@ -65,9 +71,20 @@ def main():
 
     total = hashlib.sha256()
     for name, part in parts.items():
-        print(f"{name} {part.hexdigest()}", file=sys.stderr)
+        if not prefix:
+            print(f"{name} {part.hexdigest()}", file=sys.stderr)
         total.update(part.digest())
-    print(total.hexdigest())
+    return total.hexdigest()
+
+
+def main():
+    sample = prepare_sample(make_toy_scene(SEED, SCENE),
+                            HierarchyConfig(strategy="vc+qem", fps_seed=SEED),
+                            [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII])
+    double = Sample(sample.hierarchy, vertex_features(sample.hierarchy.levels[0], np.float64),
+                    sample.labels)
+    print(digest(double))
+    print(f"float32 {digest(sample, 'float32 ')}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -121,6 +121,10 @@ class Segments:
     is bit-identical to it: it is a product with the CSC incidence matrix,
     whose kernel visits its columns, one per row, in order. `gather` is the
     transpose product. Both matrices are built on first use and kept.
+
+    Every operation returns float32 for a float32 operand and float64
+    otherwise. scipy and NumPy compute in the wider of two dtypes, so the
+    matrices and the sizes are kept in float32 as well, built on first use.
     """
 
     def __init__(self, index, count: int):
@@ -130,9 +134,7 @@ class Segments:
     def __len__(self):
         return len(self.index)
 
-    @cached_property
-    def incidence(self) -> sparse.csc_matrix:
-        """The count x n 0/1 matrix that `sum` multiplies by."""
+    def _incidence(self, dtype) -> sparse.csc_matrix:
         per_row = self.index.shape[1] if self.index.ndim == 2 else 1
         flat = self.index.reshape(-1)
         # The sparse kernel does not bounds-check its indices.
@@ -140,9 +142,14 @@ class Segments:
             raise IndexError(f"segment index out of range for {self.count} segments")
         # int32 indices spare the constructor a range scan and a copy.
         return sparse.csc_matrix(
-            (np.ones(flat.size), flat.astype(np.int32),
+            (np.ones(flat.size, dtype=dtype), flat.astype(np.int32),
              np.arange(0, flat.size + 1, per_row, dtype=np.int32)),
             shape=(self.count, len(self)))
+
+    @cached_property
+    def incidence(self) -> sparse.csc_matrix:
+        """The count x n 0/1 matrix that `sum` multiplies by."""
+        return self._incidence(np.float64)
 
     @cached_property
     def transpose(self) -> sparse.csr_matrix:
@@ -154,22 +161,38 @@ class Segments:
         """The number of rows in each segment, as floats."""
         return np.bincount(self.index.reshape(-1), minlength=self.count).astype(np.float64)
 
+    @cached_property
+    def _incidence32(self):
+        return self._incidence(np.float32)
+
+    @cached_property
+    def _transpose32(self):
+        return self._incidence32.T
+
+    @cached_property
+    def _sizes32(self):
+        return self.sizes.astype(np.float32)
+
+    def _like(self, values: np.ndarray, name: str):
+        """`incidence`, `transpose` or `sizes`, in float32 for float32 values."""
+        return getattr(self, f"_{name}32" if values.dtype == np.float32 else name)
+
     def sum(self, values: np.ndarray) -> np.ndarray:
         """out[s] = the sum of values[k] over the rows k in segment s."""
-        return _product(self.incidence, values)
+        return _product(self._like(values, "incidence"), values)
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """out[k] = the sum of values[s] over the segments s of row k; a copy
         of values[index[k]] for a one-segment index."""
-        return _product(self.transpose, values)
+        return _product(self._like(values, "transpose"), values)
 
     def mean(self, values: np.ndarray) -> np.ndarray:
         out = self.sum(values)
-        out /= self.sizes.reshape((-1,) + (1,) * (out.ndim - 1))
+        out /= self._like(values, "sizes").reshape((-1,) + (1,) * (out.ndim - 1))
         return out
 
     def mean_adjoint(self, dy: np.ndarray) -> np.ndarray:
-        return self.gather(dy / self.sizes.reshape((-1,) + (1,) * (dy.ndim - 1)))
+        return self.gather(dy / self._like(dy, "sizes").reshape((-1,) + (1,) * (dy.ndim - 1)))
 
 
 def _product(matrix, values: np.ndarray) -> np.ndarray:

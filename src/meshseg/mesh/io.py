@@ -2,7 +2,10 @@
 
 Vertex layout: x y z [red green blue] [nx ny nz] [label]. Byte color
 channels are mapped to [0, 1] by /255. Binary PLY is written with double
-precision so that save -> load round trips are bit exact.
+precision so that save -> load round trips are bit exact. Labels round trip
+exactly as well: the binary writer refuses a label outside the int32 its
+header declares, and the ASCII reader parses an integer-typed label column as
+int64.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Mesh, check_mesh
+from .core import Mesh, MeshValidationError, check_mesh
 
 
 class MeshParseError(ValueError):
@@ -55,7 +58,9 @@ def load_mesh(path) -> Mesh:
         mesh = loader(path)
     except MeshParseError:
         raise
-    except ValueError as e:  # a non-numeric token, or non-ASCII (UnicodeDecodeError)
+    except (ValueError, OverflowError) as e:
+        # A non-numeric token, non-ASCII (UnicodeDecodeError), or an integer
+        # token beyond int64.
         raise MeshParseError(f"{path}: {e}") from e
     return check_mesh(mesh)
 
@@ -180,6 +185,11 @@ def _load_ply(path) -> Mesh:
                 end = pos + count * len(props)
                 cols = np.array(tokens[pos:end], dtype=np.float64).reshape(count, len(props))
                 parsed["vertex"] = (cols, props)
+                # float64 holds integers exactly only up to 2^53, so an
+                # integer-typed label column is parsed again, as int64.
+                for k, (p, d) in enumerate(props):
+                    if p == "label" and d[0] in "iu":
+                        parsed["label"] = np.array(tokens[pos + k:end:len(props)], dtype=np.int64)
                 pos = end
             elif name == "face":
                 # As in the binary reader, every face before the first
@@ -256,13 +266,21 @@ def _load_ply(path) -> Mesh:
     normals = take(["nx", "ny", "nz"])
     labels = None
     if "label" in names:
-        labels = cols[:, names.index("label")].astype(np.int64)
+        labels = parsed.get("label", cols[:, names.index("label")]).astype(np.int64)
     faces = parsed.get("face", np.empty((0, 3), dtype=np.int64))
     return Mesh(positions=positions, faces=faces, colors=colors,
                 normals=normals, labels=labels)
 
 
 def _save_ply(mesh: Mesh, path, binary: bool = True):
+    if binary and mesh.labels is not None:
+        # The header declares int labels; a wider value would wrap silently.
+        limits = np.iinfo(np.int32)
+        bad = np.flatnonzero((mesh.labels < limits.min) | (mesh.labels > limits.max))
+        if bad.size:
+            raise MeshValidationError(
+                f"{path}: label {mesh.labels[bad[0]]} at vertex {bad[0]} does not fit the "
+                f"int32 of binary PLY ({bad.size} such label{'s' if bad.size > 1 else ''})")
     names = ["x", "y", "z"]
     columns = [mesh.positions]
     if mesh.colors is not None:

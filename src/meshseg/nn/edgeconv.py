@@ -60,16 +60,18 @@ x, which the two branches of a block share, the level's PreparedEdges, which
 every branch on the level shares, and the per-channel inv_std. phi's second
 BatchNorm and last ReLU keep their xhat and mask, E x O each, which only the
 second Linear's product could rebuild. The E x H arrays that phi's first
-ReLU and second Linear keep set the peak memory of a train step; they are
-dropped after forward (`release`), and z right after the gather. Backward
-rebuilds them from x with forward's own NumPy operations in forward's
-order: z (one V x F x 2H product), u (one `pairs.gather`), its scale and
-shift, and the ReLU itself for its mask and the second Linear's input
-(`keep`).
+ReLU and second Linear would keep set the peak memory of a train step: the
+ReLU runs without its mask, the Linear drops its input after forward
+(`release`), and z is dropped right after the gather. Backward rebuilds
+them from x with forward's own NumPy operations in forward's order: z (one
+V x F x 2H product), u (one `pairs.gather`), its scale and shift, and the
+ReLU itself for its mask and the second Linear's input (`keep`).
 M u is taken from the rebuilt u before its scale and shift. The parameters,
 x and the edges are unchanged in between, so every rebuilt float equals the
 one forward had, bit for bit, and so do the gradients; the cost is that
-product and gather over again in each branch's backward.
+product and gather over again in each branch's backward. This holds in
+float32 as in float64, since the rebuild casts the same float64 parameters
+to x's dtype as forward did.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ from typing import Optional
 import numpy as np
 
 from ..graph.neighborhoods import EdgeSet, Segments
-from .layers import (BN_EPS, BatchNorm, Container, Linear, Sequential, column_sums, mlp,
-                     prefixed)
+from .layers import (BN_EPS, BatchNorm, Container, Linear, ReLU, Sequential, cast,
+                     column_sums, mlp, prefixed)
 
 
 class PreparedEdges:
@@ -127,10 +129,12 @@ class EdgeConvBranch(Container):
     """One branch (geodesic or Euclidean) of a dual block.
 
     phi is Linear, BN, ReLU, Linear, BN, ReLU. Its first Linear and BN are
-    held as `vertex_linear` and `vertex_bn` and run per vertex; `phi` holds
-    the rest, which runs per edge. Parameters keep the names of the whole
-    stack: `phi.0.*` is the vertex Linear, `phi.1.*` the vertex BN, `phi.2`
-    onwards the per-edge modules.
+    held as `vertex_linear` and `vertex_bn` and run per vertex. Its first
+    ReLU, `edge_relu`, runs on the gathered rows and keeps no mask in a
+    train forward, since backward rebuilds it; `phi` holds the rest. Modules
+    and parameters keep the names of the whole stack: `phi.0.*` is the
+    vertex Linear, `phi.1.*` the vertex BN, `phi.2` the edge ReLU and `phi.3`
+    onwards the modules of `phi`.
     """
 
     def __init__(self, in_width, hidden, out, rng, relative=False):
@@ -138,9 +142,10 @@ class EdgeConvBranch(Container):
         self.in_width = in_width
         self.out_width = out
         phi_in = in_width if relative else 2 * in_width
-        first, bn, *rest = mlp((phi_in, hidden, out), rng).modules
+        first, bn, relu, *rest = mlp((phi_in, hidden, out), rng).modules
         self.vertex_linear: Linear = first
         self.vertex_bn: BatchNorm = bn
+        self.edge_relu: ReLU = relu
         self.phi = Sequential(*rest)
         self._cache = None
 
@@ -150,15 +155,20 @@ class EdgeConvBranch(Container):
         w_b = w[-self.in_width:]
         return np.concatenate([-w_b if self.relative else w[:self.in_width] - w_b, w_b], axis=1)
 
+    def _weight(self, x):
+        """The pair weight of the first Linear, in x's dtype."""
+        return cast(self._pair_weight(self.vertex_linear.weight.value), x)
+
     def _centred(self, x, edges: PreparedEdges, weight):
         """Train mode: x less its out-degree-weighted mean, z with each half
         centred over the rows, and the batch mean of P + Q (bias excluded),
         as in the module docstring."""
         n = len(edges)
-        x_mean = edges.degrees[:, 0] @ x / n
+        degrees = cast(edges.degrees, x)
+        x_mean = degrees[:, 0] @ x / n
         centred = x - x_mean
         halves = (centred @ weight).reshape(len(x), 2, -1)
-        half_means = np.einsum("vs,vsh->sh", edges.degrees, halves) / n
+        half_means = np.einsum("vs,vsh->sh", degrees, halves) / n
         halves -= half_means
         mean = (x_mean @ weight).reshape(2, -1) + half_means
         return centred, halves.reshape(2 * len(x), -1), mean.sum(axis=0)
@@ -169,29 +179,28 @@ class EdgeConvBranch(Container):
         bn = self.vertex_bn
         if train:
             n = len(edges)
-            weight = self._pair_weight(self.vertex_linear.weight.value)
-            _, z, mean = self._centred(x, edges, weight)
+            _, z, mean = self._centred(x, edges, self._weight(x))
             u = edges.pairs.gather(z)
             var = np.einsum("ij,ij->j", u, u) / n
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             bn.track(mean + self.vertex_linear.bias.value, var, n)
             self._cache = (x, edges, inv_std)
-            u *= bn.gamma.value * inv_std
-            u += bn.beta.value
+            u *= cast(bn.gamma.value, u) * inv_std
+            u += cast(bn.beta.value, u)
             return u
         weight, bias = self.vertex_linear.folded(bn)
-        z = x @ self._pair_weight(weight)
-        z += np.concatenate([bias, np.zeros_like(bias)])
+        z = x @ cast(self._pair_weight(weight), x)
+        z += cast(np.concatenate([bias, np.zeros_like(bias)]), z)
         return edges.pairs.gather(z.reshape(2 * len(x), -1))
 
     def forward(self, x, edges: PreparedEdges, train: bool):
         # No name holds the rows, so that phi can free them once it is done.
-        y = self.phi.forward(self._first_bn(x, edges, train), train)
+        # The ReLU keeps no mask, and in train mode phi's Linear drops its
+        # input: backward rebuilds these E x H arrays from x (module docstring).
+        y = self.phi.forward(
+            self.edge_relu.forward(self._first_bn(x, edges, train), train=False), train)
         if train:
-            # Backward rebuilds these E x H arrays from x (module docstring).
-            relu, linear = self.phi.modules[:2]
-            relu.release()
-            linear.release()
+            self.phi.modules[0].release()
         return edges.rows.mean(y)
 
     def backward(self, dy):
@@ -199,18 +208,17 @@ class EdgeConvBranch(Container):
         self._cache = None
         bn = self.vertex_bn
         n = len(edges)
-        scale = bn.gamma.value * inv_std
-        weight = self._pair_weight(self.vertex_linear.weight.value)
+        weight = self._weight(x)
+        scale = cast(bn.gamma.value, x) * inv_std
         # Rebuild what forward dropped, with forward's operations in its order.
         centred, z, _ = self._centred(x, edges, weight)
         u = edges.pairs.gather(z)
         mu = edges.pairs.sum(u)
         u *= scale
-        u += bn.beta.value
-        relu, linear = self.phi.modules[:2]
-        linear.keep(relu.forward(u, train=True))
+        u += cast(bn.beta.value, u)
+        self.phi.modules[0].keep(self.edge_relu.forward(u, train=True))
         del u
-        g = self.phi.backward(edges.rows.mean_adjoint(dy))
+        g = self.edge_relu.backward(self.phi.backward(edges.rows.mean_adjoint(dy)))
         s = edges.pairs.sum(g)
         del g
 
@@ -221,7 +229,7 @@ class EdgeConvBranch(Container):
         # s holds T = M g and becomes S in place (module docstring).
         mu *= inv_std * dgamma / n
         s -= mu
-        s -= edges.pairs.sizes[:, None] * (dbeta / n)
+        s -= cast(edges.pairs.sizes, s)[:, None] * (dbeta / n)
         s *= scale
 
         s = s.reshape(len(x), -1)
@@ -240,7 +248,8 @@ class EdgeConvBranch(Container):
         """phi's modules under their names in the whole stack."""
         yield "phi.0", self.vertex_linear
         yield "phi.1", self.vertex_bn
-        for i, m in enumerate(self.phi.modules, start=2):
+        yield "phi.2", self.edge_relu
+        for i, m in enumerate(self.phi.modules, start=3):
             yield f"phi.{i}", m
 
 

@@ -1,16 +1,23 @@
 """Minimal dense layers with explicit reverse-mode gradients.
 
-Everything is float64 numpy. Each module caches what its backward pass
-needs during forward(train=True), accumulates parameter gradients into
-Param.grad and drops the cache; backward returns the gradient wrt the module
-input and is defined once per train-mode forward. A caller that can rebuild
-a Linear's input or a ReLU's mask, and would rather spend the time than the
-memory, drops them after forward with `release()` and restores them before
-backward: the Linear with `keep(x)`, the ReLU with a train forward on its
-rebuilt input. The edge convolution does this. ReLU overwrites its input
-in forward and its upstream gradient in backward, so both must be fresh
-arrays that nothing else holds: in `mlp` and the network head the input is
-the output of a BatchNorm, and the gradient that of a Linear or a gather.
+Each module caches what its backward pass needs during forward(train=True),
+accumulates parameter gradients into Param.grad and drops the cache;
+backward returns the gradient wrt the module input and is defined once per
+train-mode forward. A caller that can rebuild a Linear's input or a ReLU's
+mask, and would rather spend the time than the memory, drops them after
+forward with `release()` and restores them before backward: the Linear
+with `keep(x)`, the ReLU with a train forward on its rebuilt input. The
+edge convolution does this. ReLU overwrites its input in forward and its
+upstream gradient in backward, so both must be fresh arrays that nothing
+else holds: in `mlp` and the network head the input is the output of a
+BatchNorm, and the gradient that of a Linear or a gather.
+
+A module computes in the dtype of its input, float32 or float64. Its
+parameters, their gradients and the BatchNorm running statistics stay
+float64, as the master weights of mixed-precision training (Micikevicius
+et al., arXiv 1710.03740): each call casts the parameter values it uses to
+the input's dtype with `cast`, which hands back the float64 array itself
+for float64 input, and gradients accumulate into the float64 `Param.grad`.
 
 Eval mode folds every BatchNorm into the product before it (Ioffe &
 Szegedy, arXiv 1502.03167): with running statistics the BatchNorm is the
@@ -34,7 +41,12 @@ BN_EPS = 1e-5
 
 def column_sums(x: np.ndarray) -> np.ndarray:
     """The sum of the rows of a 2-D array, as the product ones @ x."""
-    return np.ones(x.shape[0]) @ x
+    return np.ones(x.shape[0], dtype=x.dtype) @ x
+
+
+def cast(value: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """value in the dtype of like; value itself when they agree."""
+    return value.astype(like.dtype, copy=False)
 
 
 class Param:
@@ -61,8 +73,8 @@ class Linear:
     def forward(self, x, train: bool):
         if train:
             self._x = x
-        y = x @ self.weight.value
-        y += self.bias.value
+        y = x @ cast(self.weight.value, x)
+        y += cast(self.bias.value, x)
         return y
 
     def keep(self, x):
@@ -78,10 +90,11 @@ class Linear:
         x, self._x = self._x, None
         self.weight.grad += x.T @ dy
         self.bias.grad += column_sums(dy)
-        return dy @ self.weight.value.T
+        return dy @ cast(self.weight.value, x).T
 
     def folded(self, bn: "BatchNorm"):
-        """The weight and bias of this Linear followed by bn in eval mode."""
+        """The weight and bias of this Linear followed by bn in eval mode, in
+        float64."""
         scale, shift = bn.eval_affine()
         bias = self.bias.value * scale
         bias += shift
@@ -112,12 +125,12 @@ class BatchNorm:
             xhat *= inv_std
             self._cache = (xhat, inv_std)
             self.track(mean, var, n)
-            y = xhat * self.gamma.value
-            y += self.beta.value
+            y = xhat * cast(self.gamma.value, x)
+            y += cast(self.beta.value, x)
             return y
         scale, shift = self.eval_affine()
-        y = x * scale
-        y += shift
+        y = x * cast(scale, x)
+        y += cast(shift, x)
         return y
 
     def eval_affine(self):
@@ -147,7 +160,7 @@ class BatchNorm:
         dx *= -dgamma / n
         dx += dy
         dx -= dbeta / n
-        dx *= self.gamma.value * inv_std
+        dx *= cast(self.gamma.value, dx) * inv_std
         return dx
 
     def parameters(self):
@@ -208,8 +221,8 @@ class Sequential(Container):
             m, after = modules[i], modules[i + 1] if i + 1 < len(modules) else None
             if not train and isinstance(m, Linear) and isinstance(after, BatchNorm):
                 weight, bias = m.folded(after)
-                x = x @ weight
-                x += bias
+                x = x @ cast(weight, x)
+                x += cast(bias, x)
                 i += 2
             else:
                 x = m.forward(x, train)

@@ -121,8 +121,10 @@ class SegmentationNetwork(Container):
     def forward(self, features: np.ndarray, geo_edges: Sequence[EdgeSet],
                 euc_edges: Sequence[EdgeSet], traces: Sequence[PoolingTraceMap],
                 train: bool = False) -> np.ndarray:
-        """Per-vertex class logits at level 0.
+        """Per-vertex class logits at level 0, in the features' dtype.
 
+        The network computes in float32 for float32 features and in float64
+        for float64 ones; features of any other dtype are cast to float64.
         geo_edges/euc_edges: one EdgeSet per level; traces: one per level
         transition (num_levels - 1 of them).
         """
@@ -133,7 +135,9 @@ class SegmentationNetwork(Container):
         euc = [prepared_edges(e) for e in euc_edges]
         self._traces = list(traces)
 
-        x = np.asarray(features, dtype=np.float64)
+        x = np.asarray(features)
+        if x.dtype not in (np.float32, np.float64):
+            x = x.astype(np.float64)
         if x.shape[1] != self.config.input_width:
             raise ValueError(
                 f"input width {x.shape[1]} != configured {self.config.input_width}"
@@ -164,7 +168,7 @@ class SegmentationNetwork(Container):
 
         dy = self.head.backward(dlogits)
 
-        dskips = [np.zeros(s) for s in self._skip_shapes]
+        dskips = [np.zeros(s, dtype=dy.dtype) for s in self._skip_shapes]
         for i in range(len(self.decoder) - 1, -1, -1):
             lvl = L - 2 - i
             for blk in reversed(self.decoder[i]):

@@ -20,11 +20,14 @@ def normalize_positions(positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def vertex_features(mesh: Mesh) -> np.ndarray:
-    """(V, 9) array: [minmax position | color | normal].
+def vertex_features(mesh: Mesh, dtype=np.float32) -> np.ndarray:
+    """(V, 9) array: [minmax position | color | normal], computed in float64
+    and handed over in dtype.
 
-    Missing colors become zeros; missing normals are computed from the
-    faces (area-weighted).
+    The network computes in its features' dtype, so train and infer run in
+    float32; float64 features reproduce the float64 arithmetic. Missing
+    colors become zeros; missing normals are computed from the faces
+    (area-weighted).
     """
     pos = normalize_positions(mesh.positions)
     if mesh.colors is not None:
@@ -35,4 +38,4 @@ def vertex_features(mesh: Mesh) -> np.ndarray:
         nrm = np.asarray(mesh.normals, dtype=np.float64)
     else:
         nrm = compute_vertex_normals(mesh)
-    return np.concatenate([pos, col, nrm], axis=1)
+    return np.concatenate([pos, col, nrm], axis=1).astype(dtype, copy=False)

@@ -37,7 +37,7 @@ class Sample:
     """One crop, fully prepared for the network."""
 
     hierarchy: Hierarchy
-    features: np.ndarray   # (V0, 9) at level 0
+    features: np.ndarray   # (V0, 9) float32 at level 0
     labels: np.ndarray     # (V0,) at level 0
 
 

@@ -94,6 +94,21 @@ def test_subdivide_cloud_without_an_attribute_exit_2(workdir, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_subdivide_cloud_label_beyond_binary_ply_exit_2(workdir, tmp_path, capsys):
+    # The binary writer stores int32 labels; this one used to wrap to -1,294,967,296.
+    cloud = make_toy_scene(0)
+    cloud.labels[:] = 3_000_000_000
+    save_mesh(cloud, tmp_path / "cloud.ply", binary=False)
+    out = tmp_path / "out" / "fine.ply"
+    code = main(["subdivide", str(workdir / "scene0.ply"), str(out),
+                 "--cloud", str(tmp_path / "cloud.ply")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "label 3000000000 at vertex 0 does not fit the int32 of binary PLY" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not (out.parent / "run_manifest.json").exists()
+
+
 def test_build_hierarchy_and_graph_stats(workdir, capsys):
     hdir = workdir / "hier"
     code = main(["build-hierarchy", str(workdir / "scene0.ply"), str(hdir),

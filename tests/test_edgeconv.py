@@ -5,7 +5,7 @@ import pytest
 
 from meshseg.graph.neighborhoods import EdgeSet, Segments
 from meshseg.nn.edgeconv import DualBlock, EdgeConvBranch, PreparedEdges, prepared_edges
-from meshseg.nn.layers import BatchNorm, Sequential
+from meshseg.nn.layers import BatchNorm, ReLU, Sequential
 
 
 def random_edge_set(rng, num_vertices, max_degree=4):
@@ -375,10 +375,10 @@ def test_branch_keeps_the_parameter_layout_of_the_whole_stack(rng):
         ("phi.0", "Linear"), ("phi.1", "BatchNorm"), ("phi.2", "ReLU"),
         ("phi.3", "Linear"), ("phi.4", "BatchNorm"), ("phi.5", "ReLU"),
     ]
-    # phi holds the per-edge modules: everything after the first batch norm.
-    assert [type(m).__name__ for m in branch.phi.modules] == [
-        "ReLU", "Linear", "BatchNorm", "ReLU",
-    ]
+    # The per-edge modules are everything after the first batch norm: the
+    # edge ReLU, then phi.
+    assert isinstance(branch.edge_relu, ReLU)
+    assert [type(m).__name__ for m in branch.phi.modules] == ["Linear", "BatchNorm", "ReLU"]
 
 
 def test_branch_caches_no_concatenated_rows(rng):
@@ -398,7 +398,8 @@ def test_branch_caches_no_concatenated_rows(rng):
             for item in value:
                 yield from arrays(item)
 
-    owners = [branch, branch.vertex_linear, branch.vertex_bn, *branch.phi.modules]
+    owners = [branch, branch.vertex_linear, branch.vertex_bn, branch.edge_relu,
+              *branch.phi.modules]
     cached = {id(owner): [a for name, value in vars(owner).items() if name.startswith("_")
                           for a in arrays(value)]
               for owner in owners}
@@ -412,6 +413,6 @@ def test_branch_caches_no_concatenated_rows(rng):
     per_edge = [a for a in every if len(a) == num_edges]
     assert sorted((a.shape, a.dtype == bool) for a in per_edge) == [
         ((num_edges, out), False), ((num_edges, out), True)]
-    bn, relu = branch.phi.modules[2:]
+    bn, relu = branch.phi.modules[1:]
     assert any(a is bn._cache[0] for a in per_edge)
     assert any(a is relu._mask for a in per_edge)

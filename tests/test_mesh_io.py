@@ -285,3 +285,27 @@ def test_ascii_non_triangle_reports_its_face(tmp_path, rng, line):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshParseError, match="face 5: only triangles supported"):
         load_mesh(path)
+
+
+def test_binary_ply_refuses_labels_beyond_int32(tmp_path, rng):
+    mesh = full_mesh(rng)
+    mesh.labels[3] = 2**31 - 1
+    save_mesh(mesh, tmp_path / "fits.ply")
+    assert load_mesh(tmp_path / "fits.ply").labels[3] == 2**31 - 1
+    for vertex in (3, 7):
+        mesh.labels[vertex] = 2**31
+    with pytest.raises(MeshValidationError, match=r"label 2147483648 at vertex 3 .*\(2 such"):
+        save_mesh(mesh, tmp_path / "wraps.ply")
+    assert not (tmp_path / "wraps.ply").exists()
+
+
+def test_ascii_ply_labels_round_trip_beyond_float64_integers(tmp_path, rng):
+    mesh = full_mesh(rng)
+    mesh.labels[3] = 2**53 + 1
+    save_mesh(mesh, tmp_path / "m.ply", binary=False)
+    assert np.array_equal(load_mesh(tmp_path / "m.ply").labels, mesh.labels)
+    # A label beyond int64 is a parse error, not a traceback.
+    text = (tmp_path / "m.ply").read_text().replace(str(2**53 + 1), str(2**64), 1)
+    (tmp_path / "m.ply").write_text(text)
+    with pytest.raises(MeshParseError, match="too large"):
+        load_mesh(tmp_path / "m.ply")

@@ -239,11 +239,15 @@ def test_vertex_features_layout(rng):
     mesh = random_mesh(rng, 20, 8, colors=True)
     n = rng.normal(size=(20, 3))
     mesh.normals = n / np.linalg.norm(n, axis=1, keepdims=True)
-    f = vertex_features(mesh)
-    assert f.shape == (20, FEATURE_WIDTH)
+    f = vertex_features(mesh, np.float64)
+    assert f.shape == (20, FEATURE_WIDTH) and f.dtype == np.float64
     assert np.array_equal(f[:, :3], normalize_positions(mesh.positions))
     assert np.array_equal(f[:, 3:6], mesh.colors)
     assert np.array_equal(f[:, 6:9], mesh.normals)
+    # The pipeline's features are the same, rounded to float32.
+    single = vertex_features(mesh)
+    assert single.dtype == np.float32
+    assert np.array_equal(single, f.astype(np.float32))
 
 
 def test_vertex_features_missing_color_and_normal():
