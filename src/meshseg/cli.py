@@ -12,8 +12,11 @@ Exit codes: 0 success, 2 input validation error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import glob
 import json
+import os
 import re
 import sys
 import time
@@ -107,17 +110,39 @@ _count = _domain(int, lambda n: 1 <= n < 2**63, "an integer in [1, 2^63)")
 _natural = _domain(int, lambda n: 0 <= n < 2**63, "an integer in [0, 2^63)")
 
 
+def _openblas_thread_setter():
+    """The set-num-threads function of NumPy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for lib in libs:
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            try:
+                setter = getattr(ctypes.CDLL(lib), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
+
 def _limit_threads(n):
-    """Best-effort cap on BLAS worker threads (advisory)."""
+    """Cap BLAS worker threads at n, and at the CPU count: through
+    threadpoolctl when it is installed, else through NumPy's bundled
+    OpenBLAS; warn when neither is found."""
     if n is None:
         return
+    count = min(n, os.cpu_count() or 1)
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        print(f"warning: --threads {n} not applied: threadpoolctl is not installed",
-              file=sys.stderr)
+        setter = _openblas_thread_setter()
+        if setter is None:
+            print(f"warning: --threads {n} not applied: neither threadpoolctl nor "
+                  f"NumPy's OpenBLAS was found", file=sys.stderr)
+        else:
+            setter(count)
         return
-    threadpool_limits(limits=n)
+    threadpool_limits(limits=count)
 
 
 def _write_run_manifest(out_dir: Path, command: str, args: argparse.Namespace,

@@ -10,6 +10,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+# The compiled kernel of `matrix @ values`; see `Segments`.
+from scipy.sparse import _sparsetools
 from scipy.spatial import cKDTree
 
 
@@ -125,6 +127,16 @@ class Segments:
     Every operation returns float32 for a float32 operand and float64
     otherwise. scipy and NumPy compute in the wider of two dtypes, so the
     matrices and the sizes are kept in float32 as well, built on first use.
+
+    Every product calls scipy's compiled kernel (`csc_matvecs` or
+    `csr_matvecs` of `scipy.sparse._sparsetools`) directly, the one that
+    `matrix @ values` runs, so the results are bit-identical to that
+    operator. The kernel adds each product term onto its output, so the
+    output is zeroed first and then added into, as scipy does itself.
+    `sum`, `gather` and `mean_adjoint` take an `out` array to write the
+    result into; it must be C-contiguous, of exactly the result's shape and
+    of its dtype (float64 for an integer operand), since the kernel checks
+    none of these, and it must not overlap the operand.
     """
 
     def __init__(self, index, count: int):
@@ -177,29 +189,46 @@ class Segments:
         """`incidence`, `transpose` or `sizes`, in float32 for float32 values."""
         return getattr(self, f"_{name}32" if values.dtype == np.float32 else name)
 
-    def sum(self, values: np.ndarray) -> np.ndarray:
+    def sum(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """out[s] = the sum of values[k] over the rows k in segment s."""
-        return _product(self._like(values, "incidence"), values)
+        return _product(self._like(values, "incidence"), values, out)
 
-    def gather(self, values: np.ndarray) -> np.ndarray:
+    def gather(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """out[k] = the sum of values[s] over the segments s of row k; a copy
         of values[index[k]] for a one-segment index."""
-        return _product(self._like(values, "transpose"), values)
+        return _product(self._like(values, "transpose"), values, out)
 
     def mean(self, values: np.ndarray) -> np.ndarray:
         out = self.sum(values)
         out /= self._like(values, "sizes").reshape((-1,) + (1,) * (out.ndim - 1))
         return out
 
-    def mean_adjoint(self, dy: np.ndarray) -> np.ndarray:
-        return self.gather(dy / self._like(dy, "sizes").reshape((-1,) + (1,) * (dy.ndim - 1)))
+    def mean_adjoint(self, dy: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.gather(dy / self._like(dy, "sizes").reshape((-1,) + (1,) * (dy.ndim - 1)),
+                           out)
 
 
-def _product(matrix, values: np.ndarray) -> np.ndarray:
-    """matrix @ values over the first axis of values, of any rank."""
+def _product(matrix, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """matrix @ values over the first axis of values, of any rank, written
+    into out when it is given (see `Segments`)."""
     rows, cols = matrix.shape
+    if values.shape[:1] != (cols,):
+        raise ValueError(f"operand has {values.shape[:1]} rows, the product needs {cols}")
+    shape = (rows,) + values.shape[1:]
+    dtype = np.promote_types(matrix.dtype, values.dtype)
+    if out is None:
+        out = np.zeros(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}, got "
+                         f"{'a C-contiguous' if out.flags.c_contiguous else 'a strided'} "
+                         f"{out.dtype} array of shape {out.shape}")
+    else:
+        out.fill(0)
     width = math.prod(values.shape[1:])
-    return (matrix @ values.reshape(cols, width)).reshape((rows,) + values.shape[1:])
+    kernel = _sparsetools.csc_matvecs if matrix.format == "csc" else _sparsetools.csr_matvecs
+    kernel(rows, cols, width, matrix.indptr, matrix.indices, matrix.data,
+           values.reshape(cols, width).ravel(), out.reshape(-1))
+    return out
 
 
 @dataclass

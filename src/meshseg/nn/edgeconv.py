@@ -72,6 +72,26 @@ one forward had, bit for bit, and so do the gradients; the cost is that
 product and gather over again in each branch's backward. This holds in
 float32 as in float64, since the rebuild casts the same float64 parameters
 to x's dtype as forward did.
+
+The E-row arrays a level's branches make are written into two scratch
+arrays that the level's PreparedEdges holds, rather than fresh ones that
+fault in new pages on every call:
+
+- E x H, written by `PreparedEdges.gather`: a train forward's u, an eval
+  forward's gathered rows, and backward's rebuilt u. The forward u is dead
+  once phi's Linear is `release()`d; the rebuilt u lives until
+  `phi.backward` returns; eval rows die inside phi's folded product.
+- E x O, written by `PreparedEdges.mean_adjoint`: the gradient at phi's
+  output in backward. The last ReLU masks it in place, and it dies inside
+  the BatchNorm backward, whose result is built in that BatchNorm's xhat.
+
+No branch reads either array after it returns, and the branches of one
+level run one at a time, forward and backward, so each branch can take
+both arrays over from the one before it. The geodesic and the Euclidean
+edges are separate PreparedEdges, so the two branches of a block never
+share scratch. The scratch is built on first use, and again if a call asks
+for another width or dtype; it dies with the PreparedEdges, that is with
+the forward's edge lists, so nothing persists from one step to the next.
 """
 
 from __future__ import annotations
@@ -93,6 +113,10 @@ class PreparedEdges:
     row k to rows 2 centers[k] and 2 nbrs[k] + 1 of an interleaved array (M
     in the module docstring). `degrees` holds each vertex's (out, in)
     degree, the sizes of those two rows.
+
+    `gather` and `mean_adjoint` write into the level's two E-row scratch
+    arrays, held in `scratch` under those names; see the module docstring
+    for their lifetimes.
     """
 
     def __init__(self, centers: np.ndarray, nbrs: np.ndarray, num_vertices: int):
@@ -102,6 +126,7 @@ class PreparedEdges:
         self.nbrs = nbrs
         self.rows = Segments(centers, num_vertices)
         self.pairs = Segments(np.column_stack([2 * centers, 2 * nbrs + 1]), 2 * num_vertices)
+        self.scratch = {}
 
     def __len__(self):
         return len(self.centers)
@@ -109,6 +134,23 @@ class PreparedEdges:
     @property
     def degrees(self) -> np.ndarray:
         return self.pairs.sizes.reshape(-1, 2)
+
+    def _scratch(self, name: str, width: int, dtype) -> np.ndarray:
+        """The E x width scratch array `name`, built on first use and again
+        when a call asks for another width or dtype."""
+        buf = self.scratch.get(name)
+        if buf is None or buf.shape[1] != width or buf.dtype != dtype:
+            buf = self.scratch[name] = np.empty((len(self), width), dtype=dtype)
+        return buf
+
+    def gather(self, z: np.ndarray) -> np.ndarray:
+        """`pairs.gather(z)` of a 2V x H array z, written into the E x H scratch."""
+        return self.pairs.gather(z, out=self._scratch("gather", z.shape[1], z.dtype))
+
+    def mean_adjoint(self, dy: np.ndarray) -> np.ndarray:
+        """`rows.mean_adjoint(dy)` of a V x O array dy, written into the E x O
+        scratch."""
+        return self.rows.mean_adjoint(dy, out=self._scratch("adjoint", dy.shape[1], dy.dtype))
 
 
 def prepared_edges(edges: EdgeSet) -> PreparedEdges:
@@ -180,7 +222,7 @@ class EdgeConvBranch(Container):
         if train:
             n = len(edges)
             _, z, mean = self._centred(x, edges, self._weight(x))
-            u = edges.pairs.gather(z)
+            u = edges.gather(z)
             var = np.einsum("ij,ij->j", u, u) / n
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             bn.track(mean + self.vertex_linear.bias.value, var, n)
@@ -191,12 +233,12 @@ class EdgeConvBranch(Container):
         weight, bias = self.vertex_linear.folded(bn)
         z = x @ cast(self._pair_weight(weight), x)
         z += cast(np.concatenate([bias, np.zeros_like(bias)]), z)
-        return edges.pairs.gather(z.reshape(2 * len(x), -1))
+        return edges.gather(z.reshape(2 * len(x), -1))
 
     def forward(self, x, edges: PreparedEdges, train: bool):
-        # No name holds the rows, so that phi can free them once it is done.
-        # The ReLU keeps no mask, and in train mode phi's Linear drops its
-        # input: backward rebuilds these E x H arrays from x (module docstring).
+        # The rows are the level's E x H scratch. The ReLU keeps no mask, and
+        # in train mode phi's Linear drops its input: backward rebuilds these
+        # E x H arrays from x (module docstring).
         y = self.phi.forward(
             self.edge_relu.forward(self._first_bn(x, edges, train), train=False), train)
         if train:
@@ -212,13 +254,13 @@ class EdgeConvBranch(Container):
         scale = cast(bn.gamma.value, x) * inv_std
         # Rebuild what forward dropped, with forward's operations in its order.
         centred, z, _ = self._centred(x, edges, weight)
-        u = edges.pairs.gather(z)
+        u = edges.gather(z)
         mu = edges.pairs.sum(u)
         u *= scale
         u += cast(bn.beta.value, u)
         self.phi.modules[0].keep(self.edge_relu.forward(u, train=True))
         del u
-        g = self.edge_relu.backward(self.phi.backward(edges.rows.mean_adjoint(dy)))
+        g = self.edge_relu.backward(self.phi.backward(edges.mean_adjoint(dy)))
         s = edges.pairs.sum(g)
         del g
 

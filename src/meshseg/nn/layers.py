@@ -8,9 +8,11 @@ mask, and would rather spend the time than the memory, drops them after
 forward with `release()` and restores them before backward: the Linear
 with `keep(x)`, the ReLU with a train forward on its rebuilt input. The
 edge convolution does this. ReLU overwrites its input in forward and its
-upstream gradient in backward, so both must be fresh arrays that nothing
-else holds: in `mlp` and the network head the input is the output of a
-BatchNorm, and the gradient that of a Linear or a gather.
+upstream gradient in backward, so neither array's old values may be read
+again by anyone else: in `mlp` and the network head the input is the
+output of a BatchNorm, and the gradient that of a Linear; in the edge
+convolution either can be one of the level's scratch arrays, which no one
+reads again until the next gather or adjoint writes it (nn/edgeconv.py).
 
 A module computes in the dtype of its input, float32 or float64. Its
 parameters, their gradients and the BatchNorm running statistics stay

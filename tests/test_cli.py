@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from meshseg import cli
 from meshseg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from meshseg.mesh.core import UNLABELED, Mesh
 from meshseg.mesh.io import load_mesh, save_mesh
@@ -244,6 +245,7 @@ def test_vote_table_follows_the_predictions_not_classes(tmp_path):
 
 def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setattr(cli, "_openblas_thread_setter", lambda: None)  # no OpenBLAS either
     preds = tmp_path / "p.txt"
     preds.write_text("0\n1\n")
     vote = ["vote", str(preds), str(preds), "--output", str(tmp_path / "v.txt")]
@@ -252,6 +254,30 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     assert main(["--threads", "1", *vote]) == EXIT_OK
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "--threads 1 not applied" in err[0]
+
+
+@pytest.mark.parametrize("threads", [1, 2**63 - 1])
+def test_threads_without_threadpoolctl_set_openblas(tmp_path, monkeypatch, capsys, threads):
+    """--threads goes to NumPy's OpenBLAS, clamped to the CPU count; the
+    setter is a stand-in, so no thread count is ever applied."""
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    calls = []
+    monkeypatch.setattr(cli, "_openblas_thread_setter", lambda: calls.append)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    preds = tmp_path / "p.txt"
+    preds.write_text("0\n1\n")
+    vote = ["vote", str(preds), str(preds), "--output", str(tmp_path / "v.txt")]
+    assert main(["--threads", str(threads), *vote]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert calls == [min(threads, 2)]
+
+
+def test_openblas_thread_setter_is_found():
+    """The set-num-threads symbol of NumPy's bundled OpenBLAS, looked up but
+    not called."""
+    if "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]):
+        pytest.skip("NumPy is not built with OpenBLAS")
+    assert cli._openblas_thread_setter() is not None
 
 
 # The message a row's options reach; negative numbers come in every float form.

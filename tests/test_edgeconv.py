@@ -416,3 +416,52 @@ def test_branch_caches_no_concatenated_rows(rng):
     bn, relu = branch.phi.modules[1:]
     assert any(a is bn._cache[0] for a in per_edge)
     assert any(a is relu._mask for a in per_edge)
+
+
+def test_branches_on_one_level_share_its_scratch(rng):
+    """Two branches on one PreparedEdges write the same two scratch arrays,
+    and give what they give on edges of their own, bit for bit."""
+    v, f, hidden, out = 12, 5, 6, 4
+    x = rng.normal(size=(v, f))
+    edges = random_edge_set(rng, v)
+    branches = [EdgeConvBranch(f, hidden, out, rng) for _ in range(2)]
+    twins = copy.deepcopy(branches)
+    dy = rng.normal(size=(v, out))
+
+    shared = prepared_edges(edges)
+    assert shared.scratch == {}
+    outputs = [b.forward(x, shared, train=True) for b in branches]
+    gathered = shared.scratch["gather"]
+    assert gathered.shape == (len(shared), hidden) and gathered.dtype == x.dtype
+    dxs = []
+    for b in reversed(branches):
+        dxs.append(b.backward(dy))
+        assert shared.scratch["gather"] is gathered
+    adjoint = shared.scratch["adjoint"]
+    assert adjoint.shape == (len(shared), out)
+    for b in branches:
+        b.forward(x, shared, train=False)
+    assert shared.scratch == {"gather": gathered, "adjoint": adjoint}
+
+    for b, got, dx in zip(reversed(twins), outputs[::-1], dxs):
+        own = prepared_edges(edges)
+        assert np.array_equal(b.forward(x, own, train=True), got)
+        assert np.array_equal(b.backward(dy), dx)
+        # A new PreparedEdges builds scratch of its own.
+        assert own.scratch["gather"] is not gathered and own.scratch["adjoint"] is not adjoint
+    for (_, p), (_, q) in zip((p for b in branches for p in b.parameters()),
+                              (q for b in twins for q in b.parameters())):
+        assert np.array_equal(p.grad, q.grad)
+
+
+def test_scratch_follows_the_width_and_dtype_asked_for(rng):
+    prep = prepared_edges(random_edge_set(rng, 10))
+    z = rng.normal(size=(20, 3))
+    first = prep.gather(z)
+    assert prep.gather(z) is first
+    assert np.array_equal(first, prep.pairs.gather(z))
+    wider = prep.gather(rng.normal(size=(20, 5)))
+    assert wider.shape == (len(prep), 5) and prep.scratch["gather"] is wider
+    single = prep.gather(z.astype(np.float32))
+    assert single.dtype == np.float32 and prep.scratch["gather"] is single
+    assert np.array_equal(prep.mean_adjoint(z[:10]), prep.rows.mean_adjoint(z[:10]))

@@ -62,6 +62,34 @@ def test_validate_counts_and_labels():
                                    "label below -1 at vertex 2"]
 
 
+def test_validation_is_independent_of_memory_order(rng):
+    mesh = random_mesh(rng, 12, 6, labeled=True, colors=True)
+    mesh.normals = compute_vertex_normals(mesh)
+    mesh.positions[2, 1] = np.inf
+    mesh.positions[5, 0] = -1e10
+    mesh.positions[9] = [np.nan, 2e9, 0.0]
+    mesh.faces[1] = [0, 3, 12]
+    mesh.faces[4] = [7, 7, 1]
+    mesh.colors[[3, 8], [2, 0]] = [1.5, np.nan]
+    mesh.normals[6] *= 1.001
+    mesh.labels[[4, 10]] = -3
+    expected = [
+        "non-finite coordinate at vertex 2, first of 2",
+        "coordinate beyond 1e+09 m at vertex 5",
+        "face index out of range at face 1",
+        "degenerate face (repeated vertex index) at face 4",
+        "color outside [0, 1] at vertex 3, first of 2",
+        "non-unit normal at vertex 6",
+        "label below -1 at vertex 4, first of 2",
+    ]
+    for order in "CF":
+        copy = Mesh(faces=np.asarray(mesh.faces, order=order),
+                    **{name: np.asarray(values, order=order)
+                       for name, values in mesh.vertex_arrays().items()})
+        assert copy.positions.flags[f"{order}_CONTIGUOUS"]
+        assert validate_mesh(copy) == expected, order
+
+
 def test_copy_is_deep(rng):
     mesh = random_mesh(rng, 10, 4, labeled=True, colors=True)
     mesh.normals = compute_vertex_normals(mesh)

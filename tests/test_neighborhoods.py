@@ -262,3 +262,70 @@ def test_edge_set_num_edges():
     edges = EdgeSet([np.array([1, 2]), np.array([0]), np.empty(0, dtype=np.int64)])
     assert edges.num_edges == 3
     assert len(edges) == 3
+
+
+OPERAND_DTYPES = [np.float32, np.float64, np.int64]
+
+
+def through_scipy(matrix, values):
+    """matrix @ values with scipy's public operator, over the first axis."""
+    if values.ndim == 1:
+        return matrix @ values
+    return (matrix @ values.reshape(len(values), -1)).reshape((matrix.shape[0],)
+                                                              + values.shape[1:])
+
+
+@pytest.mark.parametrize("dtype", OPERAND_DTYPES, ids=["float32", "float64", "int64"])
+@pytest.mark.parametrize("tail", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("index_shape", [(40,), (40, 2)], ids=["one", "two"])
+def test_products_into_out_match_the_scipy_operator(rng, dtype, tail, index_shape):
+    index = rng.integers(0, 10, index_shape)
+    index.reshape(-1)[:10] = np.arange(10)  # no empty segment
+    segments = Segments(index, 10)
+    result = np.float32 if dtype == np.float32 else np.float64
+    # The count x n 0/1 matrix with one column per row, built anew: astype
+    # would sort and merge `segments.incidence` in place.
+    per_row = index.shape[1] if index.ndim == 2 else 1
+    incidence = sparse.csc_matrix((np.ones(index.size, dtype=result), index.reshape(-1),
+                                   np.arange(0, index.size + 1, per_row)), shape=(10, 40))
+    sizes = np.bincount(index.reshape(-1), minlength=10).astype(result)
+    rows = (rng.standard_normal((40,) + tail) * 100).astype(dtype)
+    per_segment = (rng.standard_normal((10,) + tail) * 100).astype(dtype)
+    cases = [
+        (segments.sum, rows, through_scipy(incidence, rows)),
+        (segments.gather, per_segment, through_scipy(incidence.T, per_segment)),
+        (segments.mean_adjoint, per_segment,
+         through_scipy(incidence.T, per_segment / sizes.reshape((-1,) + (1,) * len(tail)))),
+    ]
+    for op, values, expected in cases:
+        assert expected.dtype == result
+        out = np.full(expected.shape, np.nan, dtype=result)  # stale contents
+        assert op(values, out=out) is out
+        assert out.tobytes() == expected.tobytes(), op.__name__
+        fresh = op(values)
+        assert fresh.dtype == result and fresh.tobytes() == expected.tobytes(), op.__name__
+
+
+@pytest.mark.parametrize("op", ["sum", "gather", "mean_adjoint"])
+def test_product_out_must_be_the_result_array(rng, op):
+    segments = Segments(rng.integers(0, 10, (40, 2)), 10)
+    rows = 40 if op == "sum" else 10
+    shape = (10 if op == "sum" else 40, 3)
+    values = rng.standard_normal((rows, 3))
+    wrong = {
+        "shape": np.zeros((shape[0], 4)),
+        "dtype": np.zeros(shape, dtype=np.float32),
+        "integer dtype": np.zeros(shape, dtype=np.int64),
+        "strided": np.zeros((shape[0], 6))[:, ::2],
+        "Fortran-ordered": np.zeros(shape[::-1]).T,
+    }
+    for what, out in wrong.items():
+        with pytest.raises(ValueError, match="out must be"):
+            getattr(segments, op)(values, out=out)
+        assert not out.any(), what  # nothing was written
+    # float32 operands give float32 results, and integer ones float64.
+    with pytest.raises(ValueError, match="out must be"):
+        getattr(segments, op)(values.astype(np.float32), out=np.zeros(shape))
+    getattr(segments, op)(values.astype(np.int64), out=np.zeros(shape))
+    with pytest.raises(ValueError):
+        getattr(segments, op)(values[1:], out=np.zeros(shape))
