@@ -282,10 +282,11 @@ def _training_scene_paths(manifest_path) -> list:
 
 
 # ------------------------------------------------------------------ commands
+# Each command returns the directory of its run manifest and the outputs to
+# list there, or None for no manifest; `main` times it and writes the file.
 
 
 def cmd_subdivide(args):
-    t0 = time.perf_counter()
     mesh = load_mesh(args.input)
     if args.cloud is not None:
         ref = load_mesh(args.cloud)
@@ -302,14 +303,11 @@ def cmd_subdivide(args):
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_mesh(mesh, out, binary=not args.ascii)
-    _write_run_manifest(out.parent, "subdivide", args,
-                        {"total": time.perf_counter() - t0}, [out])
     print(f"{mesh.num_vertices} vertices, {mesh.num_faces} faces -> {out}")
-    return EXIT_OK
+    return out.parent, [out]
 
 
 def cmd_build_hierarchy(args):
-    t0 = time.perf_counter()
     config = _hierarchy_config(args)
     mesh = load_mesh(args.input)
     _check_qem_levels(config, [args.input], [mesh])
@@ -323,11 +321,9 @@ def cmd_build_hierarchy(args):
         "qem_ratio": config.qem_ratio,
         "source": str(args.input),
     })
-    _write_run_manifest(out, "build-hierarchy", args,
-                        {"total": time.perf_counter() - t0}, [out])
     counts = ", ".join(str(m.num_vertices) for m in hier.levels)
     print(f"hierarchy with {hier.num_levels} levels ({counts} vertices) -> {out}")
-    return EXIT_OK
+    return out, [out]
 
 
 def cmd_graph_stats(args):
@@ -347,11 +343,10 @@ def cmd_graph_stats(args):
             }
         stats.append(entry)
     print(json.dumps(stats, indent=2))
-    return EXIT_OK
+    return None
 
 
 def cmd_train(args):
-    t0 = time.perf_counter()
     hier_cfg = _hierarchy_config(args)
     _check_depth(args.levels, hier_cfg)
     net_cfg = _network_config(args)
@@ -382,14 +377,11 @@ def cmd_train(args):
     ckpt = out / "checkpoint.bin"
     save_checkpoint(net, ckpt)
     (out / "loss_history.json").write_text(json.dumps(history) + "\n")
-    _write_run_manifest(out, "train", args,
-                        {"total": time.perf_counter() - t0}, [ckpt])
     print(f"final loss {history[-1]:.4f} -> {ckpt}")
-    return EXIT_OK
+    return out, [ckpt]
 
 
 def cmd_infer(args):
-    t0 = time.perf_counter()
     hier_cfg = _hierarchy_config(args)
     crop_cfg = _crop_config(args)
     net = load_checkpoint(args.checkpoint)
@@ -402,11 +394,9 @@ def cmd_infer(args):
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(out, result.predictions, fmt="%d")
-    _write_run_manifest(out.parent, "infer", args,
-                        {"total": result.elapsed_seconds}, [out])
     print(f"{len(result.predictions)} predictions over {result.num_crops} crops "
           f"in {result.elapsed_seconds:.1f}s -> {out}")
-    return EXIT_OK
+    return out.parent, [out]
 
 
 def _read_predictions(path, num_classes: int) -> np.ndarray:
@@ -431,7 +421,6 @@ def _read_predictions(path, num_classes: int) -> np.ndarray:
 
 
 def cmd_vote(args):
-    t0 = time.perf_counter()
     runs = [_read_predictions(p, args.classes) for p in args.predictions]
     if len({len(r) for r in runs}) != 1:
         raise MeshValidationError("prediction files differ in length")
@@ -439,13 +428,11 @@ def cmd_vote(args):
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(out, voted, fmt="%d")
-    _write_run_manifest(out.parent, "vote", args, {"total": time.perf_counter() - t0}, [out])
     print(f"majority vote over {len(runs)} runs -> {out}")
-    return EXIT_OK
+    return out.parent, [out]
 
 
 def cmd_eval(args):
-    t0 = time.perf_counter()
     scene = load_mesh(args.scene)
     if scene.labels is None:
         raise MeshValidationError(f"{args.scene}: scene carries no labels")
@@ -473,9 +460,8 @@ def cmd_eval(args):
         with open(out / "confusion.csv", "w") as f:
             for row in result.confusion:
                 f.write(",".join(str(int(x)) for x in row) + "\n")
-        _write_run_manifest(out, "eval", args, {"total": time.perf_counter() - t0},
-                            [out / "metrics.json"])
-    return EXIT_OK
+        return out, [out / "metrics.json"]
+    return None
 
 
 # -------------------------------------------------------------------- parser
@@ -562,7 +548,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _limit_threads(args.threads)
-        return args.func(args)
+        t0 = time.perf_counter()
+        written = args.func(args)
+        if written is not None:
+            out_dir, outputs = written
+            _write_run_manifest(out_dir, args.command, args,
+                                {"total": time.perf_counter() - t0}, outputs)
+        return EXIT_OK
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,6 @@ from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 # The compiled kernel of `matrix @ values`; see `Segments`.
 from scipy.sparse import _sparsetools
 from scipy.spatial import cKDTree
@@ -120,102 +119,92 @@ class Segments:
     index[k], or, for an (n, j) index, to each of the j segments index[k].
 
     `sum` adds each segment's rows in the order np.add.at visits them, and
-    is bit-identical to it: it is a product with the CSC incidence matrix,
-    whose kernel visits its columns, one per row, in order. `gather` is the
-    transpose product. Both matrices are built on first use and kept.
+    is bit-identical to it: it is a product with the count x n 0/1
+    incidence matrix in CSC form, whose kernel visits its columns, one per
+    row, in order. `gather` is the product with its transpose, whose CSR
+    form is the same three arrays: a pointer per row, the segment of every
+    entry, and ones. The two index arrays are built on first use and kept,
+    and the ones once per dtype.
 
     Every operation returns float32 for a float32 operand and float64
-    otherwise. scipy and NumPy compute in the wider of two dtypes, so the
-    matrices and the sizes are kept in float32 as well, built on first use.
+    otherwise. scipy and NumPy compute in the wider of two dtypes, so a
+    float32 operand meets float32 ones and sizes.
 
     Every product calls scipy's compiled kernel (`csc_matvecs` or
-    `csr_matvecs` of `scipy.sparse._sparsetools`) directly, the one that
-    `matrix @ values` runs, so the results are bit-identical to that
-    operator. The kernel adds each product term onto its output, so the
-    output is zeroed first and then added into, as scipy does itself.
-    `sum`, `gather` and `mean_adjoint` take an `out` array to write the
-    result into; it must be C-contiguous, of exactly the result's shape and
-    of its dtype (float64 for an integer operand), since the kernel checks
-    none of these, and it must not overlap the operand.
+    `csr_matvecs` of `scipy.sparse._sparsetools`) directly, with the
+    arguments that `matrix @ values` passes it, so the results are
+    bit-identical to that operator; no public scipy call writes a sparse
+    product into a given array. The kernel adds each product term onto its
+    output, so the output is zeroed first and then added into, as scipy
+    does itself. `sum`, `gather` and `mean_adjoint` take an `out` array to
+    write the result into; it must be C-contiguous, of exactly the
+    result's shape and of its dtype (float64 for an integer operand), since
+    the kernel checks none of these, and it must not overlap the operand.
     """
 
     def __init__(self, index, count: int):
         self.index = np.asarray(index, dtype=np.int64)
         self.count = int(count)
+        self._ones = {}
 
     def __len__(self):
         return len(self.index)
 
-    def _incidence(self, dtype) -> sparse.csc_matrix:
+    @cached_property
+    def _pointers(self):
+        """(indptr, indices) of the incidence matrix, int32."""
         per_row = self.index.shape[1] if self.index.ndim == 2 else 1
         flat = self.index.reshape(-1)
-        # The sparse kernel does not bounds-check its indices.
+        # The kernels do not bounds-check their indices.
         if flat.size and (flat.min() < 0 or flat.max() >= self.count):
             raise IndexError(f"segment index out of range for {self.count} segments")
-        # int32 indices spare the constructor a range scan and a copy.
-        return sparse.csc_matrix(
-            (np.ones(flat.size, dtype=dtype), flat.astype(np.int32),
-             np.arange(0, flat.size + 1, per_row, dtype=np.int32)),
-            shape=(self.count, len(self)))
-
-    @cached_property
-    def incidence(self) -> sparse.csc_matrix:
-        """The count x n 0/1 matrix that `sum` multiplies by."""
-        return self._incidence(np.float64)
-
-    @cached_property
-    def transpose(self) -> sparse.csr_matrix:
-        """The n x count matrix that `gather` multiplies by."""
-        return self.incidence.T
+        return np.arange(0, flat.size + 1, per_row, dtype=np.int32), flat.astype(np.int32)
 
     @cached_property
     def sizes(self) -> np.ndarray:
         """The number of rows in each segment, as floats."""
         return np.bincount(self.index.reshape(-1), minlength=self.count).astype(np.float64)
 
-    @cached_property
-    def _incidence32(self):
-        return self._incidence(np.float32)
-
-    @cached_property
-    def _transpose32(self):
-        return self._incidence32.T
-
-    @cached_property
-    def _sizes32(self):
-        return self.sizes.astype(np.float32)
-
-    def _like(self, values: np.ndarray, name: str):
-        """`incidence`, `transpose` or `sizes`, in float32 for float32 values."""
-        return getattr(self, f"_{name}32" if values.dtype == np.float32 else name)
+    def _matrix(self, values: np.ndarray):
+        """(indptr, indices, data) of the incidence matrix, the data in the
+        dtype that values meet."""
+        dtype = _entry_dtype(values)
+        if dtype not in self._ones:
+            self._ones[dtype] = np.ones(self.index.size, dtype=dtype)
+        return (*self._pointers, self._ones[dtype])
 
     def sum(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """out[s] = the sum of values[k] over the rows k in segment s."""
-        return _product(self._like(values, "incidence"), values, out)
+        return _product(_sparsetools.csc_matvecs, (self.count, len(self)), self._matrix(values),
+                        values, out)
 
     def gather(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """out[k] = the sum of values[s] over the segments s of row k; a copy
         of values[index[k]] for a one-segment index."""
-        return _product(self._like(values, "transpose"), values, out)
+        return _product(_sparsetools.csr_matvecs, (len(self), self.count), self._matrix(values),
+                        values, out)
 
     def mean(self, values: np.ndarray) -> np.ndarray:
         out = self.sum(values)
-        out /= self._like(values, "sizes").reshape((-1,) + (1,) * (out.ndim - 1))
+        sizes = self.sizes.astype(_entry_dtype(values), copy=False)
+        out /= sizes.reshape((-1,) + (1,) * (out.ndim - 1))
         return out
 
     def mean_adjoint(self, dy: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.gather(dy / self._like(dy, "sizes").reshape((-1,) + (1,) * (dy.ndim - 1)),
-                           out)
+        sizes = self.sizes.astype(_entry_dtype(dy), copy=False)
+        return self.gather(dy / sizes.reshape((-1,) + (1,) * (dy.ndim - 1)), out)
 
 
-def _product(matrix, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """matrix @ values over the first axis of values, of any rank, written
-    into out when it is given (see `Segments`)."""
-    rows, cols = matrix.shape
+def _product(kernel, shape, matrix, values: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The product of a matrix of the given shape, as the (indptr, indices,
+    data) that kernel takes, with values over their first axis, of any
+    rank, written into out when it is given (see `Segments`)."""
+    rows, cols = shape
     if values.shape[:1] != (cols,):
         raise ValueError(f"operand has {values.shape[:1]} rows, the product needs {cols}")
     shape = (rows,) + values.shape[1:]
-    dtype = np.promote_types(matrix.dtype, values.dtype)
+    dtype = np.promote_types(matrix[2].dtype, values.dtype)
     if out is None:
         out = np.zeros(shape, dtype=dtype)
     elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
@@ -225,10 +214,13 @@ def _product(matrix, values: np.ndarray, out: Optional[np.ndarray] = None) -> np
     else:
         out.fill(0)
     width = math.prod(values.shape[1:])
-    kernel = _sparsetools.csc_matvecs if matrix.format == "csc" else _sparsetools.csr_matvecs
-    kernel(rows, cols, width, matrix.indptr, matrix.indices, matrix.data,
-           values.reshape(cols, width).ravel(), out.reshape(-1))
+    kernel(rows, cols, width, *matrix, values.reshape(cols, width).ravel(), out.reshape(-1))
     return out
+
+
+def _entry_dtype(values: np.ndarray) -> np.dtype:
+    """The dtype of the ones and sizes that values meet (see `Segments`)."""
+    return np.dtype(np.float32 if values.dtype == np.float32 else np.float64)
 
 
 @dataclass

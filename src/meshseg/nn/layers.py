@@ -3,16 +3,17 @@
 Each module caches what its backward pass needs during forward(train=True),
 accumulates parameter gradients into Param.grad and drops the cache;
 backward returns the gradient wrt the module input and is defined once per
-train-mode forward. A caller that can rebuild a Linear's input or a ReLU's
-mask, and would rather spend the time than the memory, drops them after
-forward with `release()` and restores them before backward: the Linear
-with `keep(x)`, the ReLU with a train forward on its rebuilt input. The
-edge convolution does this. ReLU overwrites its input in forward and its
-upstream gradient in backward, so neither array's old values may be read
-again by anyone else: in `mlp` and the network head the input is the
-output of a BatchNorm, and the gradient that of a Linear; in the edge
-convolution either can be one of the level's scratch arrays, which no one
-reads again until the next gather or adjoint writes it (nn/edgeconv.py).
+train-mode forward. A caller that can rebuild a Linear's input, and would
+rather spend the time than the memory, drops it after forward with
+`release()` and restores it before backward with `keep(x)`. A ReLU run
+with train=False keeps no mask, and a train forward on its rebuilt input
+makes it before backward. The edge convolution does both. ReLU overwrites
+its input in forward and its upstream gradient in backward, so neither
+array's old values may be read again by anyone else: in `mlp` and the
+network head the input is the output of a BatchNorm, and the gradient that
+of a Linear; in the edge convolution either can be one of the level's
+scratch arrays, which no one reads again until the next gather or adjoint
+writes it (nn/edgeconv.py).
 
 A module computes in the dtype of its input, float32 or float64. Its
 parameters, their gradients and the BatchNorm running statistics stay
@@ -178,10 +179,6 @@ class ReLU:
         if train:
             self._mask = x > 0
         return np.maximum(x, 0.0, out=x)
-
-    def release(self):
-        """Drop the kept mask; a train forward must precede the next backward."""
-        self._mask = None
 
     def backward(self, dy):
         mask, self._mask = self._mask, None

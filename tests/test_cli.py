@@ -115,8 +115,12 @@ def test_build_hierarchy_and_graph_stats(workdir, capsys):
     code = main(["build-hierarchy", str(workdir / "scene0.ply"), str(hdir),
                  *HIER_ARGS])
     assert code == EXIT_OK
+    manifest = (hdir / "run_manifest.json").read_text()
+    assert json.loads(manifest)["command"] == "build-hierarchy"
+    assert json.loads(manifest)["outputs"] == [str(hdir)]
     capsys.readouterr()
     assert main(["graph-stats", str(hdir)]) == EXIT_OK
+    assert (hdir / "run_manifest.json").read_text() == manifest  # graph-stats writes none
     stats = json.loads(capsys.readouterr().out)
     assert len(stats) == 4
     for entry in stats:
@@ -146,6 +150,13 @@ def test_infer_eval_vote_loop(workdir, trained, capsys):
     predictions = np.loadtxt(pred, dtype=np.int64)
     assert predictions.shape == (scene.num_vertices,)
     assert predictions.min() >= 0 and predictions.max() < 3
+    manifest = (pred.parent / "run_manifest.json").read_text()
+    assert json.loads(manifest)["command"] == "infer"
+    assert json.loads(manifest)["outputs"] == [str(pred)]
+    # eval without --output writes no manifest.
+    assert main(["eval", "--scene", str(workdir / "scene1.ply"),
+                 "--predictions", str(pred), "--classes", "3"]) == EXIT_OK
+    assert (pred.parent / "run_manifest.json").read_text() == manifest
     capsys.readouterr()
 
     out = workdir / "metrics"

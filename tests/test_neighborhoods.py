@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from meshseg.graph.neighborhoods import (
     EdgeSet,
@@ -240,22 +241,37 @@ def test_segment_operators_are_adjoint(rng, shape):
         assert np.array_equal(segments.mean_adjoint(w), (w / sizes[:, None])[index])
 
 
-def test_segments_build_each_operator_once(rng, monkeypatch):
-    transposes = []
-    transpose = sparse.csc_matrix.transpose
-
-    def counted(self, *args, **kwargs):
-        transposes.append(self)
-        return transpose(self, *args, **kwargs)
-    monkeypatch.setattr(sparse.csc_matrix, "transpose", counted)
+def test_segments_build_index_arrays_once_and_ones_once_per_dtype(rng, monkeypatch):
+    matrices = []  # the (indptr, indices, data) of every kernel call
+    for name in ("csc_matvecs", "csr_matvecs"):
+        def recorded(*args, kernel=getattr(_sparsetools, name)):
+            matrices.append(args[3:6])
+            return kernel(*args)
+        monkeypatch.setattr(_sparsetools, name, recorded)
     segments = Segments(rng.integers(0, 10, (40, 2)), 10)
     v, w = rng.standard_normal((40, 3)), rng.standard_normal((10, 3))
     for _ in range(3):
-        segments.sum(v)
-        segments.gather(w)
-        segments.mean(v)
-        segments.mean_adjoint(w)
-    assert len(transposes) == 1 and transposes[0] is segments.incidence
+        for dtype in (np.float64, np.float32):
+            segments.sum(v.astype(dtype))
+            segments.gather(w.astype(dtype))
+            segments.mean(v.astype(dtype))
+            segments.mean_adjoint(w.astype(dtype))
+    assert len(matrices) == 24
+    indptr, indices, _ = matrices[0]
+    assert all(m[0] is indptr and m[1] is indices for m in matrices)
+    ones = {m[2].dtype: m[2] for m in matrices}
+    assert set(ones) == {np.dtype(np.float32), np.dtype(np.float64)}
+    assert all(m[2] is ones[m[2].dtype] for m in matrices)
+
+
+def test_float32_products_leave_float64_results_unchanged(rng):
+    segments = Segments(rng.integers(0, 10, (40, 2)), 10)
+    v, w = rng.standard_normal((40, 3)) * 100, rng.standard_normal((10, 3)) * 100
+    before = segments.sum(v).tobytes(), segments.gather(w).tobytes()
+    for op, values in ((segments.sum, v), (segments.gather, w),
+                       (segments.mean, v), (segments.mean_adjoint, w)):
+        op(values.astype(np.float32))
+    assert (segments.sum(v).tobytes(), segments.gather(w).tobytes()) == before
 
 
 def test_edge_set_num_edges():

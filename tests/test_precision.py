@@ -100,13 +100,10 @@ def one_train_step(sample):
     return loss, net
 
 
-# sha256 of one float64 train step as computed before the network learnt to
-# run in float32; the float64 path must stay bit-identical to it.
-FLOAT64_STEP_DIGEST = "b63c351830d5e110eef52d709fcea56bdc993f8f39579298b98e5ad77e421d08"
-
-
-def test_float64_train_step_is_pinned():
-    loss, net = one_train_step(toy_sample(np.float64))
+def step_digest(dtype) -> str:
+    """sha256 of the loss, parameters, gradients and running statistics
+    after one train step on the toy sample in dtype."""
+    loss, net = one_train_step(toy_sample(dtype))
     digest = hashlib.sha256(np.float64(loss).tobytes())
     for _, p in net.parameters():
         digest.update(p.value.tobytes())
@@ -115,7 +112,23 @@ def test_float64_train_step_is_pinned():
         if isinstance(m, BatchNorm):
             digest.update(m.running_mean.tobytes())
             digest.update(m.running_var.tobytes())
-    assert digest.hexdigest() == FLOAT64_STEP_DIGEST
+    return digest.hexdigest()
+
+
+# sha256 of one float64 train step as computed before the network learnt to
+# run in float32; the float64 path must stay bit-identical to it.
+FLOAT64_STEP_DIGEST = "b63c351830d5e110eef52d709fcea56bdc993f8f39579298b98e5ad77e421d08"
+# sha256 of one float32 train step, the path that train and infer run, as
+# computed before `Segments` dropped its scipy matrices.
+FLOAT32_STEP_DIGEST = "7415dc953fdf42ee663f336991319e7df53c1a6580652ed104893ddfba4dda46"
+
+
+def test_float64_train_step_is_pinned():
+    assert step_digest(np.float64) == FLOAT64_STEP_DIGEST
+
+
+def test_float32_train_step_is_pinned():
+    assert step_digest(np.float32) == FLOAT32_STEP_DIGEST
 
 
 def test_float32_train_step_loss_matches_float64():
