@@ -20,18 +20,24 @@ and each part's digest go to stderr, and the combined digest to stdout.
 The float32 digest runs the same steps on a fresh network fed the
 pipeline's float32 features, as `train` and `infer` do; its losses and its
 combined digest go to stderr, the digest on the line `float32 <digest>`.
-Run from the root of a checkout:
+Last, the float64-trained network goes through `save_checkpoint` and
+`load_checkpoint`, and the digest of the loaded network's eval logits goes
+to stderr on the line `checkpoint <digest>`; it pins the checkpoint format
+to storing each value's float32 rounding. Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/train_digest.py
 """
 
 import hashlib
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from meshseg.graph.neighborhoods import NeighborhoodConfig
 from meshseg.hierarchy.build import DEFAULT_RADII, HierarchyConfig
+from meshseg.nn.checkpoint import load_checkpoint, save_checkpoint
 from meshseg.nn.layers import BatchNorm
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.nn.optim import Adam
@@ -45,9 +51,15 @@ RES_THRESHOLD = 15
 SCENE = ToySceneConfig(tiles_per_side=4, tile_spacing=0.045)
 
 
+def eval_logits(net, sample):
+    return net.forward(sample.features,
+                       *network_inputs(net, sample.hierarchy, RES_THRESHOLD, SEED),
+                       train=False)
+
+
 def digest(sample, prefix=""):
-    """The combined digest of the training run on sample; stderr gets each
-    loss, and with no prefix each part's digest."""
+    """The combined digest of the training run on sample, and the trained
+    network; stderr gets each loss, and with no prefix each part's digest."""
     net = SegmentationNetwork(NetworkConfig.dual_default(NUM_TOY_CLASSES, 4, SEED))
     optimizer = Adam(net.parameters(), lr=1e-3)
     rng = np.random.default_rng(SEED)
@@ -64,17 +76,14 @@ def digest(sample, prefix=""):
             if isinstance(m, BatchNorm):
                 parts["running_stats"].update(m.running_mean.tobytes())
                 parts["running_stats"].update(m.running_var.tobytes())
-    logits = net.forward(sample.features,
-                         *network_inputs(net, sample.hierarchy, RES_THRESHOLD, SEED),
-                         train=False)
-    parts["eval_logits"].update(logits.tobytes())
+    parts["eval_logits"].update(eval_logits(net, sample).tobytes())
 
     total = hashlib.sha256()
     for name, part in parts.items():
         if not prefix:
             print(f"{name} {part.hexdigest()}", file=sys.stderr)
         total.update(part.digest())
-    return total.hexdigest()
+    return total.hexdigest(), net
 
 
 def main():
@@ -83,8 +92,14 @@ def main():
                             [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII])
     double = Sample(sample.hierarchy, vertex_features(sample.hierarchy.levels[0], np.float64),
                     sample.labels)
-    print(digest(double))
-    print(f"float32 {digest(sample, 'float32 ')}", file=sys.stderr)
+    total, net = digest(double)
+    print(total)
+    print(f"float32 {digest(sample, 'float32 ')[0]}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(net, Path(tmp) / "checkpoint.bin")
+        loaded = load_checkpoint(Path(tmp) / "checkpoint.bin")
+    logits = eval_logits(loaded, double)
+    print(f"checkpoint {hashlib.sha256(logits.tobytes()).hexdigest()}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -445,6 +445,10 @@ def cmd_eval(args):
         result = evaluate(scene.labels, predictions, args.classes)
     except ValueError as e:  # a scene label outside [0, --classes), or none labeled
         raise MeshValidationError(f"{args.scene}: {e}") from e
+    except (MemoryError, OverflowError) as e:
+        n = args.classes
+        raise ConfigError(f"--classes {n} needs a {n} x {n} confusion matrix of {n * n} "
+                          f"counts, which cannot be allocated ({e})") from e
     print(result.summary())
     if args.output is not None:
         out = Path(args.output)

@@ -4,15 +4,19 @@ Byte layout:
   bytes 0-7   magic "MSEGCKPT"
   bytes 8-11  format version, uint32 little-endian
   bytes 12-19 JSON header length H, uint64 little-endian
-  bytes 20..  UTF-8 JSON header (network config echo + tensor index with
-              name, shape, byte offset into the payload)
-  then        payload: the tensors, row-major float32, in index order
+  bytes 20..  UTF-8 JSON header: "config", the network config, and
+              "tensors", the tensor names in payload order
+  then        payload: the tensors, row-major float32, in that order
 
-Tensor names come from the network's module walk: first every parameter
-under its `net.parameters()` name, then each BatchNorm's running statistics
-under "<bn>.running_mean/var". Version 1 named some of them differently
-and is refused, and so is a tensor with a non-finite value or a running
-variance with a negative one.
+The config fixes every tensor's name, size and shape, so the header stores
+no shapes or offsets: the reader builds the network from the config and
+slices each named tensor out of the payload at the network's size. Tensor
+names come from the network's module walk: first every parameter under its
+`net.parameters()` name, then each BatchNorm's running statistics under
+"<bn>.running_mean/var". Versions 1 and 2 are refused, and so is a file
+whose names are not the walk's names once each, whose payload is not 4
+bytes per network value, or that holds a non-finite value or a negative
+running variance.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .layers import BatchNorm
 from .network import NetworkConfig, SegmentationNetwork
 
 MAGIC = b"MSEGCKPT"
-VERSION = 2
+VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -45,16 +49,7 @@ def _all_tensors(net: SegmentationNetwork):
 
 def save_checkpoint(net: SegmentationNetwork, path):
     tensors = list(_all_tensors(net))
-    index = []
-    offset = 0
-    for name, value in tensors:
-        index.append({"name": name, "shape": list(value.shape), "offset": offset})
-        offset += value.size * 4
-    header = {
-        "config": dataclasses.asdict(net.config),
-        "tensors": index,
-        "payload_bytes": offset,
-    }
+    header = {"config": dataclasses.asdict(net.config), "tensors": [n for n, _ in tensors]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -83,42 +78,30 @@ def load_checkpoint(path) -> SegmentationNetwork:
             f"truncated checkpoint: header of {hlen} bytes runs past the end of the file")
     try:
         header = json.loads(data[20:20 + hlen].decode("utf-8"))
-        cfg = header["config"]
-        cfg["geo_widths"] = tuple(tuple(w) for w in cfg["geo_widths"])
-        cfg["euc_widths"] = tuple(tuple(w) for w in cfg["euc_widths"])
-        entries = [(e["name"], tuple(e["shape"]), int(e["offset"])) for e in header["tensors"]]
-        payload_bytes = int(header["payload_bytes"])
+        cfg, names = header["config"], header["tensors"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise TypeError("'tensors' is not a list of names")
     except (KeyError, TypeError, ValueError) as e:  # ValueError covers bad JSON and UTF-8
         raise CheckpointError(f"malformed checkpoint header: {e}") from e
-    payload = data[20 + hlen:]
-    if len(payload) != payload_bytes:
-        raise CheckpointError(
-            f"payload is {len(payload)} bytes, the header says {payload_bytes}")
     try:
         net = SegmentationNetwork(NetworkConfig(**cfg))
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"stored network config rejected: {e}") from e
 
-    lookup = {name: value for name, value in _all_tensors(net)}
-    missing = set(lookup)
-    for name, shape, offset in entries:
-        if name not in lookup:
-            raise CheckpointError(f"unknown tensor {name!r} in checkpoint")
-        target = lookup[name]
-        missing.discard(name)
-        if tuple(target.shape) != shape:
-            raise CheckpointError(
-                f"tensor {name!r} shape {shape} does not match config {target.shape}"
-            )
-        end = offset + 4 * target.size
-        if offset < 0 or end > len(payload):
-            raise CheckpointError(f"tensor {name!r} runs past the end of the payload")
-        values = np.frombuffer(payload, dtype="<f4", count=target.size, offset=offset)
+    tensors = dict(_all_tensors(net))
+    if sorted(names) != sorted(tensors):
+        raise CheckpointError(
+            "stored tensor names are not those of the network its config builds")
+    sizes = [tensors[name].size for name in names]
+    payload = memoryview(data)[20 + hlen:]
+    if len(payload) != 4 * sum(sizes):
+        raise CheckpointError(
+            f"payload is {len(payload)} bytes, the network needs {4 * sum(sizes)}")
+    floats = np.frombuffer(payload, dtype="<f4")
+    for name, values in zip(names, np.split(floats, np.cumsum(sizes)[:-1])):
         if not np.isfinite(values).all():
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
         if name.endswith(".running_var") and (values < 0).any():
             raise CheckpointError(f"tensor {name!r} holds a negative variance")
-        target[...] = values.reshape(shape)
-    if missing:
-        raise CheckpointError(f"checkpoint lacks tensor {min(missing)!r}")
+        tensors[name][...] = values.reshape(tensors[name].shape)
     return net

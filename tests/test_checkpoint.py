@@ -7,6 +7,7 @@ import pytest
 from meshseg.nn.checkpoint import (
     MAGIC,
     CheckpointError,
+    _all_tensors,
     load_checkpoint,
     save_checkpoint,
 )
@@ -31,10 +32,21 @@ def test_round_trip_preserves_outputs(tmp_path, rng):
     save_checkpoint(net, path)
     back = load_checkpoint(path)
     assert back.config == net.config
+    # Tensors are stored as float32: the loaded network computes exactly as
+    # the saved one does once its tensors are rounded to float32.
+    for _, value in _all_tensors(net):
+        value[...] = value.astype(np.float32)
     a = net.forward(features, geo, euc, traces, train=False)
     b = back.forward(features, geo, euc, traces, train=False)
-    # Weights are stored as float32, so eval outputs agree to that precision.
-    assert np.allclose(a, b, atol=1e-4)
+    assert np.array_equal(a, b)
+
+
+def _assert_loads_float32_rounding(back, net):
+    """Every tensor of back is float64 and exactly its float32 rounding in net."""
+    stored, loaded = _all_tensors(net), _all_tensors(back)
+    for (name, a), (back_name, b) in zip(stored, loaded, strict=True):
+        assert back_name == name and b.dtype == np.float64
+        assert np.array_equal(b, a.astype(np.float32)), name
 
 
 def test_round_trip_preserves_running_stats(tmp_path, rng):
@@ -44,18 +56,15 @@ def test_round_trip_preserves_running_stats(tmp_path, rng):
     back = load_checkpoint(path)
     bn, back_bn = net.head.modules[1], back.head.modules[1]
     assert not np.allclose(bn.running_mean, 0.0)
-    assert np.allclose(back_bn.running_mean, bn.running_mean, atol=1e-6)
-    assert np.allclose(back_bn.running_var, bn.running_var, atol=1e-6)
+    assert np.array_equal(back_bn.running_mean, bn.running_mean.astype(np.float32))
+    assert np.array_equal(back_bn.running_var, bn.running_var.astype(np.float32))
 
 
 def test_parameters_stored_float32(tmp_path, rng):
     net, _ = trained_net(rng)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(net, path)
-    back = load_checkpoint(path)
-    for (_, pa), (_, pb) in zip(net.parameters(), back.parameters()):
-        assert pb.value.dtype == np.float64
-        assert np.allclose(pb.value, pa.value.astype(np.float32), atol=0)
+    _assert_loads_float32_rounding(load_checkpoint(path), net)
 
 
 def test_bad_magic(tmp_path):
@@ -76,14 +85,15 @@ def test_unsupported_version(tmp_path, rng):
         load_checkpoint(path)
 
 
-def test_version_1_is_refused(tmp_path, rng):
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+def test_old_version_is_refused(tmp_path, rng, version):
     net, _ = trained_net(rng)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(net, path)
     data = bytearray(path.read_bytes())
-    data[8:12] = struct.pack("<I", 1)
+    data[8:12] = struct.pack("<I", version)
     path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="version 1 .*train the network again"):
+    with pytest.raises(CheckpointError, match=f"version {version} .*train the network again"):
         load_checkpoint(path)
 
 
@@ -116,7 +126,7 @@ def test_tensor_names_follow_the_module_walk(tmp_path, config):
     save_checkpoint(net, path)
     data = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", data, 12)
-    stored = [e["name"] for e in json.loads(data[20:20 + hlen])["tensors"]]
+    stored = json.loads(data[20:20 + hlen])["tensors"]
 
     params = list(net.parameters())
     bns = [(name, m) for name, m in net.named_modules() if isinstance(m, BatchNorm)]
@@ -140,15 +150,27 @@ def _edit_header(data, mutate):
     return data[:12] + struct.pack("<Q", len(blob)) + blob + data[20 + hlen:]
 
 
-def _rewrite_header(path, mutate):
-    path.write_bytes(_edit_header(path.read_bytes(), mutate))
+def _header_end(data):
+    return 20 + struct.unpack_from("<Q", data, 12)[0]
+
+
+def _payload_chunks(data):
+    """The stored tensor names, and the payload's bytes cut per name at the
+    sizes of the network its stored config builds."""
+    header = json.loads(data[20:_header_end(data)])
+    net = SegmentationNetwork(NetworkConfig(**header["config"]))
+    sizes = {name: value.size for name, value in _all_tensors(net)}
+    start, chunks = _header_end(data), []
+    for name in header["tensors"]:
+        chunks.append(data[start:start + 4 * sizes[name]])
+        start += 4 * sizes[name]
+    return header["tensors"], chunks
 
 
 def _set_payload_value(data, name, value):
     """data with the first float of tensor `name` set to value."""
-    (hlen,) = struct.unpack_from("<Q", data, 12)
-    entry = next(e for e in json.loads(data[20:20 + hlen])["tensors"] if e["name"] == name)
-    start = 20 + hlen + entry["offset"]
+    names, chunks = _payload_chunks(data)
+    start = _header_end(data) + sum(len(c) for c in chunks[:names.index(name)])
     return data[:start] + np.float32(value).astype("<f4").tobytes() + data[start + 4:]
 
 
@@ -182,30 +204,21 @@ def test_negative_values_outside_running_variances_load(tmp_path, rng):
     assert back.head.modules[3].weight.value[0, 0] == -2.5
 
 
-def test_unknown_tensor_name(tmp_path, rng):
+def test_tensors_load_in_any_stored_order(tmp_path, rng):
     net, _ = trained_net(rng)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(net, path)
-    _rewrite_header(path, lambda h: h["tensors"][0].update(name="nonexistent.weight"))
-    with pytest.raises(CheckpointError, match="unknown tensor"):
-        load_checkpoint(path)
+    data = path.read_bytes()
+    names, chunks = _payload_chunks(data)
+    order = rng.permutation(len(names))
+    assert (order != np.arange(len(names))).any()
+    data = _edit_header(data, lambda h: h.update(tensors=[names[i] for i in order]))
+    data = data[:_header_end(data)] + b"".join(chunks[i] for i in order)
+    path.write_bytes(data)
+    _assert_loads_float32_rounding(load_checkpoint(path), net)
 
 
-def test_shape_mismatch(tmp_path, rng):
-    net, _ = trained_net(rng)
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint(net, path)
-    _rewrite_header(path, lambda h: h["tensors"][0].update(shape=[1, 1]))
-    with pytest.raises(CheckpointError, match="shape"):
-        load_checkpoint(path)
-
-
-def _header_end(data):
-    return 20 + struct.unpack_from("<Q", data, 12)[0]
-
-
-def _last_tensor_past_payload(header):
-    header["tensors"][-1]["offset"] = header["payload_bytes"] - 2
+NAMES_REFUSED = "stored tensor names are not those of the network its config builds"
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -213,13 +226,19 @@ def _last_tensor_past_payload(header):
     (lambda d: d[:_header_end(d) - 5], "header of .* runs past the end"),
     (lambda d: d[:20] + b"#" + d[21:], "malformed checkpoint header"),
     (lambda d: d[:20] + b"\xff" + d[21:], "malformed checkpoint header"),
-    (lambda d: _edit_header(d, lambda h: h.pop("payload_bytes")), "malformed checkpoint header"),
+    (lambda d: _edit_header(d, lambda h: h.pop("tensors")), "malformed checkpoint header"),
+    (lambda d: _edit_header(d, lambda h: h.update(tensors=[["head.3.bias"]] + h["tensors"][1:])),
+     "malformed checkpoint header: 'tensors' is not a list of names"),
     (lambda d: _edit_header(d, lambda h: h["config"].update(num_levels=3)), "config rejected"),
     (lambda d: _edit_header(d, lambda h: h["config"].update(bogus=1)), "config rejected"),
-    (lambda d: d[:-4], "header says"),
-    (lambda d: d + b"\x00", "header says"),
-    (lambda d: _edit_header(d, _last_tensor_past_payload), "runs past the end of the payload"),
-    (lambda d: _edit_header(d, lambda h: h["tensors"].pop(3)), "lacks tensor"),
+    (lambda d: d[:-4], "payload is .* bytes, the network needs"),
+    (lambda d: d + b"\x00", "payload is .* bytes, the network needs"),
+    (lambda d: _edit_header(d, lambda h: h.update(tensors=["no.such"] + h["tensors"][1:])),
+     NAMES_REFUSED),
+    (lambda d: _edit_header(d, lambda h: h.update(tensors=h["tensors"][:3] + h["tensors"][4:])),
+     NAMES_REFUSED),
+    (lambda d: _edit_header(d, lambda h: h.update(tensors=h["tensors"][:4] + h["tensors"][3:])),
+     NAMES_REFUSED),
     (lambda d: _edit_header(d, lambda h: h["config"].update(bn_momentum=0.2)), "bn_momentum"),
     (lambda d: _edit_header(d, lambda h: h["config"].update(bn_eps="1e-5")), "bn_eps"),
     (lambda d: _edit_header(d, lambda h: h["config"].update(geo_widths=[[0, 4]] * 2)),
@@ -227,9 +246,9 @@ def _last_tensor_past_payload(header):
     (lambda d: _edit_header(d, lambda h: h["config"].update(head_hidden=0)),
      "config rejected: head_hidden must be at least 1"),
 ], ids=["preamble", "header-past-end", "header-json", "header-utf8", "header-key",
-        "config-widths", "config-field", "payload-short", "payload-long", "tensor-past-end",
-        "tensor-missing", "config-bn-momentum", "config-bn-eps", "config-zero-width",
-        "config-zero-head"])
+        "header-names", "config-widths", "config-field", "payload-short", "payload-long",
+        "tensor-renamed", "tensor-missing", "tensor-repeated", "config-bn-momentum",
+        "config-bn-eps", "config-zero-width", "config-zero-head"])
 def test_malformed_checkpoint_raises(tmp_path, rng, corrupt, message):
     net, _ = trained_net(rng)
     path = tmp_path / "ckpt.bin"

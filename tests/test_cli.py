@@ -482,18 +482,19 @@ def test_truncated_checkpoint_exit_2(workdir, trained, tmp_path, capsys):
     ckpt.write_bytes((trained / "checkpoint.bin").read_bytes()[:-100])
     assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
                  "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
-    assert "header says" in capsys.readouterr().err
+    assert "the network needs" in capsys.readouterr().err
 
 
-def test_version_1_checkpoint_exit_2(workdir, trained, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+def test_old_version_checkpoint_exit_2(workdir, trained, tmp_path, capsys, version):
     data = bytearray((trained / "checkpoint.bin").read_bytes())
-    data[8:12] = struct.pack("<I", 1)
-    ckpt = tmp_path / "v1.bin"
+    data[8:12] = struct.pack("<I", version)
+    ckpt = tmp_path / "old.bin"
     ckpt.write_bytes(bytes(data))
     assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
                  "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "unsupported checkpoint version 1" in err and "Traceback" not in err
+    assert f"unsupported checkpoint version {version}" in err and "Traceback" not in err
     assert not (tmp_path / "p.txt").exists()
 
 
@@ -583,6 +584,18 @@ def test_scene_label_outside_classes_exit_2(workdir, tmp_path, capsys):
     assert main(["eval", "--scene", str(workdir / "scene0.ply"), "--predictions", str(preds),
                  "--classes", "1"]) == EXIT_VALIDATION
     assert "label outside [0, num_classes)" in capsys.readouterr().err
+
+
+def test_classes_too_many_to_count_exit_3(workdir, tmp_path, capsys):
+    # 10^22 confusion counts overflow the allocation size before anything is
+    # allocated.
+    preds = tmp_path / "p.txt"
+    preds.write_text(prediction_lines(workdir, "0"))
+    assert main(["eval", "--scene", str(workdir / "scene0.ply"), "--predictions", str(preds),
+                 "--classes", str(10 ** 11)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--classes {10 ** 11} needs a" in err and f"of {10 ** 22} counts" in err
+    assert "Traceback" not in err
 
 
 def test_train_checks_scene_labels_against_classes(workdir, tmp_path, capsys):
