@@ -258,9 +258,9 @@ def _crop_config(args) -> CropConfig:
 
 
 def _check_scene_labels(path, labels, num_classes: int):
-    """Every label of a loaded scene, UNLABELED or above, is below num_classes."""
+    """A loaded training scene has labels, each UNLABELED or below num_classes."""
     if labels is None:
-        return
+        raise MeshValidationError(f"{path}: scene carries no labels")
     bad = np.flatnonzero(labels >= num_classes)
     if bad.size:
         raise MeshValidationError(
@@ -315,12 +315,7 @@ def cmd_build_hierarchy(args):
     hier = build_hierarchy(mesh, config)
     hier.build_euclidean_edges(neigh_cfgs)
     out = Path(args.output)
-    serialize_hierarchy(hier, out, {
-        "strategy": config.strategy,
-        "cells": list(config.cells),
-        "qem_ratio": config.qem_ratio,
-        "source": str(args.input),
-    })
+    serialize_hierarchy(hier, out)
     counts = ", ".join(str(m.num_vertices) for m in hier.levels)
     print(f"hierarchy with {hier.num_levels} levels ({counts} vertices) -> {out}")
     return out, [out]
@@ -332,9 +327,7 @@ def cmd_graph_stats(args):
     for lvl in range(hier.num_levels):
         entry = {"level": lvl, "vertices": hier.levels[lvl].num_vertices}
         for name, edges in (("geodesic", hier.geodesic_edges[lvl]),
-                            ("euclidean", (hier.euclidean_edges or [None] * hier.num_levels)[lvl])):
-            if edges is None:
-                continue
+                            ("euclidean", hier.euclidean_edges[lvl])):
             degrees = edges.degrees
             entry[name] = {
                 "edges": int(degrees.sum()),
@@ -359,7 +352,11 @@ def cmd_train(args):
     _check_qem_levels(hier_cfg, paths, scenes)
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
 
-    net = SegmentationNetwork(net_cfg)
+    try:
+        net = SegmentationNetwork(net_cfg)
+    except MemoryError as e:
+        raise ConfigError(f"the network that --classes {args.classes} and --widths build "
+                          f"cannot be allocated ({e})") from e
     train_cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,

@@ -289,13 +289,11 @@ def knn_graph(points: np.ndarray, k: int) -> EdgeSet:
 def radius_graph(points: np.ndarray, r: float) -> EdgeSet:
     """All points within distance r, self excluded.
 
-    A point with no neighbor in range gets a single self-loop so the
-    edge-convolution mean stays defined.
+    A point with no neighbor in range gets an empty row; the edge
+    convolution (`prepared_edges`) gives it a self-loop.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     pairs = cKDTree(points).query_pairs(r, output_type="ndarray")
-    lonely = np.flatnonzero(np.bincount(pairs.ravel(), minlength=len(points)) == 0)
-    return EdgeSet.symmetric(np.concatenate([pairs[:, 0], lonely]),
-                             np.concatenate([pairs[:, 1], lonely]), len(points))
+    return EdgeSet.symmetric(pairs[:, 0], pairs[:, 1], len(points))

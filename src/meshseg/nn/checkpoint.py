@@ -85,7 +85,7 @@ def load_checkpoint(path) -> SegmentationNetwork:
         raise CheckpointError(f"malformed checkpoint header: {e}") from e
     try:
         net = SegmentationNetwork(NetworkConfig(**cfg))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, MemoryError) as e:
         raise CheckpointError(f"stored network config rejected: {e}") from e
 
     tensors = dict(_all_tensors(net))

@@ -12,7 +12,7 @@ from ..graph.neighborhoods import EdgeSet, NeighborhoodConfig
 from ..graph.res import res_sample
 from ..hierarchy.build import Hierarchy, HierarchyConfig, build_hierarchy, merge_hierarchies
 from ..hierarchy.trace import PoolingTraceMap
-from ..mesh.core import Mesh
+from ..mesh.core import Mesh, MeshValidationError
 from ..nn.loss import cross_entropy_loss
 from ..nn.network import SegmentationNetwork
 from ..nn.optim import Adam, learning_rate
@@ -52,14 +52,15 @@ def prepare_sample(crop: Mesh, hier_config: HierarchyConfig,
 
 
 def collect_crops(scenes: Sequence[Mesh], crop_config: CropConfig) -> List[Mesh]:
-    """Sweep every scene and drop mostly-unlabeled crops."""
+    """Sweep every scene and drop mostly-unlabeled crops; MeshValidationError
+    when none is left."""
     crops = []
     for scene in scenes:
         for crop in crop_scene(scene, crop_config):
             if not reject_crop(crop):
                 crops.append(crop)
     if not crops:
-        raise ValueError("every crop was rejected; nothing to train on")
+        raise MeshValidationError("every crop was rejected; nothing to train on")
     return crops
 
 

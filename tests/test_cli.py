@@ -118,6 +118,11 @@ def test_build_hierarchy_and_graph_stats(workdir, capsys):
     manifest = (hdir / "run_manifest.json").read_text()
     assert json.loads(manifest)["command"] == "build-hierarchy"
     assert json.loads(manifest)["outputs"] == [str(hdir)]
+    # The run manifest is where the build config is recorded.
+    config = json.loads(manifest)["config"]
+    assert config["strategy"] == "vc" and config["qem_ratio"] == 0.3
+    assert config["cells"] == [0.15, 0.3, 0.6, 1.2]
+    assert config["input"] == str(workdir / "scene0.ply")
     capsys.readouterr()
     assert main(["graph-stats", str(hdir)]) == EXIT_OK
     assert (hdir / "run_manifest.json").read_text() == manifest  # graph-stats writes none
@@ -310,6 +315,8 @@ RANGE_MESSAGES = {
         "--qem-levels 1000000000000: 1000000000001 levels need as many vertices",
     ("--crop-extent", "1.0", "--crop-stride", "2.0"):
         "crop stride 2.0 exceeds the crop extent 1.0",
+    ("--classes", "1000000000000"):
+        "the network that --classes 1000000000000 and --widths build cannot be allocated",
 }
 
 
@@ -370,6 +377,8 @@ RANGE_MESSAGES = {
     ("build-hierarchy", None, ["--qem-levels", "1000000000000", "--radius", "0.1"], EXIT_CONFIG),
     ("train", None, ["--qem-levels", "1000000000000", "--radius", "0.1"], EXIT_CONFIG),
     ("train", None, ["--crop-extent", "1.0", "--crop-stride", "2.0"], EXIT_CONFIG),
+    # A 32 x 10^12 head weight, which no allocator can reserve: nothing is allocated.
+    ("train", None, ["--classes", "1000000000000"], EXIT_CONFIG),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):
@@ -706,3 +715,37 @@ def test_option_outside_its_domain_exits_naming_it(tmp_path, capsys, case, bad, 
     err = capsys.readouterr().err
     assert "Traceback" not in err and option in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("labels, message", [
+    (None, "scene.ply: scene carries no labels"),
+    (UNLABELED, "every crop was rejected; nothing to train on"),
+], ids=["no-labels", "all-unlabeled"])
+def test_train_on_unlabeled_scene_exit_2(tmp_path, capsys, labels, message):
+    scene = make_toy_scene(0)
+    if labels is None:
+        scene.labels = None
+    else:
+        scene.labels[:] = labels
+    save_mesh(scene, tmp_path / "scene.ply", binary=True)
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps({"scenes": [{"path": str(tmp_path / "scene.ply")}]}))
+    assert main(["train", "--manifest", str(dataset), "--output", str(tmp_path / "run"),
+                 *HIER_ARGS, "--classes", "3", "--epochs", "1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_checkpoint_of_a_network_too_large_to_allocate_exit_2(workdir, trained, tmp_path,
+                                                               capsys):
+    # A stored 10^12 classes ask for a head weight no allocator can reserve.
+    ckpt = tmp_path / "huge.bin"
+    ckpt.write_bytes(_edit_header((trained / "checkpoint.bin").read_bytes(),
+                                  lambda header: header["config"].update(num_classes=10 ** 12)))
+    assert main(["infer", "--checkpoint", str(ckpt), "--scene", str(workdir / "scene1.ply"),
+                 "--output", str(tmp_path / "p.txt"), *HIER_ARGS]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "stored network config rejected: Unable to allocate" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p.txt").exists()

@@ -124,17 +124,15 @@ def test_radius_matches_brute_force(rng):
         edges = radius_graph(points, r)
         oracle = brute_radius(points, r)
         for i in range(60):
-            if len(oracle[i]) == 0:
-                assert np.array_equal(edges.neighbors[i], [i])  # self-loop fallback
-            else:
-                assert np.array_equal(np.sort(edges.neighbors[i]), oracle[i])
+            assert np.array_equal(np.sort(edges.neighbors[i]), oracle[i])
 
 
-def test_radius_isolated_point_gets_self_loop():
+def test_radius_isolated_point_has_an_empty_row():
     points = np.array([[0, 0, 0.0], [10, 0, 0], [10.1, 0, 0]])
     edges = radius_graph(points, 0.5)
-    assert np.array_equal(edges.neighbors[0], [0])
+    assert len(edges.neighbors[0]) == 0
     assert np.array_equal(edges.neighbors[1], [2])
+    assert np.array_equal(radius_graph(points[:1], 0.5).indptr, [0, 0])
 
 
 def test_knn_deterministic(rng):

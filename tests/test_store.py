@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -27,7 +28,7 @@ def hier():
 
 def test_round_trip(tmp_path, hier):
     d = tmp_path / "h"
-    serialize_hierarchy(hier, d, {"strategy": "vc"})
+    serialize_hierarchy(hier, d)
     back = deserialize_hierarchy(d)
     assert back.num_levels == hier.num_levels
     for a, b in zip(hier.levels, back.levels):
@@ -48,7 +49,7 @@ def test_round_trip(tmp_path, hier):
         assert a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
         assert a.indptr.tobytes() == b.indptr.tobytes()
         assert a.indices.tobytes() == b.indices.tobytes()
-    assert sorted(os.listdir(d)) == ["hierarchy.npz", "manifest.json"]
+    assert os.listdir(d) == ["hierarchy.npz"]
 
 
 def test_serialize_is_deterministic(tmp_path, hier):
@@ -59,28 +60,16 @@ def test_serialize_is_deterministic(tmp_path, hier):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_manifest_echoes_strategy(tmp_path, hier):
-    d = tmp_path / "h"
-    serialize_hierarchy(hier, d, {"strategy": "vc+qem", "qem_ratio": 0.3})
-    manifest = json.loads((d / "manifest.json").read_text())
-    assert manifest["strategy"] == "vc+qem"
-    assert manifest["qem_ratio"] == 0.3
-    assert manifest["vertex_counts"] == [m.num_vertices for m in hier.levels]
+@pytest.mark.parametrize("part", ["euclidean_edges", "input_trace"])
+def test_serialize_refuses_a_hierarchy_without_every_part(tmp_path, hier, part):
+    with pytest.raises(ValueError, match="needs Euclidean edges and an input trace"):
+        serialize_hierarchy(dataclasses.replace(hier, **{part: None}), tmp_path / "h")
+    assert not (tmp_path / "h").exists()
 
 
-def test_missing_manifest(tmp_path):
-    with pytest.raises(HierarchyFormatError, match="manifest"):
+def test_missing_directory(tmp_path):
+    with pytest.raises(HierarchyFormatError, match="hierarchy.npz: cannot read the archive"):
         deserialize_hierarchy(tmp_path / "nope")
-
-
-def test_vertex_count_mismatch(tmp_path, hier):
-    d = tmp_path / "h"
-    serialize_hierarchy(hier, d)
-    manifest = json.loads((d / "manifest.json").read_text())
-    manifest["vertex_counts"][0] += 1
-    (d / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(HierarchyFormatError, match="disagree"):
-        deserialize_hierarchy(d)
 
 
 def rewrite_archive(directory, change):
@@ -90,6 +79,21 @@ def rewrite_archive(directory, change):
         members = dict(archive)
     change(members)
     np.savez(path, **members)
+
+
+def test_vertex_count_mismatch(tmp_path, hier):
+    # One more vertex on level 0 than trace_0 and edges_0 know of.
+    d = tmp_path / "h"
+    serialize_hierarchy(hier, d)
+
+    def one_more_vertex(members):
+        for name in [n for n in members if n.startswith("level_0_") and n != "level_0_faces"]:
+            members[name] = np.concatenate([members[name], members[name][-1:]])
+    rewrite_archive(d, one_more_vertex)
+    count = hier.levels[0].num_vertices
+    with pytest.raises(HierarchyFormatError,
+                       match=f"trace_0: {count} fine vertices, the level has {count + 1}"):
+        deserialize_hierarchy(d)
 
 
 def test_out_of_range_trace_index_names_member(tmp_path, hier):
@@ -134,16 +138,15 @@ def test_object_member_is_rejected(tmp_path, hier):
         deserialize_hierarchy(d)
 
 
-def test_version_1_directory_is_rejected(tmp_path, hier):
+def test_version_1_directory_is_rejected(tmp_path, capsys):
+    # Version 1 stored a manifest.json beside one text file per array.
     d = tmp_path / "h"
-    serialize_hierarchy(hier, d)
-    manifest = json.loads((d / "manifest.json").read_text())
-    manifest["format_version"] = 1
-    (d / "manifest.json").write_text(json.dumps(manifest))
-    os.remove(d / "hierarchy.npz")
+    d.mkdir()
+    (d / "manifest.json").write_text(json.dumps({"format_version": 1, "num_levels": 2}))
     (d / "trace_0.txt").write_text("0\n")
-    with pytest.raises(HierarchyFormatError, match="version 1 is not supported.*rebuild"):
-        deserialize_hierarchy(d)
+    assert main(["graph-stats", str(d)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "hierarchy.npz: cannot read the archive" in err and "Traceback" not in err
 
 
 def test_missing_archive(tmp_path, hier):
@@ -154,20 +157,31 @@ def test_missing_archive(tmp_path, hier):
         deserialize_hierarchy(d)
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda m: "{not json", "not valid JSON"),
-    (lambda m: "[2]", "version None is not supported"),
-    (lambda m: {k: v for k, v in m.items() if k != "num_levels"}, "'num_levels' is missing"),
-    (lambda m: {**m, "num_levels": "4"}, "'num_levels' is missing or not of type int"),
-    (lambda m: {**m, "has_input_trace": 1}, "'has_input_trace' is missing or not of type bool"),
-    (lambda m: {**m, "num_levels": 0}, "'num_levels' must be at least 1"),
-    (lambda m: {**m, "format_version": 99}, "version 99 is not supported"),
-], ids=["not-json", "not-object", "no-num-levels", "str-num-levels", "int-flag", "no-levels",
-        "version-99"])
-def test_bad_manifest_exits_2(tmp_path, hier, capsys, edit, message):
+@pytest.mark.parametrize("edit, version", [
+    (lambda m: m.pop("format_version"), "None"),
+    (lambda m: m.update(format_version=np.int64(99)), "99"),
+    (lambda m: m.update(format_version=np.float64(3)), "3.0"),
+    (lambda m: m.update(format_version=np.array([3])), "[3]"),
+], ids=["v2-archive", "version-99", "float", "1-d"])
+def test_bad_format_version_exits_2(tmp_path, hier, capsys, edit, version):
     d = tmp_path / "h"
     serialize_hierarchy(hier, d)
-    text = edit(json.loads((d / "manifest.json").read_text()))
-    (d / "manifest.json").write_text(text if isinstance(text, str) else json.dumps(text))
+    rewrite_archive(d, edit)
     assert main(["graph-stats", str(d)]) == EXIT_VALIDATION
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"hierarchy format version {version} is not supported" in err
+    assert "rebuild it with `meshseg build-hierarchy`" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(stray=np.zeros(3)), "unexpected member stray"),
+    # Three levels are counted, so level 2's other members are strays.
+    (lambda m: m.pop("level_2_positions"), "unexpected member level_2_faces"),
+], ids=["stray-member", "positions-dropped"])
+def test_layout_mismatch_exits_2(tmp_path, hier, capsys, edit, message):
+    d = tmp_path / "h"
+    serialize_hierarchy(hier, d)
+    rewrite_archive(d, edit)
+    assert main(["graph-stats", str(d)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
