@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from meshseg.cli import EXIT_VALIDATION, main
+from meshseg.cli import EXIT_OK, EXIT_VALIDATION, main
 from meshseg.graph.neighborhoods import NeighborhoodConfig
 from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy
 from meshseg.hierarchy.store import (
@@ -13,6 +13,7 @@ from meshseg.hierarchy.store import (
     deserialize_hierarchy,
     serialize_hierarchy,
 )
+from meshseg.mesh.io import save_mesh
 from meshseg.pipeline.toydata import make_toy_scene
 
 
@@ -58,6 +59,28 @@ def test_serialize_is_deterministic(tmp_path, hier):
     serialize_hierarchy(hier, d2)
     for name in sorted(os.listdir(d1)):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_manifest_echoes_strategy(tmp_path):
+    # The archive holds no build config; the run manifest written beside it does.
+    scene = make_toy_scene(3)
+    save_mesh(scene, tmp_path / "scene.ply", binary=True)
+    d = tmp_path / "h"
+    cells = (0.15, 0.3, 0.6, 1.2)
+    code = main(["build-hierarchy", str(tmp_path / "scene.ply"), str(d),
+                 "--strategy", "vc+qem", "--qem-ratio", "0.3", "--qem-levels", "1",
+                 "--cells", ",".join(map(str, cells)), "--radius", "0.25,0.4"])
+    assert code == EXIT_OK
+    assert sorted(os.listdir(d)) == ["hierarchy.npz", "run_manifest.json"]
+    config = json.loads((d / "run_manifest.json").read_text())["config"]
+    assert config["strategy"] == "vc+qem"
+    assert config["qem_ratio"] == 0.3
+    expected = build_hierarchy(
+        scene, HierarchyConfig(strategy="vc+qem", cells=cells, qem_ratio=0.3, qem_levels=1)
+    )
+    assert [m.num_vertices for m in deserialize_hierarchy(d).levels] == [
+        m.num_vertices for m in expected.levels
+    ]
 
 
 @pytest.mark.parametrize("part", ["euclidean_edges", "input_trace"])
