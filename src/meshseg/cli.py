@@ -391,8 +391,7 @@ def cmd_infer(args):
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(out, result.predictions, fmt="%d")
-    print(f"{len(result.predictions)} predictions over {result.num_crops} crops "
-          f"in {result.elapsed_seconds:.1f}s -> {out}")
+    print(f"{len(result.predictions)} predictions over {result.num_crops} crops -> {out}")
     return out.parent, [out]
 
 

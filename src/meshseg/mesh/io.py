@@ -4,8 +4,9 @@ Vertex layout: x y z [red green blue] [nx ny nz] [label]. Byte color
 channels are mapped to [0, 1] by /255. Binary PLY is written with double
 precision so that save -> load round trips are bit exact. Labels round trip
 exactly as well: the binary writer refuses a label outside the int32 its
-header declares, and the ASCII reader parses an integer-typed label column as
-int64.
+header declares, and the ASCII reader parses every integer-typed column as
+int64. Both encodings are read by one walk over the header's elements, with
+the same checks.
 """
 
 from __future__ import annotations
@@ -167,109 +168,92 @@ def _load_ply(path) -> Mesh:
     for name, _, props in elements:
         if name not in ("vertex", "face") and any(p == "__list__" for p, _ in props):
             raise MeshParseError(f"{path}: list property in unknown element {name!r}")
-
-    parsed = {}
-    if fmt == "ascii":
-        tokens = data[body_offset:].decode("ascii").split()
-        needed = sum(
-            count * (4 if name == "face" else len(props))
-            for name, count, props in elements
-        )
-        if len(tokens) < needed:
-            raise MeshParseError(
-                f"{path}: truncated body, expected {needed} values, got {len(tokens)}"
-            )
-        pos = 0
-        for name, count, props in elements:
-            if name == "vertex":
-                end = pos + count * len(props)
-                cols = np.array(tokens[pos:end], dtype=np.float64).reshape(count, len(props))
-                parsed["vertex"] = (cols, props)
-                # float64 holds integers exactly only up to 2^53, so an
-                # integer-typed label column is parsed again, as int64.
-                for k, (p, d) in enumerate(props):
-                    if p == "label" and d[0] in "iu":
-                        parsed["label"] = np.array(tokens[pos + k:end:len(props)], dtype=np.int64)
-                pos = end
-            elif name == "face":
-                # As in the binary reader, every face before the first
-                # non-triangle has 4 tokens, so that face has its true index.
-                rows = np.array(tokens[pos:pos + 4 * count], dtype=np.int64).reshape(count, 4)
-                bad = np.flatnonzero(rows[:, 0] != 3)
-                if bad.size:
-                    raise MeshParseError(f"{path}: face {bad[0]}: only triangles supported")
-                parsed["face"] = rows[:, 1:].copy()
-                pos += 4 * count
-            else:
-                pos += count * max(1, len(props))
-    else:
-        offset = body_offset
-        for name, count, props in elements:
-            if name == "vertex":
-                dtype = np.dtype([(p, "<" + d) for p, d in props])
-                if len(data) - offset < dtype.itemsize * count:
-                    raise MeshParseError(
-                        f"{path}: byte {offset}: truncated vertex data"
-                    )
-                arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-                offset += dtype.itemsize * count
-                cols = np.stack(
-                    [arr[p].astype(np.float64) for p, _ in props], axis=1
-                )
-                parsed["vertex"] = (cols, props)
-            elif name == "face":
-                if len(props) != 1 or props[0][0] != "__list__":
-                    raise MeshParseError(f"{path}: unsupported face properties")
-                cnt_dt, idx_dt = props[0][1]
-                dtype = np.dtype([("n", "<" + cnt_dt), ("idx", "<" + idx_dt, (3,))])
-                # Every face before the first non-triangle has this fixed
-                # stride, so that face is found at its true index. A skipped
-                # element may have moved offset past the end of the data.
-                complete = min(count, max(0, len(data) - offset) // dtype.itemsize)
-                rec = np.frombuffer(
-                    data, dtype=dtype, count=complete, offset=min(offset, len(data))
-                )
-                bad = np.flatnonzero(rec["n"] != 3)
-                if bad.size:
-                    i = int(bad[0])
-                    raise MeshParseError(
-                        f"{path}: byte {offset + i * dtype.itemsize + dtype['n'].itemsize}: "
-                        f"face {i}: only triangles supported"
-                    )
-                if complete < count:
-                    raise MeshParseError(
-                        f"{path}: byte {offset + complete * dtype.itemsize}: truncated face data"
-                    )
-                offset += dtype.itemsize * count
-                parsed["face"] = rec["idx"].astype(np.int64)
-            else:
-                row = sum(np.dtype(d).itemsize for _, d in props)
-                offset += row * count
-
-    if "vertex" not in parsed:
+    vertex = [dict(props) for name, _, props in elements if name == "vertex"]
+    if not vertex:
         raise MeshParseError(f"{path}: no vertex element")
-    cols, props = parsed["vertex"]
-    names = [p for p, _ in props]
-    dtypes = dict(props)
+    declared = vertex[-1]
+    if not {"x", "y", "z"} <= declared.keys():
+        raise MeshParseError(f"{path}: vertex element lacks x/y/z")
+
+    # One walk over the elements for both encodings: `body` is the bytes of
+    # the file or its ASCII tokens, and `at` an offset into it.
+    binary = fmt == "binary_little_endian"
+    body = data if binary else data[body_offset:].decode("ascii").split()
+    at = body_offset if binary else 0
+
+    def where(i, skip=0):
+        """The location of row i of the current element in a message."""
+        return f"byte {at + i * row + skip}: " if binary else ""
+
+    records = {}
+    for name, count, props in elements:
+        if name == "face":
+            if len(props) != 1 or props[0][0] != "__list__":
+                raise MeshParseError(f"{path}: unsupported face properties")
+            # Every face before the first non-triangle is a record of its
+            # count and three indices, so that face is found at its true index.
+            fields = [("n", props[0][1][0], ()), ("idx", props[0][1][1], (3,))]
+        else:
+            # Fields of a skipped element go unnamed, so names may repeat.
+            fields = [(p if name == "vertex" else "", d, ()) for p, d in props]
+        if binary:
+            dtype = np.dtype([(p, "<" + d, shape) for p, d, shape in fields])
+            row = dtype.itemsize
+        else:
+            # One 8-byte field per token, int64 for an integer type.
+            dtype = np.dtype([(p, "i8" if d[0] in "iu" else "f8", shape)
+                              for p, d, shape in fields])
+            row = dtype.itemsize // 8
+        if name not in ("vertex", "face"):
+            at += row * count
+            continue
+        # A skipped element may have moved `at` past the end of the body.
+        complete = min(count, max(0, len(body) - at) // row)
+        if binary:
+            rec = np.frombuffer(body, dtype=dtype, count=complete, offset=min(at, len(body)))
+        else:
+            rec = _ascii_records(body[at:at + complete * row], dtype)
+        bad = np.flatnonzero(rec["n"] != 3) if name == "face" else []
+        if len(bad):
+            raise MeshParseError(f"{path}: {where(bad[0], dtype['n'].itemsize)}"
+                                 f"face {bad[0]}: only triangles supported")
+        if complete < count:
+            raise MeshParseError(f"{path}: {where(complete)}truncated {name} data")
+        records[name] = rec
+        at += row * count
+
+    vertices = records["vertex"]
 
     def take(keys):
-        if all(k in names for k in keys):
-            return cols[:, [names.index(k) for k in keys]]
+        if all(k in declared for k in keys):
+            return np.stack([vertices[k] for k in keys], axis=1, dtype=np.float64)
         return None
 
     positions = take(["x", "y", "z"])
-    if positions is None:
-        raise MeshParseError(f"{path}: vertex element lacks x/y/z")
     colors = take(["red", "green", "blue"])
-    if colors is not None and dtypes["red"] in ("u1", "i1"):
+    if colors is not None and declared["red"] in ("u1", "i1"):
         colors = colors / 255.0
     normals = take(["nx", "ny", "nz"])
-    labels = None
-    if "label" in names:
-        labels = parsed.get("label", cols[:, names.index("label")]).astype(np.int64)
-    faces = parsed.get("face", np.empty((0, 3), dtype=np.int64))
+    labels = vertices["label"].astype(np.int64) if "label" in declared else None
+    faces = (records["face"]["idx"].astype(np.int64) if "face" in records
+             else np.empty((0, 3), dtype=np.int64))
     return Mesh(positions=positions, faces=faces, colors=colors,
                 normals=normals, labels=labels)
+
+
+def _ascii_records(tokens, dtype) -> np.ndarray:
+    """Records of `dtype`, whose fields hold int64 or float64 values, from
+    its ASCII tokens. The block parses once, as int64 when every value is an
+    integer and as float64 otherwise. float64 holds integers exactly only up
+    to 2^53, so each integer column of a float block parses again, as int64.
+    """
+    kinds = "".join(dtype[n].base.kind * (dtype[n].itemsize // 8) for n in dtype.names)
+    if set(kinds) == {"i"}:
+        return np.array(tokens, dtype=np.int64).view(dtype)
+    block = np.array(tokens, dtype=np.float64)
+    for k in (k for k, kind in enumerate(kinds) if kind == "i"):
+        block.view(np.int64)[k::len(kinds)] = np.array(tokens[k::len(kinds)], dtype=np.int64)
+    return block.view(dtype)
 
 
 def _save_ply(mesh: Mesh, path, binary: bool = True):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from ..graph.neighborhoods import NeighborhoodConfig
 from ..hierarchy.build import Hierarchy, HierarchyConfig, build_hierarchy
+from ..hierarchy.trace import PoolingTraceMap, pool_labels
 from ..mesh.core import Mesh
 from ..nn.network import SegmentationNetwork
 from .crops import CropConfig, crop_windows, submesh
@@ -21,7 +21,6 @@ from .train import network_inputs
 class InferenceResult:
     predictions: np.ndarray       # per input vertex class index
     votes: np.ndarray             # (V, C) vote counts across crops
-    elapsed_seconds: float
     num_crops: int
 
 
@@ -45,7 +44,6 @@ def infer_scene(net: SegmentationNetwork, scene: Mesh,
     No crop is rejected at inference time. Vertices that land in several
     overlapping crops get one vote per crop; ties go to the lowest class.
     """
-    t0 = time.perf_counter()
     num_classes = net.config.num_classes
     votes = np.zeros((scene.num_vertices, num_classes), dtype=np.int64)
     windows = crop_windows(scene, crop_config)
@@ -58,7 +56,6 @@ def infer_scene(net: SegmentationNetwork, scene: Mesh,
     return InferenceResult(
         predictions=majority_vote(votes),
         votes=votes,
-        elapsed_seconds=time.perf_counter() - t0,
         num_crops=len(windows),
     )
 
@@ -74,9 +71,9 @@ def majority_vote(votes: np.ndarray) -> np.ndarray:
 
 
 def vote_over_runs(predictions: Sequence[np.ndarray]) -> np.ndarray:
-    """Majority vote across repeated prediction runs of the same scene."""
-    preds = np.stack([np.asarray(p) for p in predictions])
-    votes = np.zeros((preds.shape[1], preds.max() + 1), dtype=np.int64)
-    for p in preds:
-        votes[np.arange(len(p)), p] += 1
-    return majority_vote(votes)
+    """Majority vote across repeated prediction runs of the same scene; ties
+    go to the lowest class. Each vertex pools its runs' predictions, so memory
+    stays linear in the vertex count whatever the class ids."""
+    runs, num_vertices = len(predictions), len(predictions[0])
+    return pool_labels(np.concatenate(predictions),
+                       PoolingTraceMap(np.tile(np.arange(num_vertices), runs), num_vertices))

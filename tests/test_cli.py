@@ -259,6 +259,17 @@ def test_vote_table_follows_the_predictions_not_classes(tmp_path):
     assert np.loadtxt(tmp_path / "2" / "v.txt", dtype=np.int64).tolist() == [0, 0, 1, 0]
 
 
+def test_vote_with_a_huge_class_id(tmp_path):
+    # A table of one column per class up to 2^62 does not fit in memory.
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(f"{2**62}\n{2**62}\n1\n")
+    b.write_text(f"{2**62}\n0\n1\n")
+    out = tmp_path / "v.txt"
+    assert main(["vote", str(a), str(b), "--output", str(out),
+                 "--classes", str(2**62 + 1)]) == EXIT_OK
+    assert np.loadtxt(out, dtype=np.int64).tolist() == [2**62, 0, 1]
+
+
 def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     monkeypatch.setattr(cli, "_openblas_thread_setter", lambda: None)  # no OpenBLAS either

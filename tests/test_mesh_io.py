@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from meshseg.mesh.core import UNLABELED, Mesh, MeshValidationError
 from meshseg.mesh.io import MeshParseError, load_mesh, save_mesh
 
-from conftest import random_mesh
+from conftest import mesh_digest, random_mesh
 
 
 def full_mesh(rng, n=30, f=20):
@@ -309,3 +310,71 @@ def test_ascii_ply_labels_round_trip_beyond_float64_integers(tmp_path, rng):
     (tmp_path / "m.ply").write_text(text)
     with pytest.raises(MeshParseError, match="too large"):
         load_mesh(tmp_path / "m.ply")
+
+
+# struct codes of the PLY scalar types.
+STRUCT = {"char": "b", "uchar": "B", "short": "h", "ushort": "H",
+          "int": "i", "uint": "I", "float": "f", "double": "d"}
+
+
+def encode_ply(fmt, elements):
+    """One header and its rows in the given format. An element is its name,
+    its property lines and its rows; a list property takes a row's count
+    and that many values after it."""
+    header, ascii_rows, binary = ["ply", f"format {fmt} 1.0"], [], []
+    for name, props, rows in elements:
+        header.append(f"element {name} {len(rows)}")
+        header += [f"property {p}" for p in props]
+        for row in rows:
+            ascii_rows.append(" ".join(map(str, row)))
+            values = iter(row)
+            for prop in props:
+                kind = prop.split()
+                if kind[0] == "list":
+                    n = next(values)
+                    binary.append(struct.pack(f"<{STRUCT[kind[1]]}{n}{STRUCT[kind[2]]}",
+                                              n, *(next(values) for _ in range(n))))
+                else:
+                    binary.append(struct.pack("<" + STRUCT[kind[0]], next(values)))
+    head = ("\n".join(header + ["end_header"]) + "\n").encode("ascii")
+    if fmt == "ascii":
+        return head + "".join(r + "\n" for r in ascii_rows).encode("ascii")
+    return head + b"".join(binary)
+
+
+XYZ = ["float x", "float y", "float z"]
+POINTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+FACE_LIST = "list uchar int vertex_indices"
+FACES = [(3, 0, 1, 2), (3, 1, 2, 0)]
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([("empty", [], [(), ()]), ("vertex", XYZ, POINTS), ("face", [FACE_LIST], FACES)], None),
+    ([("vertex", XYZ, POINTS),
+      ("face", [FACE_LIST, "int flags"], [f + (3,) for f in FACES])],
+     "unsupported face properties"),
+    ([("vertex", XYZ + ["uchar red", "uchar green", "uchar blue"],
+       [p + (255, 0, 51) for p in POINTS]), ("face", [FACE_LIST], FACES)], None),
+    ([("vertex", XYZ, POINTS), ("material", ["float a", "uchar b", "float a"], [(0.5, 2, 1)]),
+      ("face", [FACE_LIST], FACES)], None),
+    ([("vertex", XYZ + ["int label"], [p + (c,) for p, c in zip(POINTS, (-1, 7, 0, 2**31 - 1))]),
+      ("face", [FACE_LIST], FACES)], None),
+], ids=["element-without-properties", "extra-face-property", "uchar-colors",
+        "unknown-element-before-faces", "int-labels"])
+def test_ascii_and_binary_encodings_agree(tmp_path, elements, message):
+    # The same header read from either encoding gives the same mesh or the
+    # same error. A flags value of 3 would pass for the next face's vertex
+    # count if a reader ignored the flags column.
+    outcomes = []
+    for fmt in ("ascii", "binary_little_endian"):
+        path = tmp_path / f"{fmt}.ply"
+        path.write_bytes(encode_ply(fmt, elements))
+        try:
+            mesh = load_mesh(path)
+            assert mesh.faces.tolist() == [list(f[1:4]) for f in FACES]
+            outcomes.append(mesh_digest(mesh))
+        except MeshParseError as e:
+            outcomes.append(str(e).replace(str(path), "<path>"))
+    assert outcomes[0] == outcomes[1]
+    if message is not None:
+        assert outcomes[0] == f"<path>: {message}"
