@@ -20,9 +20,9 @@ class EdgeSet:
     The neighbors of vertex i are indices[indptr[i]:indptr[i + 1]], in the
     order the constructing function emitted them. That order is part of the
     output: RES thinning keeps or drops each edge by its position in the row.
-    The list constructor, `.neighbors` and the order-insensitive `==` stay
-    because the benchmark harness in `perfbench/` builds, reads and compares
-    edge sets through them.
+    The list constructor and `.neighbors` stay because the benchmark harness
+    in `perfbench/` builds and reads edge sets through them. `==` is exact:
+    equal edge sets have the same rows in the same order.
     """
 
     def __init__(self, neighbors: Sequence[np.ndarray]):
@@ -75,14 +75,10 @@ class EdgeSet:
         return len(self.indptr) - 1
 
     def __eq__(self, other):
-        """Same neighbor multiset per vertex; the order within a row is ignored."""
         if not isinstance(other, EdgeSet):
             return NotImplemented
-        if not np.array_equal(self.indptr, other.indptr):
-            return False
-        centers, _ = self.flatten()
-        return np.array_equal(self.indices[np.lexsort((self.indices, centers))],
-                              other.indices[np.lexsort((other.indices, centers))])
+        return (np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     @property
     def neighbors(self) -> List[np.ndarray]:
@@ -97,10 +93,6 @@ class EdgeSet:
     @property
     def num_edges(self) -> int:
         return len(self.indices)
-
-    def flatten(self):
-        """Return (centers, neighbors) index arrays over all directed edges."""
-        return np.repeat(np.arange(len(self), dtype=np.int64), self.degrees), self.indices
 
     def validate(self, num_vertices: Optional[int] = None):
         if self.indptr.size == 0 or self.indptr[0] != 0:

@@ -81,9 +81,8 @@ def _sorted_rows(rows: np.ndarray):
 
 def pooled_edge_set(fine_edges: EdgeSet, trace: PoolingTraceMap) -> EdgeSet:
     """Coarse adjacency: groups are connected iff some fine edge crosses them."""
-    centers, nbrs = fine_edges.flatten()
-    ca = trace.assignment[centers]
-    cb = trace.assignment[nbrs]
+    ca = np.repeat(trace.assignment, fine_edges.degrees)
+    cb = trace.assignment[fine_edges.indices]
     keep = ca != cb
     # Symmetric even when the fine edge set is directed (e.g. k-nn graphs).
     return EdgeSet.symmetric(ca[keep], cb[keep], trace.coarse_count)

@@ -5,7 +5,6 @@ from .core import (
     check_mesh,
     compute_vertex_normals,
     geodesic_edge_set,
-    surface_area,
     validate_mesh,
 )
 from .io import MeshParseError, load_mesh, save_mesh

@@ -189,8 +189,3 @@ def unit_rows(v: np.ndarray, tiny: float) -> np.ndarray:
     out = np.tile((0.0, 0.0, 1.0), (len(v), 1))
     out[ok] = v[ok] / norms[ok, None]
     return out
-
-
-def surface_area(mesh: Mesh) -> float:
-    _, areas = face_normals_and_areas(mesh)
-    return float(areas.sum())

@@ -8,13 +8,12 @@ from typing import Sequence
 import numpy as np
 
 from ..graph.neighborhoods import NeighborhoodConfig
-from ..hierarchy.build import Hierarchy, HierarchyConfig, build_hierarchy
+from ..hierarchy.build import HierarchyConfig
 from ..hierarchy.trace import PoolingTraceMap, pool_labels
 from ..mesh.core import Mesh
 from ..nn.network import SegmentationNetwork
 from .crops import CropConfig, crop_windows, submesh
-from .features import vertex_features
-from .train import network_inputs
+from .train import Sample, network_inputs, prepare_sample
 
 
 @dataclass
@@ -24,11 +23,11 @@ class InferenceResult:
     num_crops: int
 
 
-def predict_hierarchy(net: SegmentationNetwork, hier: Hierarchy,
-                      features: np.ndarray, res_threshold: int = 25,
+def predict_hierarchy(net: SegmentationNetwork, sample: Sample, res_threshold: int = 25,
                       seed: int = 0) -> np.ndarray:
-    """Class predictions for the raw vertices behind a prepared hierarchy."""
-    logits = net.forward(features, *network_inputs(net, hier, res_threshold, seed),
+    """Class predictions for the raw vertices behind a prepared crop."""
+    hier = sample.hierarchy
+    logits = net.forward(sample.features, *network_inputs(net, hier, res_threshold, seed),
                          train=False)
     return np.argmax(logits, axis=1)[hier.input_trace.assignment]
 
@@ -48,10 +47,8 @@ def infer_scene(net: SegmentationNetwork, scene: Mesh,
     votes = np.zeros((scene.num_vertices, num_classes), dtype=np.int64)
     windows = crop_windows(scene, crop_config)
     for w, idx in enumerate(windows):
-        hier = build_hierarchy(submesh(scene, idx), hier_config)
-        hier.build_euclidean_edges(neigh_configs)
-        pred = predict_hierarchy(net, hier, vertex_features(hier.levels[0]),
-                                 res_threshold, seed + w)
+        sample = prepare_sample(submesh(scene, idx), hier_config, neigh_configs)
+        pred = predict_hierarchy(net, sample, res_threshold, seed + w)
         votes[idx, pred] += 1  # idx holds each vertex once
     return InferenceResult(
         predictions=majority_vote(votes),

@@ -24,18 +24,19 @@ from ..mesh.core import Mesh, compute_vertex_normals
 FLOOR, WALL, PLATFORM = 0, 1, 2
 NUM_TOY_CLASSES = 3
 
+TILE_SIZE = 0.72
+TILE_GAP = 0.04         # gap between adjacent tiles
+WALL_HEIGHT = 0.9
+WALL_OFFSET = 0.35      # distance from the floor edge
+PLATFORM_HEIGHT = 0.2
+COLOR_NOISE = 0.02
+
 
 @dataclass
 class ToySceneConfig:
     tiles_per_side: int = 4
-    tile_size: float = 0.72
     tile_spacing: float = 0.09     # vertex spacing inside a tile
-    tile_gap: float = 0.04         # gap between adjacent tiles
-    wall_height: float = 0.9
-    wall_offset: float = 0.35      # distance from the floor edge
-    platform_height: float = 0.2
     position_noise: float = 0.003
-    color_noise: float = 0.02
 
 
 def _grid(origin, u_vec, v_vec, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -57,14 +58,14 @@ def _grid(origin, u_vec, v_vec, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarra
 def make_toy_scene(seed: int, config: ToySceneConfig = ToySceneConfig()) -> Mesh:
     rng = np.random.default_rng(seed)
     c = config
-    n_tile = int(round(c.tile_size / c.tile_spacing))
-    pitch = c.tile_size + c.tile_gap
-    side = c.tiles_per_side * pitch - c.tile_gap
+    n_tile = int(round(TILE_SIZE / c.tile_spacing))
+    pitch = TILE_SIZE + TILE_GAP
+    side = c.tiles_per_side * pitch - TILE_GAP
     parts = []  # (positions, faces, label)
 
     def tile(x, y, z, label):
         parts.append((
-            *_grid([x, y, z], [c.tile_size, 0, 0], [0, c.tile_size, 0],
+            *_grid([x, y, z], [TILE_SIZE, 0, 0], [0, TILE_SIZE, 0],
                    n_tile, n_tile),
             label,
         ))
@@ -75,11 +76,11 @@ def make_toy_scene(seed: int, config: ToySceneConfig = ToySceneConfig()) -> Mesh
 
     # The platform hovers over a uniformly drawn floor tile.
     i, j = rng.integers(c.tiles_per_side, size=2)
-    tile(i * pitch, j * pitch, c.platform_height, PLATFORM)
+    tile(i * pitch, j * pitch, PLATFORM_HEIGHT, PLATFORM)
 
-    n_wall = int(round(c.wall_height / c.tile_spacing))
+    n_wall = int(round(WALL_HEIGHT / c.tile_spacing))
     parts.append((
-        *_grid([0, -c.wall_offset, 0], [side, 0, 0], [0, 0, c.wall_height],
+        *_grid([0, -WALL_OFFSET, 0], [side, 0, 0], [0, 0, WALL_HEIGHT],
                int(round(side / c.tile_spacing)), n_wall),
         WALL,
     ))
@@ -99,7 +100,7 @@ def make_toy_scene(seed: int, config: ToySceneConfig = ToySceneConfig()) -> Mesh
         positions=positions,
         faces=np.concatenate(faces),
         colors=np.clip(
-            0.5 + rng.normal(0.0, c.color_noise, positions.shape), 0.0, 1.0
+            0.5 + rng.normal(0.0, COLOR_NOISE, positions.shape), 0.0, 1.0
         ),
         labels=np.concatenate(labels),
     )

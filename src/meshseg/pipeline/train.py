@@ -38,7 +38,7 @@ class Sample:
 
     hierarchy: Hierarchy
     features: np.ndarray   # (V0, 9) float32 at level 0
-    labels: np.ndarray     # (V0,) at level 0
+    labels: Optional[np.ndarray]   # (V0,) at level 0; None for an unlabeled crop
 
 
 def prepare_sample(crop: Mesh, hier_config: HierarchyConfig,
@@ -46,8 +46,6 @@ def prepare_sample(crop: Mesh, hier_config: HierarchyConfig,
     hier = build_hierarchy(crop, hier_config)
     hier.build_euclidean_edges(neigh_configs)
     level0 = hier.levels[0]
-    if level0.labels is None:
-        raise ValueError("crop carries no labels")
     return Sample(hier, vertex_features(level0), level0.labels)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 
 import meshseg.cli  # noqa: F401  (loads every module the hooks name)
 from meshseg.graph.neighborhoods import EdgeSet, NeighborhoodConfig
-from meshseg.hierarchy.build import HierarchyConfig, merge_hierarchies
+from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy, merge_hierarchies
+from meshseg.hierarchy.store import deserialize_hierarchy, serialize_hierarchy
 from meshseg.nn.edgeconv import prepared_edges
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.nn.optim import Adam
@@ -20,9 +21,9 @@ from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
 from meshseg.pipeline.train import network_inputs, prepare_sample
 
 
-def load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -36,7 +37,7 @@ def meshseg_attributes():
 
 
 def test_instrument_wraps_and_restore_undoes():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     before = meshseg_attributes()
     init = SegmentationNetwork.__dict__["__init__"]
     patches = tracing.Patches()
@@ -63,7 +64,7 @@ def test_traced_train_step_counts_edges_and_restores():
     """A train step under the hooks: the edge counter sees every prepared
     row of every branch call, the per-block MLP spans are named, and the
     patches come off again."""
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     before = meshseg_attributes()
     sample = prepare_sample(make_toy_scene(0, ToySceneConfig(tiles_per_side=1)),
                             HierarchyConfig(strategy="vc", cells=(0.1, 0.3)),
@@ -94,3 +95,37 @@ def test_traced_train_step_counts_edges_and_restores():
     after = meshseg_attributes()
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+class RecordingRun:
+    """The part of perfbench's `Run` that a check calls: it records each check."""
+
+    def __init__(self):
+        self.checks = []
+
+    def check(self, what, ok):
+        self.checks.append((what, bool(ok)))
+        return ok
+
+
+def test_scene_prep_round_trip_check_passes_on_a_stored_hierarchy(tmp_path):
+    """The scene-prep check compares a built hierarchy with its store round
+    trip, edge sets by `==`; the store keeps row order, so every check
+    passes, and a row read back in another order fails."""
+    workloads = load_perfbench("workloads")
+    hier = build_hierarchy(make_toy_scene(0, ToySceneConfig(tiles_per_side=1)),
+                           workloads.TOY_HIER)
+    hier.build_euclidean_edges(workloads.TOY_NEIGH)
+    serialize_hierarchy(hier, tmp_path / "h")
+    loaded = deserialize_hierarchy(tmp_path / "h")
+
+    run = RecordingRun()
+    workloads.check_hierarchy_round_trip(run, hier, loaded)
+    assert run.checks and all(ok for _, ok in run.checks), run.checks
+
+    row = int(np.flatnonzero(loaded.geodesic_edges[0].degrees >= 2)[0])
+    start, end = loaded.geodesic_edges[0].indptr[row:row + 2]
+    loaded.geodesic_edges[0].indices[start:end] = loaded.geodesic_edges[0].indices[start:end][::-1]
+    run = RecordingRun()
+    workloads.check_hierarchy_round_trip(run, hier, loaded)
+    assert dict(run.checks)["scene-prep: stored edge sets match"] is False

@@ -185,6 +185,24 @@ def test_infer_eval_vote_loop(workdir, trained, capsys):
     assert json.loads((voted.parent / "run_manifest.json").read_text())["command"] == "vote"
 
 
+def test_infer_on_a_scene_without_labels(trained, tmp_path):
+    """Inference reads no labels: a scene saved without its label property
+    gets the same predictions as the same scene saved with it."""
+    scene = make_toy_scene(1)
+    save_mesh(scene, tmp_path / "labeled.ply", binary=True)
+    scene.labels = None
+    save_mesh(scene, tmp_path / "unlabeled.ply", binary=True)
+    assert load_mesh(tmp_path / "unlabeled.ply").labels is None
+    written = []
+    for name in ("labeled", "unlabeled"):
+        out = tmp_path / f"{name}.txt"
+        assert main(["infer", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--scene", str(tmp_path / f"{name}.ply"), "--output", str(out),
+                     *HIER_ARGS, "--crop-extent", "3.6", "--crop-stride", "1.8"]) == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_config_errors_exit_3(workdir, capsys):
     assert main(["bogus-command"]) == EXIT_CONFIG
     assert main(["build-hierarchy", str(workdir / "scene0.ply"),

@@ -8,7 +8,6 @@ from meshseg.mesh.core import (
     compute_vertex_normals,
     face_normals_and_areas,
     geodesic_edge_set,
-    surface_area,
     validate_mesh,
 )
 
@@ -155,13 +154,3 @@ def test_flat_grid_normals_point_up():
 def test_isolated_vertex_normal_fallback():
     mesh = Mesh(positions=np.random.rand(3, 3), faces=np.empty((0, 3), dtype=np.int64))
     assert np.allclose(compute_vertex_normals(mesh), [0.0, 0.0, 1.0])
-
-
-def test_surface_area_cube():
-    assert surface_area(cube_mesh()) == pytest.approx(6.0, abs=1e-12)
-
-
-def test_surface_area_single_triangle():
-    mesh = Mesh(positions=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
-                faces=np.array([[0, 1, 2]]))
-    assert surface_area(mesh) == pytest.approx(0.5, abs=1e-15)

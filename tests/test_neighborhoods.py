@@ -153,11 +153,19 @@ def test_neighborhood_config_validation():
 
 @given(st.lists(st.lists(st.integers(0, 19), max_size=6), min_size=1, max_size=20))
 @settings(max_examples=200, deadline=None)
-def test_edge_set_flatten_from_pairs_round_trip(lists):
+def test_edge_set_from_pairs_round_trip(lists):
     edges = EdgeSet([np.asarray(l, dtype=np.int64) for l in lists])
-    centers, nbrs = edges.flatten()
-    back = EdgeSet.from_pairs(centers, nbrs, len(lists))
+    centers = np.repeat(np.arange(len(edges)), edges.degrees)
+    back = EdgeSet.from_pairs(centers, edges.indices, len(lists))
     assert back == edges
+
+
+def test_edge_set_equality_is_exact():
+    edges = EdgeSet.from_csr([0, 2, 3, 4], [1, 2, 0, 0])
+    assert edges == EdgeSet.from_csr(edges.indptr.copy(), edges.indices.copy())
+    # The same neighbours of vertex 0 in another order.
+    assert edges != EdgeSet.from_csr([0, 2, 3, 4], [2, 1, 0, 0])
+    assert edges != EdgeSet.from_csr([0, 1, 3, 4], [1, 2, 0, 0])
 
 
 @given(st.integers(1, 30), st.data())

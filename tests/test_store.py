@@ -44,7 +44,7 @@ def test_round_trip(tmp_path, hier):
     for a, b in zip(hier.euclidean_edges, back.euclidean_edges):
         assert a == b
     assert np.array_equal(hier.input_trace.assignment, back.input_trace.assignment)
-    # Stricter than ==: the CSR arrays come back bit-identical, row order included.
+    # Stricter than ==: the CSR arrays also keep their dtypes.
     for a, b in zip(hier.geodesic_edges + hier.euclidean_edges,
                     back.geodesic_edges + back.euclidean_edges):
         assert a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
