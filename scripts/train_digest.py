@@ -52,8 +52,10 @@ SCENE = ToySceneConfig(tiles_per_side=4, tile_spacing=0.045)
 
 
 def eval_logits(net, sample):
+    hier = sample.hierarchy
     return net.forward(sample.features,
-                       *network_inputs(net, sample.hierarchy, RES_THRESHOLD, SEED),
+                       *network_inputs(net, hier.geodesic_edges, hier.euclidean_edges,
+                                       hier.traces, RES_THRESHOLD, SEED),
                        train=False)
 
 
@@ -90,8 +92,7 @@ def main():
     sample = prepare_sample(make_toy_scene(SEED, SCENE),
                             HierarchyConfig(strategy="vc+qem", fps_seed=SEED),
                             [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII])
-    double = Sample(sample.hierarchy, vertex_features(sample.hierarchy.levels[0], np.float64),
-                    sample.labels)
+    double = Sample(sample.hierarchy, vertex_features(sample.hierarchy.levels[0], np.float64))
     total, net = digest(double)
     print(total)
     print(f"float32 {digest(sample, 'float32 ')[0]}", file=sys.stderr)

@@ -273,7 +273,7 @@ def _training_scene_paths(manifest_path) -> list:
     try:
         paths = [entry["path"] for entry in json.loads(text)["scenes"]
                  if entry.get("split", "train") == "train"]
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as e:
         raise ManifestError(
             f"{manifest_path}: malformed dataset manifest ({type(e).__name__}: {e})") from e
     if not paths:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,14 +62,15 @@ class Hierarchy:
     """Mesh pyramid plus the trace maps and edge sets linking its levels.
 
     levels[0] is the finest level the network sees (the first pooling of
-    the raw input); input_trace maps raw input vertices onto it.
+    the raw input); input_trace maps raw input vertices onto it. The
+    Euclidean edge sets stay None until build_euclidean_edges builds them.
     """
 
     levels: List[Mesh]
     traces: List[PoolingTraceMap]
     geodesic_edges: List[EdgeSet]
+    input_trace: PoolingTraceMap
     euclidean_edges: Optional[List[EdgeSet]] = None
-    input_trace: Optional[PoolingTraceMap] = None
 
     @property
     def num_levels(self) -> int:
@@ -88,8 +89,7 @@ class Hierarchy:
             if counts[i + 1] >= counts[i]:
                 raise ValueError(f"level_{i + 1} does not reduce the vertex count")
             _check_trace(f"trace_{i}", self.traces[i], counts[i], counts[i + 1])
-        if self.input_trace is not None:
-            _check_trace("trace_input", self.input_trace, None, counts[0])
+        _check_trace("trace_input", self.input_trace, None, counts[0])
         _check_edge_sets("geo", self.geodesic_edges, counts)
         if self.euclidean_edges is not None:
             _check_edge_sets("euc", self.euclidean_edges, counts)
@@ -193,37 +193,27 @@ def build_hierarchy(mesh: Mesh, config: HierarchyConfig) -> Hierarchy:
     return hier
 
 
-def merge_hierarchies(hiers: Sequence[Hierarchy]) -> Hierarchy:
-    """Disjoint union of hierarchies (used for batching independent crops)."""
+def merge_hierarchies(
+        hiers: Sequence[Hierarchy]) -> Tuple[List[EdgeSet], List[EdgeSet], List[PoolingTraceMap]]:
+    """What the network reads of a batch of hierarchies side by side: each
+    level's geodesic and Euclidean edge sets and the traces between levels,
+    each part offset past the vertices of those before it. No mesh is merged.
+    (The benchmark harness wraps this function by its name and module.)
+    """
     if not hiers:
         raise ValueError("nothing to merge")
     depth = hiers[0].num_levels
     if any(h.num_levels != depth for h in hiers):
         raise ValueError("hierarchies must have matching depth")
-    has_euc = all(h.euclidean_edges is not None for h in hiers)
-
-    levels, traces, geo, euc = [], [], [], []
-    for lvl in range(depth):
-        meshes = [h.levels[lvl] for h in hiers]
-        offsets = np.cumsum([0] + [m.num_vertices for m in meshes[:-1]])
-        # A per-vertex array survives only when every part has it.
-        arrays = [m.vertex_arrays() for m in meshes]
-        levels.append(Mesh(
-            faces=np.concatenate([m.faces + off for m, off in zip(meshes, offsets)]),
-            **{name: np.concatenate([a[name] for a in arrays])
-               for name in arrays[0] if all(name in a for a in arrays)}))
-        geo.append(EdgeSet.disjoint_union([h.geodesic_edges[lvl] for h in hiers]))
-        if has_euc:
-            euc.append(EdgeSet.disjoint_union([h.euclidean_edges[lvl] for h in hiers]))
-        if lvl < depth - 1:
-            coarse_offsets = np.cumsum(
-                [0] + [h.levels[lvl + 1].num_vertices for h in hiers[:-1]]
-            )
-            assignment = np.concatenate(
-                [h.traces[lvl].assignment + off for h, off in zip(hiers, coarse_offsets)]
-            )
-            traces.append(
-                PoolingTraceMap(assignment, sum(h.levels[lvl + 1].num_vertices for h in hiers))
-            )
-    return Hierarchy(levels, traces, geo, euc if has_euc else None)
-
+    geo = [EdgeSet.disjoint_union([h.geodesic_edges[lvl] for h in hiers])
+           for lvl in range(depth)]
+    euc = [EdgeSet.disjoint_union([h.euclidean_edges[lvl] for h in hiers])
+           for lvl in range(depth)]
+    traces = []
+    for lvl in range(depth - 1):
+        counts = [h.levels[lvl + 1].num_vertices for h in hiers]
+        offsets = np.cumsum([0] + counts[:-1])
+        traces.append(PoolingTraceMap(
+            np.concatenate([h.traces[lvl].assignment + off for h, off in zip(hiers, offsets)]),
+            sum(counts)))
+    return geo, euc, traces

@@ -53,8 +53,8 @@ def _layout(num_levels: int, level0) -> list:
 
 
 def serialize_hierarchy(hier: Hierarchy, directory):
-    if hier.euclidean_edges is None or hier.input_trace is None:
-        raise ValueError("a stored hierarchy needs Euclidean edges and an input trace")
+    if hier.euclidean_edges is None:
+        raise ValueError("a stored hierarchy needs Euclidean edges")
     values = {"trace_input": hier.input_trace.assignment,
               "format_version": np.int64(FORMAT_VERSION)}
     for lvl, mesh in enumerate(hier.levels):
@@ -131,8 +131,9 @@ def _read_hierarchy(archive, path) -> Hierarchy:
     counts = [m.num_vertices for m in levels]
     traces = [PoolingTraceMap(member(f"trace_{lvl}", "iu", 1), counts[lvl + 1])
               for lvl in range(num_levels - 1)]
-    hier = Hierarchy(levels, traces, edge_sets("geo"), edge_sets("euc"),
-                     PoolingTraceMap(member("trace_input", "iu", 1), counts[0]))
+    hier = Hierarchy(levels=levels, traces=traces, geodesic_edges=edge_sets("geo"),
+                     input_trace=PoolingTraceMap(member("trace_input", "iu", 1), counts[0]),
+                     euclidean_edges=edge_sets("euc"))
     try:
         hier.validate()
     except ValueError as e:

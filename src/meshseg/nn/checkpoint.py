@@ -81,7 +81,7 @@ def load_checkpoint(path) -> SegmentationNetwork:
         cfg, names = header["config"], header["tensors"]
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise TypeError("'tensors' is not a list of names")
-    except (KeyError, TypeError, ValueError) as e:  # ValueError covers bad JSON and UTF-8
+    except (KeyError, TypeError, ValueError, RecursionError) as e:  # bad JSON, UTF-8, nesting
         raise CheckpointError(f"malformed checkpoint header: {e}") from e
     try:
         net = SegmentationNetwork(NetworkConfig(**cfg))

@@ -27,7 +27,9 @@ def predict_hierarchy(net: SegmentationNetwork, sample: Sample, res_threshold: i
                       seed: int = 0) -> np.ndarray:
     """Class predictions for the raw vertices behind a prepared crop."""
     hier = sample.hierarchy
-    logits = net.forward(sample.features, *network_inputs(net, hier, res_threshold, seed),
+    logits = net.forward(sample.features,
+                         *network_inputs(net, hier.geodesic_edges, hier.euclidean_edges,
+                                         hier.traces, res_threshold, seed),
                          train=False)
     return np.argmax(logits, axis=1)[hier.input_trace.assignment]
 

@@ -36,17 +36,15 @@ class TrainConfig:
 class Sample:
     """One crop, fully prepared for the network."""
 
-    hierarchy: Hierarchy
+    hierarchy: Hierarchy   # its level 0 carries the labels, if the crop has them
     features: np.ndarray   # (V0, 9) float32 at level 0
-    labels: Optional[np.ndarray]   # (V0,) at level 0; None for an unlabeled crop
 
 
 def prepare_sample(crop: Mesh, hier_config: HierarchyConfig,
                    neigh_configs: Sequence[NeighborhoodConfig]) -> Sample:
     hier = build_hierarchy(crop, hier_config)
     hier.build_euclidean_edges(neigh_configs)
-    level0 = hier.levels[0]
-    return Sample(hier, vertex_features(level0), level0.labels)
+    return Sample(hier, vertex_features(hier.levels[0]))
 
 
 def collect_crops(scenes: Sequence[Mesh], crop_config: CropConfig) -> List[Mesh]:
@@ -66,20 +64,22 @@ def collect_crops(scenes: Sequence[Mesh], crop_config: CropConfig) -> List[Mesh]
 EUCLIDEAN_SEED_OFFSET = 1000003
 
 
-def network_inputs(net: SegmentationNetwork, hier: Hierarchy, res_threshold: int,
+def network_inputs(net: SegmentationNetwork, geo_edges: Sequence[EdgeSet],
+                   euc_edges: Sequence[EdgeSet], traces: Sequence[PoolingTraceMap],
+                   res_threshold: int,
                    seed: int) -> Tuple[List[EdgeSet], List[EdgeSet], List[PoolingTraceMap]]:
     """The geodesic and Euclidean edge sets and the traces that `net.forward`
-    reads from a hierarchy, cut to the network's depth.
+    reads, cut to the network's depth: those of one hierarchy, or the union
+    of a batch's from `merge_hierarchies`.
 
     Every edge set is RES-thinned at res_threshold: geodesic level l with
     seed + l, Euclidean level l with seed + EUCLIDEAN_SEED_OFFSET + l.
     """
     L = net.config.num_levels
-    geo = [res_sample(e, res_threshold, seed + lvl)
-           for lvl, e in enumerate(hier.geodesic_edges[:L])]
+    geo = [res_sample(e, res_threshold, seed + lvl) for lvl, e in enumerate(geo_edges[:L])]
     euc = [res_sample(e, res_threshold, seed + EUCLIDEAN_SEED_OFFSET + lvl)
-           for lvl, e in enumerate(hier.euclidean_edges[:L])]
-    return geo, euc, hier.traces[:L - 1]
+           for lvl, e in enumerate(euc_edges[:L])]
+    return geo, euc, traces[:L - 1]
 
 
 def train_step(net: SegmentationNetwork, optimizer: Adam, samples: Sequence[Sample],
@@ -89,12 +89,12 @@ def train_step(net: SegmentationNetwork, optimizer: Adam, samples: Sequence[Samp
     The crops are merged into one disjoint graph so batch-norm statistics
     cover the whole batch; neighborhood thinning is re-drawn per step.
     """
-    merged = merge_hierarchies([s.hierarchy for s in samples])
     features = np.concatenate([s.features for s in samples])
-    labels = np.concatenate([s.labels for s in samples])
+    labels = np.concatenate([s.hierarchy.levels[0].labels for s in samples])
+    inputs = network_inputs(net, *merge_hierarchies([s.hierarchy for s in samples]),
+                            res_threshold, res_seed)
 
-    logits = net.forward(features, *network_inputs(net, merged, res_threshold, res_seed),
-                         train=True)
+    logits = net.forward(features, *inputs, train=True)
     loss, dlogits = cross_entropy_loss(logits, labels)
     net.zero_grad()
     net.backward(dlogits)

@@ -83,14 +83,14 @@ def test_traced_train_step_counts_edges_and_restores():
         patches.restore()
     assert np.isfinite(loss)
 
-    geo, euc, _ = network_inputs(net, merge_hierarchies([sample.hierarchy]), 15, 7)
+    geo, euc, _ = network_inputs(net, *merge_hierarchies([sample.hierarchy]), 15, 7)
     blocks_per_level = [config.blocks_per_level * 2, config.blocks_per_level]
     rows = sum(blocks * (len(prepared_edges(g)) + len(prepared_edges(e)))
                for blocks, g, e in zip(blocks_per_level, geo, euc))
     assert tracer.counters["nn.edges"] == rows
     names = {span[0] for span in tracer.spans}
     assert {"nn.enc0.fwd.mlp", "nn.enc0.bwd.mlp", "nn.dec0.fwd.mlp", "nn.enc1.fwd.mlp",
-            "nn.prepared_edges", "pipeline.train_step"} <= names
+            "nn.prepared_edges", "hierarchy.merge", "pipeline.train_step"} <= names
     assert not patches._undo
     after = meshseg_attributes()
     assert after.keys() == before.keys()

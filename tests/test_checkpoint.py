@@ -219,6 +219,8 @@ def test_tensors_load_in_any_stored_order(tmp_path, rng):
 
 
 NAMES_REFUSED = "stored tensor names are not those of the network its config builds"
+# JSON nested deeper than the parser's recursion limit.
+NESTED_JSON = b"[" * 100000 + b"]" * 100000
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -245,10 +247,12 @@ NAMES_REFUSED = "stored tensor names are not those of the network its config bui
      "config rejected: a .* width pair must be"),
     (lambda d: _edit_header(d, lambda h: h["config"].update(head_hidden=0)),
      "config rejected: head_hidden must be at least 1"),
+    (lambda d: d[:12] + struct.pack("<Q", len(NESTED_JSON)) + NESTED_JSON + d[_header_end(d):],
+     "malformed checkpoint header"),
 ], ids=["preamble", "header-past-end", "header-json", "header-utf8", "header-key",
         "header-names", "config-widths", "config-field", "payload-short", "payload-long",
         "tensor-renamed", "tensor-missing", "tensor-repeated", "config-bn-momentum",
-        "config-bn-eps", "config-zero-width", "config-zero-head"])
+        "config-bn-eps", "config-zero-width", "config-zero-head", "header-nested"])
 def test_malformed_checkpoint_raises(tmp_path, rng, corrupt, message):
     net, _ = trained_net(rng)
     path = tmp_path / "ckpt.bin"

@@ -408,6 +408,9 @@ RANGE_MESSAGES = {
     ("train", None, ["--crop-extent", "1.0", "--crop-stride", "2.0"], EXIT_CONFIG),
     # A 32 x 10^12 head weight, which no allocator can reserve: nothing is allocated.
     ("train", None, ["--classes", "1000000000000"], EXIT_CONFIG),
+    # JSON nested deeper than the parser's recursion limit.
+    pytest.param("train", "[" * 100000 + "]" * 100000, [], EXIT_VALIDATION,
+                 id="train-nested-manifest"),
 ])
 def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
                                            options, code):

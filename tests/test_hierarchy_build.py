@@ -175,40 +175,26 @@ def test_merge_hierarchies_disjoint_union(scene):
     a.build_euclidean_edges(cfgs)
     b = build_hierarchy(make_toy_scene(1), TOY_VC)
     b.build_euclidean_edges(cfgs)
-    merged = merge_hierarchies([a, b])
+    geo, euc, traces = merge_hierarchies([a, b])
 
+    assert len(geo) == len(euc) == 4 and len(traces) == 3
     for lvl in range(4):
         na = a.levels[lvl].num_vertices
-        assert merged.levels[lvl].num_vertices == na + b.levels[lvl].num_vertices
-        assert np.array_equal(merged.levels[lvl].positions[:na],
-                              a.levels[lvl].positions)
-        assert np.array_equal(merged.levels[lvl].positions[na:],
-                              b.levels[lvl].positions)
         # Edges of b are offset by a's vertex count; no cross edges exist.
-        for edges in ("geodesic_edges", "euclidean_edges"):
+        for merged, edges in ((geo, "geodesic_edges"), (euc, "euclidean_edges")):
             parts = getattr(a, edges)[lvl].neighbors
             parts += [n + na for n in getattr(b, edges)[lvl].neighbors]
-            assert getattr(merged, edges)[lvl] == EdgeSet(parts)
+            assert merged[lvl] == EdgeSet(parts)
+            merged[lvl].validate(na + b.levels[lvl].num_vertices)
     for lvl in range(3):
         ca = a.levels[lvl + 1].num_vertices
         fa = a.levels[lvl].num_vertices
-        assert np.array_equal(merged.traces[lvl].assignment[:fa],
+        assert traces[lvl].coarse_count == ca + b.levels[lvl + 1].num_vertices
+        assert np.array_equal(traces[lvl].assignment[:fa],
                               a.traces[lvl].assignment)
-        assert np.array_equal(merged.traces[lvl].assignment[fa:],
+        assert np.array_equal(traces[lvl].assignment[fa:],
                               b.traces[lvl].assignment + ca)
-    merged.validate()
-
-
-def test_merge_drops_an_array_that_one_part_lacks(scene):
-    a = build_hierarchy(scene, TOY_VC)
-    colorless = scene.copy()
-    colorless.colors = None
-    b = build_hierarchy(colorless, TOY_VC)
-    for lvl, level in enumerate(merge_hierarchies([a, b]).levels):
-        assert set(level.vertex_arrays()) == {"positions", "normals", "labels"}
-        assert np.array_equal(level.labels,
-                              np.concatenate([a.levels[lvl].labels, b.levels[lvl].labels]))
-        assert len(level.faces) == a.levels[lvl].num_faces + b.levels[lvl].num_faces
+        traces[lvl].validate()
 
 
 def test_merge_depth_mismatch(scene):

@@ -206,7 +206,8 @@ def test_network_inputs_cut_and_thin_a_hierarchy(rng):
         geo_widths=((4, 2),) * 3, euc_widths=((4, 2),) * 3, head_hidden=4,
     )
     net = SegmentationNetwork(cfg)
-    geo, euc, traces = network_inputs(net, hier, 4, 17)
+    geo, euc, traces = network_inputs(net, hier.geodesic_edges, hier.euclidean_edges,
+                                      hier.traces, 4, 17)
     assert len(geo) == len(euc) == 3 and traces == hier.traces[:2]
     for lvl in range(3):
         for got, edges, seed in ((geo, hier.geodesic_edges, 17 + lvl),
@@ -221,5 +222,6 @@ def test_network_inputs_cut_and_thin_a_hierarchy(rng):
     assert logits.shape == (hier.levels[0].num_vertices, 3)
     # A threshold above every degree keeps every edge.
     assert np.array_equal(
-        net.forward(features, *network_inputs(net, hier, 10 ** 6, 0)),
+        net.forward(features, *network_inputs(net, hier.geodesic_edges, hier.euclidean_edges,
+                                              hier.traces, 10 ** 6, 0)),
         net.forward(features, hier.geodesic_edges[:3], hier.euclidean_edges[:3], traces))

@@ -13,10 +13,13 @@ from meshseg.nn.layers import BatchNorm, Linear
 from meshseg.nn.loss import cross_entropy_loss
 from meshseg.nn.network import SegmentationNetwork
 from meshseg.nn.optim import Adam
+from meshseg.pipeline.crops import CropConfig
 from meshseg.pipeline.features import vertex_features
-from meshseg.pipeline.toydata import make_toy_scene
-from meshseg.pipeline.train import Sample, train_step
+from meshseg.pipeline.infer import infer_scene
+from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
+from meshseg.pipeline.train import Sample, prepare_sample, train_step
 
+from test_acceptance import TOY_HIER, TOY_NEIGH, toy_network
 from test_network import small_config, small_instance
 
 DTYPES = [np.float32, np.float64]
@@ -88,8 +91,7 @@ def toy_sample(dtype):
     hier = build_hierarchy(make_toy_scene(0), HierarchyConfig(strategy="vc", cells=(0.15, 0.3)))
     hier.build_euclidean_edges([NeighborhoodConfig(kind="radius", radius=r)
                                 for r in (0.25, 0.4)])
-    level0 = hier.levels[0]
-    return Sample(hier, vertex_features(level0, dtype), level0.labels)
+    return Sample(hier, vertex_features(hier.levels[0], dtype))
 
 
 def one_train_step(sample):
@@ -100,11 +102,10 @@ def one_train_step(sample):
     return loss, net
 
 
-def step_digest(dtype) -> str:
-    """sha256 of the loss, parameters, gradients and running statistics
-    after one train step on the toy sample in dtype."""
-    loss, net = one_train_step(toy_sample(dtype))
-    digest = hashlib.sha256(np.float64(loss).tobytes())
+def hash_step(digest, loss, net):
+    """Add the loss, parameters, gradients and running statistics after a
+    train step to digest."""
+    digest.update(np.float64(loss).tobytes())
     for _, p in net.parameters():
         digest.update(p.value.tobytes())
         digest.update(p.grad.tobytes())
@@ -112,6 +113,13 @@ def step_digest(dtype) -> str:
         if isinstance(m, BatchNorm):
             digest.update(m.running_mean.tobytes())
             digest.update(m.running_var.tobytes())
+
+
+def step_digest(dtype) -> str:
+    """sha256 of the loss, parameters, gradients and running statistics
+    after one train step on the toy sample in dtype."""
+    digest = hashlib.sha256()
+    hash_step(digest, *one_train_step(toy_sample(dtype)))
     return digest.hexdigest()
 
 
@@ -135,3 +143,37 @@ def test_float32_train_step_loss_matches_float64():
     single, _ = one_train_step(toy_sample(np.float32))
     double, _ = one_train_step(toy_sample(np.float64))
     assert abs(single - double) <= 1e-4 * abs(double)
+
+
+@pytest.fixture(scope="module")
+def batch_training():
+    """sha256 of the loss, parameters, gradients and running statistics after
+    each of three train steps of the toy network on a batch of three whole toy
+    scenes, so that the vertex offsets of batching are pinned; and the network
+    after them."""
+    samples = [prepare_sample(make_toy_scene(seed, ToySceneConfig(tiles_per_side=2)),
+                              TOY_HIER, TOY_NEIGH) for seed in range(3)]
+    net = toy_network("dual", 3)
+    optimizer = Adam(net.parameters())
+    digest = hashlib.sha256()
+    for res_seed in (100, 101, 102):
+        hash_step(digest, train_step(net, optimizer, samples, 15, res_seed), net)
+    return digest.hexdigest(), net
+
+
+# sha256 of three train steps on a batch of three crops, and of the vote table
+# of inference with the trained network, as computed while a batch still
+# merged its crops' whole hierarchies.
+BATCH_STEP_DIGEST = "751df3c90811dbbea1a1796de8fe5b70cd10827fac344c42c43ef8487c7308ac"
+VOTE_DIGEST = "844020ad6eb6691114b46a89eed8c0e7ed6755086577269168cfdb380469aca3"
+
+
+def test_batch_train_steps_are_pinned(batch_training):
+    assert batch_training[0] == BATCH_STEP_DIGEST
+
+
+def test_inference_votes_are_pinned(batch_training):
+    result = infer_scene(batch_training[1], make_toy_scene(5, ToySceneConfig(tiles_per_side=6)),
+                         TOY_HIER, TOY_NEIGH, CropConfig(), res_threshold=25, seed=7)
+    assert result.num_crops == 9
+    assert hashlib.sha256(result.votes.tobytes()).hexdigest() == VOTE_DIGEST

@@ -83,9 +83,9 @@ def test_manifest_echoes_strategy(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("part", ["euclidean_edges", "input_trace"])
+@pytest.mark.parametrize("part", ["euclidean_edges"])
 def test_serialize_refuses_a_hierarchy_without_every_part(tmp_path, hier, part):
-    with pytest.raises(ValueError, match="needs Euclidean edges and an input trace"):
+    with pytest.raises(ValueError, match="needs Euclidean edges"):
         serialize_hierarchy(dataclasses.replace(hier, **{part: None}), tmp_path / "h")
     assert not (tmp_path / "h").exists()
 
