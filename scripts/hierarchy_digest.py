@@ -6,7 +6,9 @@ It hashes
 - the meshes that `meshseg subdivide --cloud` writes from toy scenes 1-5, as
   binary PLY, ASCII PLY and OFF,
 - the `hierarchy.npz` bytes of `meshseg build-hierarchy` (CLI defaults) on
-  each subdivided scene, read back from its ASCII PLY, and
+  each subdivided scene, read back from its ASCII PLY,
+- the same for the other two strategies, `--strategy vc` and
+  `--strategy fps`, on subdivided scene 1, and
 - the `hierarchy.npz` bytes of the CLI-default vc+qem hierarchy, with
   Euclidean edges, of every crop that `meshseg infer` sweeps over the
   6x6-tile toy scene.
@@ -34,6 +36,10 @@ from meshseg.pipeline.crops import CropConfig, crop_windows, submesh
 from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
 
 PREP_SCENES = range(1, 6)
+# The non-default strategies, each built on one subdivided scene.
+STRATEGY_SCENE = 1
+STRATEGIES = {"vc": ["--strategy", "vc"],
+              "fps": ["--strategy", "fps", "--fps-counts", "2000,600,200,60"]}
 CROP_SCENE = ToySceneConfig(tiles_per_side=6)
 
 
@@ -57,6 +63,11 @@ def prep_archives(workdir: Path):
             yield f"scene{seed}_sub{suffix}", sub
         _cli(["build-hierarchy", subs[".ascii.ply"], out, "--seed", seed])
         yield f"scene{seed}", out / ARCHIVE
+        if seed == STRATEGY_SCENE:
+            for strategy, args in STRATEGIES.items():
+                out = workdir / f"scene{seed}_{strategy}_hier"
+                _cli(["build-hierarchy", subs[".ascii.ply"], out, "--seed", seed, *args])
+                yield f"scene{seed}_{strategy}", out / ARCHIVE
 
 
 def crop_archives(workdir: Path):

@@ -40,7 +40,7 @@ from .mesh.io import MeshParseError, load_mesh, save_mesh
 from .mesh.subdivide import interpolate_from_point_cloud, midpoint_subdivide
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.network import NetworkConfig, SegmentationNetwork
-from .pipeline.crops import CropConfig
+from .pipeline.crops import CropConfig, CropGridError
 from .pipeline.infer import infer_scene, vote_over_runs
 from .pipeline.metrics import evaluate
 from .pipeline.train import TrainConfig, train
@@ -555,7 +555,7 @@ def main(argv=None) -> int:
             _write_run_manifest(out_dir, args.command, args,
                                 {"total": time.perf_counter() - t0}, outputs)
         return EXIT_OK
-    except ConfigError as e:
+    except (ConfigError, CropGridError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (MeshParseError, MeshValidationError, HierarchyFormatError,

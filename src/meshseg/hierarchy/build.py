@@ -11,7 +11,7 @@ from ..graph.neighborhoods import EdgeSet, NeighborhoodConfig, knn_graph, radius
 from ..mesh.core import Mesh, MeshValidationError, geodesic_edge_set
 from .fps import fps_pool
 from .qem import qem_pool
-from .trace import PoolingTraceMap
+from .trace import PoolingTraceMap, pooled_mesh
 from .vertex_clustering import pooled_edge_set, vertex_clustering_pool
 
 # Defaults: cubical clustering cells per level, and the quadric-error
@@ -144,9 +144,11 @@ def build_hierarchy(mesh: Mesh, config: HierarchyConfig) -> Hierarchy:
 
     The first pooling operation (VC cell 0, QEM pre-pass cell, or the first
     FPS count) produces level 0; its trace from the raw input is kept in
-    input_trace. A first FPS count above the mesh's vertex count, or a
-    later pooling step that does not reduce the vertex count, raises
-    MeshValidationError: the input, not the config, is at fault.
+    input_trace, which pools the input's colors, normals and labels onto
+    level 0 alone. A first FPS count above the mesh's vertex count, more
+    cells in a row than int64 holds, or a later pooling step that does not
+    reduce the vertex count raises MeshValidationError: the input, not the
+    config, is at fault.
     """
     if config.strategy == "fps" and config.fps_counts[0] > mesh.num_vertices:
         raise MeshValidationError(
@@ -161,28 +163,30 @@ def build_hierarchy(mesh: Mesh, config: HierarchyConfig) -> Hierarchy:
     edge_sets: List[EdgeSet] = []
     current = mesh
     # FPS discards surface connectivity entirely.
-    current_edges = None if config.strategy == "fps" else geodesic_edge_set(mesh)
+    current_edges = (EdgeSet.from_pairs([], [], mesh.num_vertices) if config.strategy == "fps"
+                     else geodesic_edge_set(mesh))
     for step in range(config.num_levels):
         if config.strategy == "fps":
             coarse, trace = fps_pool(current, config.fps_counts[step], config.fps_seed)
         elif config.strategy == "vc+qem" and step:
             coarse, trace = qem_pool(current, config.qem_ratio, pair_distance)
         else:
-            coarse, trace = vertex_clustering_pool(current, config.cells[step])
+            try:
+                coarse, trace = vertex_clustering_pool(current, config.cells[step])
+            except MeshValidationError as e:
+                raise MeshValidationError(f"pooling level {step}: {e}") from e
         if step and coarse.num_vertices >= current.num_vertices:
             raise MeshValidationError(
                 f"pooling level {step} failed to reduce the vertex count "
                 f"({current.num_vertices} -> {coarse.num_vertices})"
             )
-        if current_edges is None:
-            edge_sets.append(EdgeSet.from_pairs([], [], coarse.num_vertices))
-        else:
-            current_edges = pooled_edge_set(current_edges, trace)
-            edge_sets.append(current_edges)
+        current_edges = pooled_edge_set(current_edges, trace)
+        edge_sets.append(current_edges)
         levels.append(coarse)
         traces.append(trace)
         current = coarse
 
+    levels[0] = pooled_mesh(mesh, traces[0], levels[0].positions, levels[0].faces)
     hier = Hierarchy(
         levels=levels,
         traces=traces[1:],

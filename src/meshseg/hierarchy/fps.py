@@ -8,7 +8,7 @@ import numpy as np
 
 from ..graph.neighborhoods import nearest_points
 from ..mesh.core import Mesh
-from .trace import PoolingTraceMap, pooled_mesh
+from .trace import PoolingTraceMap
 
 
 def farthest_point_indices(points: np.ndarray, target_count: int, seed: int = 0) -> np.ndarray:
@@ -42,4 +42,4 @@ def fps_pool(mesh: Mesh, target_count: int, seed: int = 0) -> Tuple[Mesh, Poolin
     # Selected vertices represent themselves regardless of distance ties.
     assignment[selected] = np.arange(target_count)
     trace = PoolingTraceMap(assignment, target_count)
-    return pooled_mesh(mesh, trace, positions, np.empty((0, 3), dtype=np.int64)), trace
+    return Mesh(positions, np.empty((0, 3), dtype=np.int64)), trace

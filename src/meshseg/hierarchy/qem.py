@@ -63,7 +63,7 @@ from scipy.spatial import cKDTree
 
 from ..graph.neighborhoods import Segments
 from ..mesh.core import Mesh, face_normals_and_areas
-from .trace import PoolingTraceMap, pooled_mesh
+from .trace import PoolingTraceMap
 from .vertex_clustering import mapped_faces
 
 _SINGULAR_COND = 1e10
@@ -273,5 +273,4 @@ def qem_pool(
     is_root = parent == np.arange(n)
     survivors, assignment = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[parent]
     trace = PoolingTraceMap(assignment, len(survivors))
-    coarse = pooled_mesh(mesh, trace, pos[survivors], mapped_faces(mesh.faces, assignment))
-    return coarse, trace
+    return Mesh(pos[survivors], mapped_faces(mesh.faces, assignment)), trace

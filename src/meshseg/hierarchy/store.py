@@ -1,7 +1,7 @@
-"""On-disk hierarchy layout, format version 3: a directory holding one
+"""On-disk hierarchy layout, format version 4: a directory holding one
 uncompressed hierarchy.npz. For each level l the archive holds
-level_{l}_positions and _faces (and _colors, _normals, _labels on every level
-when level 0 has them), then, below the coarsest level, trace_{l}: the
+level_{l}_positions and _faces (and, on level 0 only, the _colors, _normals
+and _labels it has), then, below the coarsest level, trace_{l}: the
 level l + 1 index of every level l vertex, then trace_input, which maps the
 raw input onto level 0, then the CSR arrays edges_{l}_geo_indptr and
 _indices of every level and the same edges_{l}_euc_* arrays, and last
@@ -27,9 +27,9 @@ from ..mesh.core import Mesh, MeshValidationError, check_mesh
 from .build import Hierarchy
 from .trace import PoolingTraceMap
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 ARCHIVE = "hierarchy.npz"
-# Member suffix -> (dtype kind, ndim) of every level's mesh arrays.
+# Member suffix -> (dtype kind, ndim) of a level's mesh arrays.
 MESH_MEMBERS = {"positions": ("f", 2), "faces": ("iu", 2), "colors": ("f", 2),
                 "normals": ("f", 2), "labels": ("iu", 1)}
 # What np.load, its zip reader and its .npy header parser raise on a damaged archive.
@@ -45,7 +45,8 @@ def _layout(num_levels: int, level0) -> list:
     """Member names, in stored order, of a hierarchy of num_levels levels
     whose level 0 has the mesh arrays named in level0."""
     attrs = [a for a in MESH_MEMBERS if a in ("positions", "faces") or a in level0]
-    return ([f"level_{lvl}_{attr}" for lvl in range(num_levels) for attr in attrs]
+    return ([f"level_{lvl}_{attr}" for lvl in range(num_levels)
+             for attr in (attrs if lvl == 0 else ("positions", "faces"))]
             + [f"trace_{lvl}" for lvl in range(num_levels - 1)] + ["trace_input"]
             + [f"edges_{lvl}_{kind}_{part}" for kind in ("geo", "euc")
                for lvl in range(num_levels) for part in ("indptr", "indices")]
@@ -106,7 +107,7 @@ def _read_hierarchy(archive, path) -> Hierarchy:
 
     names = set(archive.files)
     version = load("format_version").tolist() if "format_version" in names else None
-    if type(version) is not int or version != FORMAT_VERSION:  # 3.0 == 3, but is no version
+    if type(version) is not int or version != FORMAT_VERSION:  # 4.0 == 4, but is no version
         raise HierarchyFormatError(
             f"{path}: hierarchy format version {version!r} is not supported (this reader "
             f"reads version {FORMAT_VERSION}); rebuild it with `meshseg build-hierarchy`")

@@ -68,7 +68,7 @@ def pool_labels(labels: np.ndarray, trace: PoolingTraceMap) -> np.ndarray:
 
 def pooled_mesh(mesh: Mesh, trace: PoolingTraceMap, positions: np.ndarray,
                 faces: np.ndarray) -> Mesh:
-    """The coarse mesh of one pooling step, with the given positions and faces.
+    """The mesh pooled through `trace`, with the given positions and faces.
 
     Colors are group means, normals renormalized group means and labels
     group majorities, each present when the fine mesh has it.

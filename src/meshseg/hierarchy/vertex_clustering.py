@@ -7,8 +7,8 @@ from typing import Tuple
 import numpy as np
 
 from ..graph.neighborhoods import EdgeSet
-from ..mesh.core import Mesh
-from .trace import PoolingTraceMap, pooled_mesh
+from ..mesh.core import Mesh, MeshValidationError
+from .trace import PoolingTraceMap
 
 
 def grid_cell_indices(positions: np.ndarray, cell_size: float) -> np.ndarray:
@@ -16,20 +16,23 @@ def grid_cell_indices(positions: np.ndarray, cell_size: float) -> np.ndarray:
 
     The grid is anchored at the floor of the bounding-box minimum so that
     cell membership is deterministic and translation by whole meters is
-    cell-preserving.
+    cell-preserving. MeshValidationError when an index does not fit int64.
     """
     anchor = np.floor(positions.min(axis=0))
-    return np.floor((positions - anchor) / cell_size).astype(np.int64)
+    cells = np.floor((positions - anchor) / cell_size)
+    if not cells.max() < 2.0**63:
+        raise MeshValidationError(f"cell size {cell_size:g} puts {cells.max():.3g} cells "
+                                  f"along an axis, more than an int64 index holds")
+    return cells.astype(np.int64)
 
 
 def vertex_clustering_pool(mesh: Mesh, cell_size: float) -> Tuple[Mesh, PoolingTraceMap]:
     """Group vertices by uniform grid cell; one centroid vertex per cell.
 
-    Coarse features are group means, labels are group majorities. Coarse
-    faces are the non-degenerate images of fine faces under the cell
-    assignment. Use pooled_edge_set with the returned trace to obtain the
-    coarse geodesic edges (two cells are connected iff at least one fine
-    edge crossed them).
+    Coarse positions are group means, and coarse faces the non-degenerate
+    images of fine faces under the cell assignment. Use pooled_edge_set
+    with the returned trace to obtain the coarse geodesic edges (two cells
+    are connected iff at least one fine edge crossed them).
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
@@ -40,9 +43,7 @@ def vertex_clustering_pool(mesh: Mesh, cell_size: float) -> Tuple[Mesh, PoolingT
     assignment[order] = np.cumsum(starts) - 1
     trace = PoolingTraceMap(assignment, np.count_nonzero(starts))
 
-    coarse = pooled_mesh(mesh, trace, trace.mean(mesh.positions),
-                         mapped_faces(mesh.faces, assignment))
-    return coarse, trace
+    return Mesh(trace.mean(mesh.positions), mapped_faces(mesh.faces, assignment)), trace
 
 
 def mapped_faces(faces: np.ndarray, assignment: np.ndarray) -> np.ndarray:

@@ -29,6 +29,10 @@ class CropConfig:
                              f"{self.extent}; vertices between windows would get no crop")
 
 
+class CropGridError(ValueError):
+    """A window sweep with more windows than can be allocated."""
+
+
 def crop_windows(mesh: Mesh, config: CropConfig) -> List[np.ndarray]:
     """Vertex index arrays of an axis-aligned xy-window sweep.
 
@@ -38,13 +42,16 @@ def crop_windows(mesh: Mesh, config: CropConfig) -> List[np.ndarray]:
     p = mesh.positions
     lo = p.min(axis=0)[:2]
     hi = p.max(axis=0)[:2]
+    # One window per axis, or as many strides past the first as reach hi.
+    counts = np.ceil(np.maximum(hi - lo - config.extent, 0) / config.stride) + 1
 
     def intervals(axis):
-        width = hi[axis] - lo[axis]
-        n = 1
-        if width > config.extent:
-            n = int(np.ceil((width - config.extent) / config.stride)) + 1
-        starts = lo[axis] + np.arange(n) * config.stride
+        try:
+            starts = lo[axis] + np.arange(int(counts[axis])) * config.stride
+        except (ValueError, OverflowError, MemoryError) as e:
+            raise CropGridError(
+                f"crop extent {config.extent:g} and stride {config.stride:g} sweep "
+                f"{counts[0]:.4g} x {counts[1]:.4g} windows, more than can be allocated") from e
         ends = starts + config.extent
         # lo + k stride + extent can round below hi.
         ends[-1] = max(ends[-1], hi[axis])

@@ -346,6 +346,10 @@ RANGE_MESSAGES = {
         "crop stride 2.0 exceeds the crop extent 1.0",
     ("--classes", "1000000000000"):
         "the network that --classes 1000000000000 and --widths build cannot be allocated",
+    ("--strategy", "vc", "--cells", "1e-300", "--radius", "0.05"):
+        "pooling level 0: cell size 1e-300 puts",
+    ("--crop-extent", "1e-300", "--crop-stride", "1e-300"):
+        "crop extent 1e-300 and stride 1e-300 sweep",
 }
 
 
@@ -408,13 +412,24 @@ RANGE_MESSAGES = {
     ("train", None, ["--crop-extent", "1.0", "--crop-stride", "2.0"], EXIT_CONFIG),
     # A 32 x 10^12 head weight, which no allocator can reserve: nothing is allocated.
     ("train", None, ["--classes", "1000000000000"], EXIT_CONFIG),
+    # Scene 0 spans about 3e300 cells of 1e-300 m, past any int64 cell index.
+    ("build-hierarchy", None, ["--strategy", "vc", "--cells", "1e-300", "--radius", "0.05"],
+     EXIT_VALIDATION),
+    # About 3e300 crop windows per axis, past any allocation.
+    ("train", None, ["--crop-extent", "1e-300", "--crop-stride", "1e-300"], EXIT_CONFIG),
+    ("infer-trained", None, ["--crop-extent", "1e-300", "--crop-stride", "1e-300"], EXIT_CONFIG),
     # JSON nested deeper than the parser's recursion limit.
     pytest.param("train", "[" * 100000 + "]" * 100000, [], EXIT_VALIDATION,
                  id="train-nested-manifest"),
 ])
-def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, manifest,
+def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, request, command, manifest,
                                            options, code):
     scene = str(workdir / "scene0.ply")
+    # Configs are checked before the checkpoint is opened, so infer rows name
+    # a missing one; infer-trained rows load a real one to reach the crops.
+    checkpoint = tmp_path / "missing.bin"
+    if command == "infer-trained":
+        command, checkpoint = "infer", request.getfixturevalue("trained") / "checkpoint.bin"
     dataset = workdir / "dataset.json"
     if manifest is not None:
         dataset = tmp_path / "dataset.json"
@@ -423,8 +438,7 @@ def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, command, m
         "train": ["train", "--manifest", str(dataset), "--output", str(tmp_path / "run")],
         "build-hierarchy": ["build-hierarchy", scene, str(tmp_path / "hier")],
         "subdivide": ["subdivide", scene, str(tmp_path / "fine.ply")],
-        # Configs are checked before the (missing) checkpoint is opened.
-        "infer": ["infer", "--checkpoint", str(tmp_path / "missing.bin"), "--scene", scene,
+        "infer": ["infer", "--checkpoint", str(checkpoint), "--scene", scene,
                   "--output", str(tmp_path / "p.txt")],
     }[command]
     assert main([*argv, *options]) == code

@@ -59,6 +59,18 @@ def test_fps_hierarchy_has_empty_geodesic_edges(scene):
         assert edges.num_edges == 0
 
 
+@pytest.mark.parametrize("config", [
+    TOY_VC,
+    HierarchyConfig(strategy="vc+qem", cells=(0.15,), qem_levels=3),
+    HierarchyConfig(strategy="fps", fps_counts=(300, 100, 30, 10)),
+], ids=["vc", "vc+qem", "fps"])
+def test_only_level_0_carries_vertex_attributes(scene, config):
+    hier = build_hierarchy(scene, config)
+    assert set(hier.levels[0].vertex_arrays()) == {"positions", "colors", "normals", "labels"}
+    for mesh in hier.levels[1:]:
+        assert set(mesh.vertex_arrays()) == {"positions"}
+
+
 def test_fps_count_above_vertex_count_is_a_validation_error(scene):
     v = scene.num_vertices
     cfg = HierarchyConfig(strategy="fps", fps_counts=(v + 1, 10))

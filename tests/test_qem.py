@@ -13,7 +13,7 @@ from meshseg.mesh.subdivide import midpoint_subdivide
 from meshseg.hierarchy import qem
 from meshseg.hierarchy.qem import (condition_screen, optimal_contractions, qem_pool,
                                    vertex_quadrics)
-from meshseg.hierarchy.trace import PoolingTraceMap, pooled_mesh
+from meshseg.hierarchy.trace import PoolingTraceMap
 from meshseg.hierarchy.vertex_clustering import mapped_faces, vertex_clustering_pool
 from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
 
@@ -162,9 +162,7 @@ class QemSimplifier:
         assignment = coarse_index[[self.find(i) for i in range(self.n)]]
         trace = PoolingTraceMap(assignment, len(survivors))
 
-        coarse = pooled_mesh(self.mesh, trace, self.pos[survivors],
-                             mapped_faces(self.mesh.faces, assignment))
-        return coarse, trace
+        return Mesh(self.pos[survivors], mapped_faces(self.mesh.faces, assignment)), trace
 
 
 def assert_batch_matches_scalar(q, v1, v2):

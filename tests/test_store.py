@@ -142,7 +142,7 @@ def test_wrong_dtype_member(tmp_path, hier, name, dtype):
         deserialize_hierarchy(d)
 
 
-@pytest.mark.parametrize("name", ["edges_2_geo_indptr", "edges_1_euc_indices", "level_2_labels",
+@pytest.mark.parametrize("name", ["edges_2_geo_indptr", "edges_1_euc_indices", "level_2_faces",
                                   "trace_input"])
 def test_missing_member_names_level(tmp_path, hier, name):
     d = tmp_path / "h"
@@ -182,10 +182,11 @@ def test_missing_archive(tmp_path, hier):
 
 @pytest.mark.parametrize("edit, version", [
     (lambda m: m.pop("format_version"), "None"),
+    (lambda m: m.update(format_version=np.int64(3)), "3"),
     (lambda m: m.update(format_version=np.int64(99)), "99"),
-    (lambda m: m.update(format_version=np.float64(3)), "3.0"),
-    (lambda m: m.update(format_version=np.array([3])), "[3]"),
-], ids=["v2-archive", "version-99", "float", "1-d"])
+    (lambda m: m.update(format_version=np.float64(4)), "4.0"),
+    (lambda m: m.update(format_version=np.array([4])), "[4]"),
+], ids=["v2-archive", "v3-archive", "version-99", "float", "1-d"])
 def test_bad_format_version_exits_2(tmp_path, hier, capsys, edit, version):
     d = tmp_path / "h"
     serialize_hierarchy(hier, d)
@@ -200,7 +201,10 @@ def test_bad_format_version_exits_2(tmp_path, hier, capsys, edit, version):
     (lambda m: m.update(stray=np.zeros(3)), "unexpected member stray"),
     # Three levels are counted, so level 2's other members are strays.
     (lambda m: m.pop("level_2_positions"), "unexpected member level_2_faces"),
-], ids=["stray-member", "positions-dropped"])
+    # Format 3 stored every level's labels; format 4 keeps level 0's alone.
+    (lambda m: m.update(level_2_labels=np.zeros(3, dtype=np.int64)),
+     "unexpected member level_2_labels"),
+], ids=["stray-member", "positions-dropped", "coarse-labels"])
 def test_layout_mismatch_exits_2(tmp_path, hier, capsys, edit, message):
     d = tmp_path / "h"
     serialize_hierarchy(hier, d)

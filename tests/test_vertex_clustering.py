@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshseg.mesh.core import Mesh, geodesic_edge_set
+from meshseg.mesh.core import Mesh, MeshValidationError, geodesic_edge_set
+from meshseg.hierarchy.build import HierarchyConfig, build_hierarchy
 from meshseg.hierarchy.trace import PoolingTraceMap
 from meshseg.hierarchy.vertex_clustering import (
     grid_cell_indices,
@@ -101,12 +102,26 @@ def test_single_cell_collapses_everything(rng):
 
 def test_pooled_attributes(rng):
     mesh = random_mesh(rng, 40, 20, labeled=True, colors=True)
-    coarse, trace = vertex_clustering_pool(mesh, 0.3)
+    hier = build_hierarchy(mesh, HierarchyConfig(strategy="vc", cells=(0.3,)))
+    coarse, trace = hier.levels[0], hier.input_trace
     for c in range(trace.coarse_count):
         members = trace.assignment == c
         assert np.allclose(coarse.colors[c], mesh.colors[members].mean(axis=0))
         counts = np.bincount(mesh.labels[members])
         assert coarse.labels[c] == np.argmax(counts)
+
+
+def test_cell_indices_past_int64_raise():
+    # At cell size 1e-300, x = 1 and x = 2 both used to cast to INT64_MIN.
+    mesh = Mesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), np.empty((0, 3)))
+    with pytest.raises(MeshValidationError, match="cell size 1e-300 puts 2e\\+300 cells"):
+        vertex_clustering_pool(mesh, 1e-300)
+    # The largest float below 2^63 still casts exactly; 2^63 does not.
+    top = np.array([[0.0, 0, 0], [2.0**63 - 1024, 0, 0]])
+    assert grid_cell_indices(top, 1.0)[1, 0] == 2**63 - 1024
+    top[1, 0] = 2.0**63
+    with pytest.raises(MeshValidationError, match="int64"):
+        grid_cell_indices(top, 1.0)
 
 
 def test_mapped_faces_drop_degenerates_and_duplicates():
