@@ -23,7 +23,11 @@ combined digest go to stderr, the digest on the line `float32 <digest>`.
 Last, the float64-trained network goes through `save_checkpoint` and
 `load_checkpoint`, and the digest of the loaded network's eval logits goes
 to stderr on the line `checkpoint <digest>`; it pins the checkpoint format
-to storing each value's float32 rounding. Run from the root of a checkout:
+to storing each value's float32 rounding. Then `infer_scene` runs the
+float64-trained network over the 4 crops of toy scene 5, once on one
+process and once on two, each at one BLAS thread; the sha256 of each vote
+table goes to stderr on the line `infer <one process> <two processes>`,
+and the script exits 1 if they differ. Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/train_digest.py
 """
@@ -41,7 +45,9 @@ from meshseg.nn.checkpoint import load_checkpoint, save_checkpoint
 from meshseg.nn.layers import BatchNorm
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.nn.optim import Adam
+from meshseg.parallel import one_blas_thread
 from meshseg.pipeline.features import vertex_features
+from meshseg.pipeline.infer import infer_scene
 from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
 from meshseg.pipeline.train import Sample, network_inputs, prepare_sample, train_step
 
@@ -89,9 +95,9 @@ def digest(sample, prefix=""):
 
 
 def main():
-    sample = prepare_sample(make_toy_scene(SEED, SCENE),
-                            HierarchyConfig(strategy="vc+qem", fps_seed=SEED),
-                            [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII])
+    hier_config = HierarchyConfig(strategy="vc+qem", fps_seed=SEED)
+    neigh_configs = [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII]
+    sample = prepare_sample(make_toy_scene(SEED, SCENE), hier_config, neigh_configs)
     double = Sample(sample.hierarchy, vertex_features(sample.hierarchy.levels[0], np.float64))
     total, net = digest(double)
     print(total)
@@ -101,6 +107,17 @@ def main():
         loaded = load_checkpoint(Path(tmp) / "checkpoint.bin")
     logits = eval_logits(loaded, double)
     print(f"checkpoint {hashlib.sha256(logits.tobytes()).hexdigest()}", file=sys.stderr)
+
+    def votes_digest(processes):
+        result = infer_scene(net, make_toy_scene(5), hier_config, neigh_configs,
+                             res_threshold=RES_THRESHOLD, seed=SEED, processes=processes)
+        return hashlib.sha256(result.votes.tobytes()).hexdigest()
+    with one_blas_thread():
+        serial = votes_digest(1)
+    split = votes_digest(2)  # pins BLAS to one thread itself
+    print(f"infer {serial} {split}", file=sys.stderr)
+    if serial != split:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

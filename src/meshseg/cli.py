@@ -12,12 +12,11 @@ Exit codes: 0 success, 2 input validation error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
-import glob
 import json
 import os
 import re
+import resource
 import sys
 import time
 import warnings
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .graph.neighborhoods import NeighborhoodConfig
 from .hierarchy.build import (
     DEFAULT_QEM_RATIO,
@@ -110,39 +109,15 @@ _count = _domain(int, lambda n: 1 <= n < 2**63, "an integer in [1, 2^63)")
 _natural = _domain(int, lambda n: 0 <= n < 2**63, "an integer in [0, 2^63)")
 
 
-def _openblas_thread_setter():
-    """The set-num-threads function of NumPy's bundled OpenBLAS, or None."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    for lib in libs:
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            try:
-                setter = getattr(ctypes.CDLL(lib), symbol)
-            except (OSError, AttributeError):
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            return setter
-    return None
-
-
 def _limit_threads(n):
     """Cap BLAS worker threads at n, and at the CPU count: through
     threadpoolctl when it is installed, else through NumPy's bundled
     OpenBLAS; warn when neither is found."""
     if n is None:
         return
-    count = min(n, os.cpu_count() or 1)
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        setter = _openblas_thread_setter()
-        if setter is None:
-            print(f"warning: --threads {n} not applied: neither threadpoolctl nor "
-                  f"NumPy's OpenBLAS was found", file=sys.stderr)
-        else:
-            setter(count)
-        return
-    threadpool_limits(limits=count)
+    if not parallel.limit_blas_threads(min(n, os.cpu_count() or 1)):
+        print(f"warning: --threads {n} not applied: neither threadpoolctl nor "
+              f"NumPy's OpenBLAS was found", file=sys.stderr)
 
 
 def _write_run_manifest(out_dir: Path, command: str, args: argparse.Namespace,
@@ -154,6 +129,10 @@ def _write_run_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "outputs": [str(p) for p in outputs],
         "timings_seconds": timings,
+        # ru_maxrss is in KiB; the children's is the largest of any child
+        # process this one has waited for, such as infer's crop worker.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
     }
     path = out_dir / "run_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, default=str) + "\n")
@@ -386,8 +365,12 @@ def cmd_infer(args):
     scene = load_mesh(args.scene)
     _check_qem_levels(hier_cfg, [args.scene], [scene])
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
+    # A second crop process, where two CPUs are free and --threads allows
+    # it; it runs only while BLAS is pinned to one thread, else the crops
+    # run here (meshseg.parallel.map_in_order).
+    processes = min(2, len(os.sched_getaffinity(0)), args.threads or 2)
     result = infer_scene(net, scene, hier_cfg, neigh_cfgs, crop_cfg,
-                         res_threshold=args.res_test, seed=args.seed)
+                         res_threshold=args.res_test, seed=args.seed, processes=processes)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(out, result.predictions, fmt="%d")
@@ -471,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="meshseg", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--threads", type=_count, default=None,
-                        help="cap BLAS threads (default: library choice)")
+                        help="cap BLAS threads, and infer's crop processes at "
+                             "min(2, N, CPUs); 1 runs the crops serially "
+                             "(default: the library's choice of threads, min(2, CPUs) processes)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("subdivide", help="midpoint-subdivide a mesh, optionally "

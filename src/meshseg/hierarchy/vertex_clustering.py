@@ -19,9 +19,12 @@ def grid_cell_indices(positions: np.ndarray, cell_size: float) -> np.ndarray:
     cell-preserving. MeshValidationError when an index does not fit int64.
     """
     anchor = np.floor(positions.min(axis=0))
-    cells = np.floor((positions - anchor) / cell_size)
-    if not cells.max() < 2.0**63:
-        raise MeshValidationError(f"cell size {cell_size:g} puts {cells.max():.3g} cells "
+    with np.errstate(over="ignore"):  # a subnormal cell size; caught below
+        cells = np.floor((positions - anchor) / cell_size)
+    top = cells.max()
+    if not top < 2.0**63:
+        count = f"{top:.3g}" if np.isfinite(top) else "too many"
+        raise MeshValidationError(f"cell size {cell_size:g} puts {count} cells "
                                   f"along an axis, more than an int64 index holds")
     return cells.astype(np.int64)
 

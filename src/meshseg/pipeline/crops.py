@@ -43,15 +43,18 @@ def crop_windows(mesh: Mesh, config: CropConfig) -> List[np.ndarray]:
     lo = p.min(axis=0)[:2]
     hi = p.max(axis=0)[:2]
     # One window per axis, or as many strides past the first as reach hi.
-    counts = np.ceil(np.maximum(hi - lo - config.extent, 0) / config.stride) + 1
+    with np.errstate(over="ignore"):  # a subnormal stride; caught below
+        counts = np.ceil(np.maximum(hi - lo - config.extent, 0) / config.stride) + 1
 
     def intervals(axis):
         try:
             starts = lo[axis] + np.arange(int(counts[axis])) * config.stride
         except (ValueError, OverflowError, MemoryError) as e:
+            grid = (f"{counts[0]:.4g} x {counts[1]:.4g}" if np.isfinite(counts).all()
+                    else "too many")
             raise CropGridError(
                 f"crop extent {config.extent:g} and stride {config.stride:g} sweep "
-                f"{counts[0]:.4g} x {counts[1]:.4g} windows, more than can be allocated") from e
+                f"{grid} windows, more than can be allocated") from e
         ends = starts + config.extent
         # lo + k stride + extent can round below hi.
         ends[-1] = max(ends[-1], hi[axis])

@@ -12,6 +12,7 @@ from ..hierarchy.build import HierarchyConfig
 from ..hierarchy.trace import PoolingTraceMap, pool_labels
 from ..mesh.core import Mesh
 from ..nn.network import SegmentationNetwork
+from ..parallel import map_in_order
 from .crops import CropConfig, crop_windows, submesh
 from .train import Sample, network_inputs, prepare_sample
 
@@ -39,18 +40,29 @@ def infer_scene(net: SegmentationNetwork, scene: Mesh,
                 neigh_configs: Sequence[NeighborhoodConfig],
                 crop_config: CropConfig = CropConfig(),
                 res_threshold: int = 25,
-                seed: int = 0) -> InferenceResult:
+                seed: int = 0,
+                processes: int = 1) -> InferenceResult:
     """Sweep crops over the scene and majority-vote per vertex.
 
     No crop is rejected at inference time. Vertices that land in several
     overlapping crops get one vote per crop; ties go to the lowest class.
+    Crop w draws its RES edges with seed + w.
+
+    With processes=2 and more than one crop, a fork-started worker predicts
+    the odd-numbered crops while this process predicts the even ones, both
+    with BLAS pinned to one thread (`meshseg.parallel.map_in_order`); the
+    votes are then added here in window order, and equal those of
+    processes=1 at one BLAS thread. With processes=1, one crop, or a BLAS
+    that cannot be pinned, every crop runs here at the current BLAS count.
     """
-    num_classes = net.config.num_classes
-    votes = np.zeros((scene.num_vertices, num_classes), dtype=np.int64)
     windows = crop_windows(scene, crop_config)
-    for w, idx in enumerate(windows):
-        sample = prepare_sample(submesh(scene, idx), hier_config, neigh_configs)
-        pred = predict_hierarchy(net, sample, res_threshold, seed + w)
+
+    def predict_crop(w):
+        sample = prepare_sample(submesh(scene, windows[w]), hier_config, neigh_configs)
+        return predict_hierarchy(net, sample, res_threshold, seed + w)
+
+    votes = np.zeros((scene.num_vertices, net.config.num_classes), dtype=np.int64)
+    for idx, pred in zip(windows, map_in_order(predict_crop, len(windows), processes)):
         votes[idx, pred] += 1  # idx holds each vertex once
     return InferenceResult(
         predictions=majority_vote(votes),

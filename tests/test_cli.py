@@ -1,5 +1,7 @@
 import argparse
 import json
+import multiprocessing
+import os
 import struct
 import sys
 import warnings
@@ -9,14 +11,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from meshseg import cli
+import meshseg.pipeline.infer as infer_module
+from meshseg import cli, parallel
 from meshseg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
-from meshseg.mesh.core import UNLABELED, Mesh
+from meshseg.mesh.core import UNLABELED, Mesh, MeshValidationError
 from meshseg.mesh.io import load_mesh, save_mesh
-from meshseg.nn.checkpoint import load_checkpoint
-from meshseg.pipeline.toydata import make_toy_scene
+from meshseg.nn.checkpoint import load_checkpoint, save_checkpoint
+from meshseg.nn.network import NetworkConfig, SegmentationNetwork
+from meshseg.parallel import one_blas_thread
+from meshseg.pipeline.crops import CropConfig, crop_windows
+from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
 
 from test_checkpoint import _edit_header, _set_payload_value
+from test_parallel import needs_pin
 
 HIER_ARGS = [
     "--strategy", "vc", "--cells", "0.15,0.3,0.6,1.2",
@@ -203,6 +210,85 @@ def test_infer_on_a_scene_without_labels(trained, tmp_path):
     assert written[0] == written[1]
 
 
+@pytest.fixture(scope="module")
+def default_infer(tmp_path_factory):
+    """A stored default dual network at 3 classes, beside the scaled-infer
+    scene of perfbench (6 x 6 tiles, 9 crops) and a 2 x 2-tile scene (1 crop)."""
+    d = tmp_path_factory.mktemp("default_infer")
+    save_checkpoint(SegmentationNetwork(NetworkConfig.dual_default(3, 4, 1)),
+                    d / "checkpoint.bin")
+    for tiles in (6, 2):
+        save_mesh(make_toy_scene(0, ToySceneConfig(tiles_per_side=tiles)),
+                  d / f"tiles{tiles}.ply", binary=True)
+    return d
+
+
+def two_cpus(monkeypatch):
+    """Let infer start its worker on a machine with fewer CPUs too."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@needs_pin
+@pytest.mark.parametrize("tiles, crops", [(6, 9), (2, 1)])
+def test_infer_predicts_the_same_on_one_process_and_on_two(default_infer, tmp_path, monkeypatch,
+                                                           tiles, crops):
+    two_cpus(monkeypatch)
+    argv = ["infer", "--checkpoint", str(default_infer / "checkpoint.bin"),
+            "--scene", str(default_infer / f"tiles{tiles}.ply")]
+    serial, split = tmp_path / "serial" / "p.txt", tmp_path / "split" / "p.txt"
+    # one_blas_thread gives this process back the BLAS count --threads 1 sets.
+    with one_blas_thread():
+        assert main(["--threads", "1", *argv, "--output", str(serial)]) == EXIT_OK
+    assert main([*argv, "--output", str(split)]) == EXIT_OK
+    assert serial.read_bytes() == split.read_bytes()
+    assert multiprocessing.active_children() == []
+    manifest = json.loads((split.parent / "run_manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 0
+    if crops > 1:  # the worker's peak; a single crop starts none
+        assert manifest["children_peak_rss_mb"] > 0
+
+
+@needs_pin
+def test_a_crop_that_fails_in_the_worker_exits_2(workdir, trained, tmp_path, monkeypatch, capfd):
+    """Window 1 runs in the worker, which inherits the patch through fork;
+    capfd also reads what the worker writes."""
+    two_cpus(monkeypatch)
+    scene = load_mesh(workdir / "scene1.ply")
+    window = crop_windows(scene, CropConfig())[1]
+    original = infer_module.prepare_sample
+
+    def prepare(crop, *args):
+        if np.array_equal(crop.positions, scene.positions[window]):
+            raise MeshValidationError("crop 1 is broken")
+        return original(crop, *args)
+    monkeypatch.setattr(infer_module, "prepare_sample", prepare)
+    out = tmp_path / "p.txt"
+    assert main(["infer", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--scene", str(workdir / "scene1.ply"), "--output", str(out),
+                 *HIER_ARGS]) == EXIT_VALIDATION
+    assert capfd.readouterr().err.splitlines() == ["validation error: crop 1 is broken"]
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_infer_without_a_blas_pin_starts_no_worker(workdir, trained, tmp_path, monkeypatch):
+    two_cpus(monkeypatch)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setattr(parallel, "_openblas_thread_setter", lambda: None)  # no OpenBLAS either
+    pids = []  # a worker's appends would stay in the worker
+    original = infer_module.prepare_sample
+
+    def prepare(*args):
+        pids.append(os.getpid())
+        return original(*args)
+    monkeypatch.setattr(infer_module, "prepare_sample", prepare)
+    assert main(["infer", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--scene", str(workdir / "scene1.ply"), "--output", str(tmp_path / "p.txt"),
+                 *HIER_ARGS]) == EXIT_OK
+    windows = crop_windows(load_mesh(workdir / "scene1.ply"), CropConfig())
+    assert len(windows) > 1 and pids == [os.getpid()] * len(windows)
+
+
 def test_config_errors_exit_3(workdir, capsys):
     assert main(["bogus-command"]) == EXIT_CONFIG
     assert main(["build-hierarchy", str(workdir / "scene0.ply"),
@@ -290,7 +376,7 @@ def test_vote_with_a_huge_class_id(tmp_path):
 
 def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.setattr(cli, "_openblas_thread_setter", lambda: None)  # no OpenBLAS either
+    monkeypatch.setattr(parallel, "_openblas_thread_setter", lambda: None)  # no OpenBLAS either
     preds = tmp_path / "p.txt"
     preds.write_text("0\n1\n")
     vote = ["vote", str(preds), str(preds), "--output", str(tmp_path / "v.txt")]
@@ -307,7 +393,7 @@ def test_threads_without_threadpoolctl_set_openblas(tmp_path, monkeypatch, capsy
     setter is a stand-in, so no thread count is ever applied."""
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     calls = []
-    monkeypatch.setattr(cli, "_openblas_thread_setter", lambda: calls.append)
+    monkeypatch.setattr(parallel, "_openblas_thread_setter", lambda: calls.append)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     preds = tmp_path / "p.txt"
     preds.write_text("0\n1\n")
@@ -322,7 +408,7 @@ def test_openblas_thread_setter_is_found():
     not called."""
     if "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]):
         pytest.skip("NumPy is not built with OpenBLAS")
-    assert cli._openblas_thread_setter() is not None
+    assert parallel._openblas_thread_setter() is not None
 
 
 # The message a row's options reach; negative numbers come in every float form.
@@ -350,6 +436,10 @@ RANGE_MESSAGES = {
         "pooling level 0: cell size 1e-300 puts",
     ("--crop-extent", "1e-300", "--crop-stride", "1e-300"):
         "crop extent 1e-300 and stride 1e-300 sweep",
+    ("--strategy", "vc", "--cells", "1e-310", "--radius", "0.05"):
+        "pooling level 0: cell size 1e-310 puts too many cells along an axis",
+    ("--crop-extent", "1e-300", "--crop-stride", "1e-310"):
+        "crop extent 1e-300 and stride 1e-310 sweep too many windows",
 }
 
 
@@ -418,6 +508,10 @@ RANGE_MESSAGES = {
     # About 3e300 crop windows per axis, past any allocation.
     ("train", None, ["--crop-extent", "1e-300", "--crop-stride", "1e-300"], EXIT_CONFIG),
     ("infer-trained", None, ["--crop-extent", "1e-300", "--crop-stride", "1e-300"], EXIT_CONFIG),
+    # A subnormal cell size or stride overflows the division to infinity.
+    ("build-hierarchy", None, ["--strategy", "vc", "--cells", "1e-310", "--radius", "0.05"],
+     EXIT_VALIDATION),
+    ("train", None, ["--crop-extent", "1e-300", "--crop-stride", "1e-310"], EXIT_CONFIG),
     # JSON nested deeper than the parser's recursion limit.
     pytest.param("train", "[" * 100000 + "]" * 100000, [], EXIT_VALIDATION,
                  id="train-nested-manifest"),
@@ -441,10 +535,15 @@ def test_bad_inputs_exit_without_traceback(workdir, tmp_path, capsys, request, c
         "infer": ["infer", "--checkpoint", str(checkpoint), "--scene", scene,
                   "--output", str(tmp_path / "p.txt")],
     }[command]
-    assert main([*argv, *options]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, *options]) == code
     err = capsys.readouterr().err
-    assert "error" in err
+    assert "error" in err and len(err.splitlines()) == 1
     assert RANGE_MESSAGES.get(tuple(options), "") in err
+    # Nor does a NumPy warning reach a shell's stderr above the message. QEM's
+    # shortfall (the row with --widths 8,4 and 1.0 crops) is a report of its own.
+    assert [str(w.message) for w in caught if not str(w.message).startswith("qem:")] == []
 
 
 def test_more_qem_levels_than_vertices_write_nothing(workdir, trained, tmp_path, capsys):
