@@ -45,7 +45,7 @@ from meshseg.nn.checkpoint import load_checkpoint, save_checkpoint
 from meshseg.nn.layers import BatchNorm
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.nn.optim import Adam
-from meshseg.parallel import one_blas_thread
+from meshseg.parallel import blas_threads
 from meshseg.pipeline.features import vertex_features
 from meshseg.pipeline.infer import infer_scene
 from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
@@ -112,7 +112,7 @@ def main():
         result = infer_scene(net, make_toy_scene(5), hier_config, neigh_configs,
                              res_threshold=RES_THRESHOLD, seed=SEED, processes=processes)
         return hashlib.sha256(result.votes.tobytes()).hexdigest()
-    with one_blas_thread():
+    with blas_threads(1):
         serial = votes_digest(1)
     split = votes_digest(2)  # pins BLAS to one thread itself
     print(f"infer {serial} {split}", file=sys.stderr)

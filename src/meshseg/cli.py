@@ -12,9 +12,9 @@ Exit codes: 0 success, 2 input validation error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
-import os
 import re
 import resource
 import sys
@@ -107,17 +107,6 @@ _positive = _domain(float, lambda x: 0 < x < np.inf, "positive and finite")
 _fraction = _domain(float, lambda x: 0 < x < 1, "in (0, 1)")
 _count = _domain(int, lambda n: 1 <= n < 2**63, "an integer in [1, 2^63)")
 _natural = _domain(int, lambda n: 0 <= n < 2**63, "an integer in [0, 2^63)")
-
-
-def _limit_threads(n):
-    """Cap BLAS worker threads at n, and at the CPU count: through
-    threadpoolctl when it is installed, else through NumPy's bundled
-    OpenBLAS; warn when neither is found."""
-    if n is None:
-        return
-    if not parallel.limit_blas_threads(min(n, os.cpu_count() or 1)):
-        print(f"warning: --threads {n} not applied: neither threadpoolctl nor "
-              f"NumPy's OpenBLAS was found", file=sys.stderr)
 
 
 def _write_run_manifest(out_dir: Path, command: str, args: argparse.Namespace,
@@ -368,7 +357,7 @@ def cmd_infer(args):
     # A second crop process, where two CPUs are free and --threads allows
     # it; it runs only while BLAS is pinned to one thread, else the crops
     # run here (meshseg.parallel.map_in_order).
-    processes = min(2, len(os.sched_getaffinity(0)), args.threads or 2)
+    processes = min(2, parallel.usable_cpus(), args.threads or 2)
     result = infer_scene(net, scene, hier_cfg, neigh_cfgs, crop_cfg,
                          res_threshold=args.res_test, seed=args.seed, processes=processes)
     out = Path(args.output)
@@ -454,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="meshseg", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--threads", type=_count, default=None,
-                        help="cap BLAS threads, and infer's crop processes at "
+                        help="cap BLAS threads at N and at the CPUs this process may run "
+                             "on, for this command only, and infer's crop processes at "
                              "min(2, N, CPUs); 1 runs the crops serially "
                              "(default: the library's choice of threads, min(2, CPUs) processes)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -532,13 +522,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _limit_threads(args.threads)
-        t0 = time.perf_counter()
-        written = args.func(args)
-        if written is not None:
-            out_dir, outputs = written
-            _write_run_manifest(out_dir, args.command, args,
-                                {"total": time.perf_counter() - t0}, outputs)
+        capped = (contextlib.nullcontext(True) if args.threads is None else
+                  parallel.blas_threads(min(args.threads, parallel.usable_cpus())))
+        with capped as took:
+            if not took:
+                print(f"warning: --threads {args.threads} not applied: neither threadpoolctl "
+                      f"nor NumPy's OpenBLAS was found", file=sys.stderr)
+            t0 = time.perf_counter()
+            written = args.func(args)
+            if written is not None:
+                out_dir, outputs = written
+                _write_run_manifest(out_dir, args.command, args,
+                                    {"total": time.perf_counter() - t0}, outputs)
         return EXIT_OK
     except (ConfigError, CropGridError) as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Independent work items on two processes, and the BLAS thread pin they
-need.
+"""Independent work items on two processes, the scoped BLAS thread cap
+they need (which `--threads` uses too), and the count of usable CPUs.
 
 On two CPUs, two processes at two BLAS threads each run slower than one
 process, so a worker only runs while BLAS is pinned to one thread. The
@@ -26,80 +26,57 @@ import numpy as np
 T = TypeVar("T")
 
 
-def _openblas_function(verb: str):
-    """`openblas_{verb}_num_threads` of NumPy's bundled OpenBLAS, or None."""
+def _openblas_threads():
+    """The (get, set) num-threads functions of NumPy's bundled OpenBLAS, or None."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "*openblas*"))
     for lib in libs:
-        for symbol in (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads"):
+        for symbol in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
             try:
-                return getattr(ctypes.CDLL(lib), symbol)
+                library = ctypes.CDLL(lib)
+                get = getattr(library, symbol.format("get"))
+                set_ = getattr(library, symbol.format("set"))
             except (OSError, AttributeError):
                 continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
-def _openblas_thread_setter():
-    """The set-num-threads function of NumPy's bundled OpenBLAS, or None."""
-    setter = _openblas_function("set")
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-    return setter
-
-
-def _openblas_thread_getter():
-    """The get-num-threads function of NumPy's bundled OpenBLAS, or None."""
-    getter = _openblas_function("get")
-    if getter is not None:
-        getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter
-
-
-def _threadpool_limits():
-    """threadpoolctl's `threadpool_limits`, or None when it is not installed."""
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Cap BLAS at n threads inside the block, and give it back the count it
+    had after the block: through threadpoolctl when it is installed, else
+    through NumPy's bundled OpenBLAS. Yields whether the cap took: False,
+    with nothing capped, when neither is found."""
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return None
-    return threadpool_limits
-
-
-def limit_blas_threads(n: int) -> bool:
-    """Cap BLAS at n threads for the rest of the process: through
-    threadpoolctl when it is installed, else through NumPy's bundled
-    OpenBLAS. False, and nothing capped, when neither is found."""
-    limits = _threadpool_limits()
-    if limits is not None:
-        limits(limits=n)
-        return True
-    setter = _openblas_thread_setter()
-    if setter is None:
-        return False
-    setter(n)
-    return True
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Pin BLAS to one thread inside the block, and give it back the count
-    it had after the block, the same two ways as `limit_blas_threads`.
-    Yields whether the pin took: False, with nothing pinned, when neither
-    way is found."""
-    limits = _threadpool_limits()
-    if limits is not None:
-        with limits(limits=1):
+        pass
+    else:
+        with threadpool_limits(limits=n):
             yield True
         return
-    setter, getter = _openblas_thread_setter(), _openblas_thread_getter()
-    if setter is None or getter is None:
+    openblas = _openblas_threads()
+    if openblas is None:
         yield False
         return
-    previous = getter()
-    setter(1)
+    get, set_ = openblas
+    previous = get()
+    set_(n)
     try:
         yield True
     finally:
-        setter(previous)
+        set_(previous)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; the machine's count where the
+    system cannot say (macOS has no `os.sched_getaffinity`)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def map_in_order(fn: Callable[[int], T], count: int, processes: int = 1) -> List[T]:
@@ -107,7 +84,7 @@ def map_in_order(fn: Callable[[int], T], count: int, processes: int = 1) -> List
 
     With processes >= 2 and at least two items, one fork-started worker
     runs the odd-numbered items while this process runs the even ones, both
-    with BLAS pinned to one thread (`one_blas_thread`). The worker inherits
+    with BLAS pinned to one thread (`blas_threads(1)`). The worker inherits
     fn and all it refers to; only results cross the pipe. This process takes
     the worker's results as they arrive, and waits for the worker only once
     its own items are done. The first exception seen is raised here, as the
@@ -119,7 +96,7 @@ def map_in_order(fn: Callable[[int], T], count: int, processes: int = 1) -> List
     worker starts.
     """
     parallel = processes >= 2 and count >= 2 and threading.active_count() == 1
-    with one_blas_thread() if parallel else contextlib.nullcontext(False) as pinned:
+    with blas_threads(1) if parallel else contextlib.nullcontext(False) as pinned:
         if pinned:
             return _map_with_worker(fn, count)
         return [fn(i) for i in range(count)]

@@ -12,18 +12,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import meshseg.pipeline.infer as infer_module
-from meshseg import cli, parallel
+from meshseg import parallel
 from meshseg.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from meshseg.mesh.core import UNLABELED, Mesh, MeshValidationError
 from meshseg.mesh.io import load_mesh, save_mesh
 from meshseg.nn.checkpoint import load_checkpoint, save_checkpoint
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
-from meshseg.parallel import one_blas_thread
 from meshseg.pipeline.crops import CropConfig, crop_windows
 from meshseg.pipeline.toydata import ToySceneConfig, make_toy_scene
 
 from test_checkpoint import _edit_header, _set_payload_value
-from test_parallel import needs_pin
+from test_parallel import fake_threadpoolctl, needs_pin
 
 HIER_ARGS = [
     "--strategy", "vc", "--cells", "0.15,0.3,0.6,1.2",
@@ -225,7 +224,7 @@ def default_infer(tmp_path_factory):
 
 def two_cpus(monkeypatch):
     """Let infer start its worker on a machine with fewer CPUs too."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
 
 @needs_pin
@@ -236,9 +235,7 @@ def test_infer_predicts_the_same_on_one_process_and_on_two(default_infer, tmp_pa
     argv = ["infer", "--checkpoint", str(default_infer / "checkpoint.bin"),
             "--scene", str(default_infer / f"tiles{tiles}.ply")]
     serial, split = tmp_path / "serial" / "p.txt", tmp_path / "split" / "p.txt"
-    # one_blas_thread gives this process back the BLAS count --threads 1 sets.
-    with one_blas_thread():
-        assert main(["--threads", "1", *argv, "--output", str(serial)]) == EXIT_OK
+    assert main(["--threads", "1", *argv, "--output", str(serial)]) == EXIT_OK
     assert main([*argv, "--output", str(split)]) == EXIT_OK
     assert serial.read_bytes() == split.read_bytes()
     assert multiprocessing.active_children() == []
@@ -274,7 +271,7 @@ def test_a_crop_that_fails_in_the_worker_exits_2(workdir, trained, tmp_path, mon
 def test_infer_without_a_blas_pin_starts_no_worker(workdir, trained, tmp_path, monkeypatch):
     two_cpus(monkeypatch)
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.setattr(parallel, "_openblas_thread_setter", lambda: None)  # no OpenBLAS either
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)  # no OpenBLAS either
     pids = []  # a worker's appends would stay in the worker
     original = infer_module.prepare_sample
 
@@ -287,6 +284,16 @@ def test_infer_without_a_blas_pin_starts_no_worker(workdir, trained, tmp_path, m
                  *HIER_ARGS]) == EXIT_OK
     windows = crop_windows(load_mesh(workdir / "scene1.ply"), CropConfig())
     assert len(windows) > 1 and pids == [os.getpid()] * len(windows)
+
+
+def test_infer_without_sched_getaffinity(workdir, trained, tmp_path, monkeypatch):
+    """Where os has no sched_getaffinity (macOS), the CPU count stands in."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    out = tmp_path / "p.txt"
+    assert main(["infer", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--scene", str(workdir / "scene1.ply"), "--output", str(out),
+                 *HIER_ARGS]) == EXIT_OK
+    assert out.exists()
 
 
 def test_config_errors_exit_3(workdir, capsys):
@@ -376,7 +383,7 @@ def test_vote_with_a_huge_class_id(tmp_path):
 
 def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.setattr(parallel, "_openblas_thread_setter", lambda: None)  # no OpenBLAS either
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)  # no OpenBLAS either
     preds = tmp_path / "p.txt"
     preds.write_text("0\n1\n")
     vote = ["vote", str(preds), str(preds), "--output", str(tmp_path / "v.txt")]
@@ -389,26 +396,58 @@ def test_threads_without_threadpoolctl_warns(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("threads", [1, 2**63 - 1])
 def test_threads_without_threadpoolctl_set_openblas(tmp_path, monkeypatch, capsys, threads):
-    """--threads goes to NumPy's OpenBLAS, clamped to the CPU count; the
-    setter is a stand-in, so no thread count is ever applied."""
+    """--threads goes to NumPy's OpenBLAS, clamped to the CPU count, and the
+    count it found (7) is set back after the command; the getter and setter
+    are stand-ins, so no thread count is ever applied."""
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     calls = []
-    monkeypatch.setattr(parallel, "_openblas_thread_setter", lambda: calls.append)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: (lambda: 7, calls.append))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     preds = tmp_path / "p.txt"
     preds.write_text("0\n1\n")
     vote = ["vote", str(preds), str(preds), "--output", str(tmp_path / "v.txt")]
     assert main(["--threads", str(threads), *vote]) == EXIT_OK
     assert capsys.readouterr().err == ""
-    assert calls == [min(threads, 2)]
+    assert calls == [min(threads, 2), 7]
 
 
-def test_openblas_thread_setter_is_found():
-    """The set-num-threads symbol of NumPy's bundled OpenBLAS, looked up but
-    not called."""
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_threads_go_through_threadpoolctl_when_installed(tmp_path, monkeypatch, cpus):
+    log = fake_threadpoolctl(monkeypatch)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: pytest.fail("OpenBLAS reached"))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    preds = tmp_path / "p.txt"
+    preds.write_text("0\n1\n")
+    vote = ["vote", str(preds), "--output", str(tmp_path / "v.txt")]
+    assert main(["--threads", "3", *vote]) == EXIT_OK
+    assert log == [("limits", min(3, cpus)), "exit"]
+
+
+def test_threads_cap_lasts_for_the_command_only(tmp_path):
+    """An in-process call leaves OpenBLAS at the count it found."""
+    openblas = parallel._openblas_threads()
+    if openblas is None:
+        pytest.skip("the count is read through NumPy's OpenBLAS")
+    get, set_ = openblas
+    before = get()
+    set_(2)  # a count that --threads 1 changes, where OpenBLAS allows two
+    try:
+        found = get()
+        preds = tmp_path / "p.txt"
+        preds.write_text("0\n1\n")
+        assert main(["--threads", "1", "vote", str(preds), "--output",
+                     str(tmp_path / "v.txt")]) == EXIT_OK
+        assert get() == found
+    finally:
+        set_(before)
+
+
+def test_openblas_threads_are_found():
+    """The get- and set-num-threads symbols of NumPy's bundled OpenBLAS,
+    looked up but not called."""
     if "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]):
         pytest.skip("NumPy is not built with OpenBLAS")
-    assert parallel._openblas_thread_setter() is not None
+    assert parallel._openblas_threads() is not None
 
 
 # The message a row's options reach; negative numbers come in every float form.

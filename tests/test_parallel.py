@@ -1,11 +1,14 @@
 """The two-process in-order map, the BLAS pin, and `infer_scene`'s crops on
 two processes."""
 
+import contextlib
+import importlib.util
 import multiprocessing
 import os
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -15,14 +18,14 @@ from meshseg.graph.neighborhoods import NeighborhoodConfig
 from meshseg.hierarchy.build import DEFAULT_RADII, HierarchyConfig
 from meshseg.mesh.core import MeshValidationError
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
-from meshseg.parallel import map_in_order, one_blas_thread
+from meshseg.parallel import blas_threads, map_in_order
 from meshseg.pipeline.crops import CropConfig, crop_windows
 from meshseg.pipeline.infer import infer_scene
 from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
 
 
 def blas_pinnable():
-    with one_blas_thread() as pinned:
+    with blas_threads(1) as pinned:
         return pinned
 
 
@@ -32,7 +35,7 @@ needs_pin = pytest.mark.skipif(not blas_pinnable(),
 
 def unpinnable(monkeypatch):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.setattr(parallel, "_openblas_thread_setter", lambda: None)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)
 
 
 def item_and_pid(i):
@@ -65,7 +68,7 @@ def test_one_process_or_one_item_starts_no_worker(count, processes):
 
 def test_an_unpinnable_blas_starts_no_worker(monkeypatch):
     unpinnable(monkeypatch)
-    with one_blas_thread() as pinned:
+    with blas_threads(1) as pinned:
         assert not pinned
     assert map_in_order(item_and_pid, 4, processes=2) == [(i, os.getpid()) for i in range(4)]
 
@@ -114,14 +117,54 @@ def test_a_worker_that_dies_is_reported():
     assert multiprocessing.active_children() == []
 
 
-def test_one_blas_thread_restores_the_count():
-    getter = parallel._openblas_thread_getter()
-    if getter is None or parallel._threadpool_limits() is not None:
+def test_blas_threads_restores_the_count():
+    openblas = parallel._openblas_threads()
+    if openblas is None or importlib.util.find_spec("threadpoolctl") is not None:
         pytest.skip("the count is read through NumPy's OpenBLAS here")
+    getter, _ = openblas
     before = getter()
-    with one_blas_thread() as pinned:
+    with blas_threads(1) as pinned:
         assert pinned and getter() == 1
     assert getter() == before
+    with pytest.raises(KeyError), blas_threads(1):
+        raise KeyError
+    assert getter() == before
+
+
+def fake_threadpoolctl(monkeypatch):
+    """Put a stand-in `threadpoolctl` where `import threadpoolctl` finds it,
+    whose `threadpool_limits` logs each cap and each exit; the log."""
+    log = []
+
+    @contextlib.contextmanager
+    def threadpool_limits(limits):
+        log.append(("limits", limits))
+        try:
+            yield
+        finally:
+            log.append("exit")
+    module = types.ModuleType("threadpoolctl")
+    module.threadpool_limits = threadpool_limits
+    monkeypatch.setitem(sys.modules, "threadpoolctl", module)
+    return log
+
+
+def test_blas_threads_goes_through_threadpoolctl_when_installed(monkeypatch):
+    log = fake_threadpoolctl(monkeypatch)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: pytest.fail("OpenBLAS reached"))
+    with blas_threads(1) as pinned:
+        assert pinned and log == [("limits", 1)]
+    assert log == [("limits", 1), "exit"]
+    with pytest.raises(KeyError), blas_threads(1):
+        raise KeyError
+    assert log[2:] == [("limits", 1), "exit"]
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert parallel.usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
+    assert parallel.usable_cpus() == (os.cpu_count() or 1)
 
 
 # The scaled-infer scene of perfbench (9 crops) and a scene with one crop, with
@@ -139,7 +182,7 @@ def default_net():
 def test_two_processes_vote_as_one_at_one_blas_thread(default_net, tiles, crops):
     scene = make_toy_scene(0, ToySceneConfig(tiles_per_side=tiles))
     assert len(crop_windows(scene, CropConfig())) == crops
-    with one_blas_thread():
+    with blas_threads(1):
         serial = infer_scene(default_net, scene, HIER, NEIGH, seed=3, processes=1)
     split = infer_scene(default_net, scene, HIER, NEIGH, seed=3, processes=2)
     assert split.num_crops == serial.num_crops == crops
