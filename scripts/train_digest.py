@@ -26,8 +26,14 @@ to stderr on the line `checkpoint <digest>`; it pins the checkpoint format
 to storing each value's float32 rounding. Then `infer_scene` runs the
 float64-trained network over the 4 crops of toy scene 5, once on one
 process and once on two, each at one BLAS thread; the sha256 of each vote
-table goes to stderr on the line `infer <one process> <two processes>`,
-and the script exits 1 if they differ. Run from the root of a checkout:
+table goes to stderr on the line `infer <one process> <two processes>`.
+Last, an augmented 2-epoch `train` of a toy network (the toy benchmark's
+hierarchy, radii and crops) on toy scenes 1-3 runs once on one process
+and once on two, each at one BLAS thread; the sha256 of each run's loss
+history, parameters and BatchNorm running statistics goes to stderr on the
+line `train <one process> <two processes>`. The script exits 1 if the two
+infer digests or the two train digests differ. Run from the root of a
+checkout:
 
     PYTHONPATH=src python3 scripts/train_digest.py
 """
@@ -46,15 +52,23 @@ from meshseg.nn.layers import BatchNorm
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.nn.optim import Adam
 from meshseg.parallel import blas_threads
+from meshseg.pipeline.crops import CropConfig
 from meshseg.pipeline.features import vertex_features
 from meshseg.pipeline.infer import infer_scene
-from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
-from meshseg.pipeline.train import Sample, network_inputs, prepare_sample, train_step
+from meshseg.pipeline.toydata import (NUM_TOY_CLASSES, ToySceneConfig, make_toy_dataset,
+                                      make_toy_scene)
+from meshseg.pipeline.train import (Sample, TrainConfig, network_inputs, prepare_sample, train,
+                                    train_step)
 
 SEED = 1
 STEPS = 3
 RES_THRESHOLD = 15
 SCENE = ToySceneConfig(tiles_per_side=4, tile_spacing=0.045)
+# The toy benchmark's hierarchy, radii and crops (tests/test_acceptance.py).
+TOY_HIER = HierarchyConfig(strategy="vc+qem", cells=(0.15,), qem_levels=3,
+                           qem_pair_distance=0.15)
+TOY_NEIGH = [NeighborhoodConfig(kind="radius", radius=r) for r in (0.25, 0.4, 0.8, 1.6)]
+TOY_CROP = CropConfig(extent=3.6, stride=1.8)
 
 
 def eval_logits(net, sample):
@@ -94,6 +108,25 @@ def digest(sample, prefix=""):
     return total.hexdigest(), net
 
 
+def train_digest(processes):
+    """The sha256 of an augmented toy training run's history, parameters and
+    BatchNorm running statistics."""
+    net = SegmentationNetwork(NetworkConfig(
+        num_levels=4, num_classes=NUM_TOY_CLASSES, head_hidden=16, seed=SEED,
+        geo_widths=((16, 8),) * 4, euc_widths=((16, 8),) * 4))
+    history = train(net, make_toy_dataset(3, SEED), TOY_HIER, TOY_NEIGH,
+                    TrainConfig(epochs=2, seed=SEED, augment=True, crop=TOY_CROP),
+                    processes=processes)
+    total = hashlib.sha256(np.asarray(history, dtype=np.float64).tobytes())
+    for _, p in net.parameters():
+        total.update(p.value.tobytes())
+    for _, m in net.named_modules():
+        if isinstance(m, BatchNorm):
+            total.update(m.running_mean.tobytes())
+            total.update(m.running_var.tobytes())
+    return total.hexdigest()
+
+
 def main():
     hier_config = HierarchyConfig(strategy="vc+qem", fps_seed=SEED)
     neigh_configs = [NeighborhoodConfig(kind="radius", radius=r) for r in DEFAULT_RADII]
@@ -116,7 +149,10 @@ def main():
         serial = votes_digest(1)
     split = votes_digest(2)  # pins BLAS to one thread itself
     print(f"infer {serial} {split}", file=sys.stderr)
-    if serial != split:
+    with blas_threads(1):
+        trains = [train_digest(processes) for processes in (1, 2)]
+    print(f"train {trains[0]} {trains[1]}", file=sys.stderr)
+    if serial != split or trains[0] != trains[1]:
         sys.exit(1)
 
 

@@ -334,8 +334,10 @@ def cmd_train(args):
         augment=not args.no_augment,
         crop=crop_cfg,
     )
+    # A second process prepares augmented crops while this one trains, where
+    # --threads and the usable CPUs allow two (meshseg.parallel.ordered_map).
     history = train(net, scenes, hier_cfg, neigh_cfgs, train_cfg,
-                    log=print if not args.quiet else None)
+                    log=print if not args.quiet else None, processes=args.threads or 2)
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,12 +356,10 @@ def cmd_infer(args):
     scene = load_mesh(args.scene)
     _check_qem_levels(hier_cfg, [args.scene], [scene])
     neigh_cfgs = _neighborhood_configs(args, hier_cfg.num_levels)
-    # A second crop process, where two CPUs are free and --threads allows
-    # it; it runs only while BLAS is pinned to one thread, else the crops
-    # run here (meshseg.parallel.map_in_order).
-    processes = min(2, parallel.usable_cpus(), args.threads or 2)
-    result = infer_scene(net, scene, hier_cfg, neigh_cfgs, crop_cfg,
-                         res_threshold=args.res_test, seed=args.seed, processes=processes)
+    # A second crop process, where --threads and the usable CPUs allow two
+    # (meshseg.parallel.ordered_map).
+    result = infer_scene(net, scene, hier_cfg, neigh_cfgs, crop_cfg, res_threshold=args.res_test,
+                         seed=args.seed, processes=args.threads or 2)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(out, result.predictions, fmt="%d")
@@ -444,9 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--threads", type=_count, default=None,
                         help="cap BLAS threads at N and at the CPUs this process may run "
-                             "on, for this command only, and infer's crop processes at "
-                             "min(2, N, CPUs); 1 runs the crops serially "
-                             "(default: the library's choice of threads, min(2, CPUs) processes)")
+                             "on, for this command only, and the crop processes of infer "
+                             "and of augmented train at min(2, N, CPUs); 1 runs the crops "
+                             "in this process (default: the library's choice of threads, "
+                             "min(2, CPUs) processes)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("subdivide", help="midpoint-subdivide a mesh, optionally "

@@ -1,16 +1,18 @@
-"""On-disk hierarchy layout, format version 4: a directory holding one
+"""On-disk hierarchy layout, format version 5: a directory holding one
 uncompressed hierarchy.npz. For each level l the archive holds
 level_{l}_positions and _faces (and, on level 0 only, the _colors, _normals
 and _labels it has), then, below the coarsest level, trace_{l}: the
 level l + 1 index of every level l vertex, then trace_input, which maps the
 raw input onto level 0, then the CSR arrays edges_{l}_geo_indptr and
-_indices of every level and the same edges_{l}_euc_* arrays, and last
-format_version, a 0-d integer. A trace's coarse count is the vertex count of
-the level it maps onto. The level count is that of the consecutive
-level_{l}_positions members, and the archive must hold exactly the members
-that count and level 0's arrays call for. Loading runs check_mesh on each
-level, then Hierarchy.validate(); any failure is a HierarchyFormatError
-naming the member.
+_indices of every level and the same edges_{l}_euc_* arrays, then
+optional_level_0, a 0-d integer whose bit k is set when the k-th of
+OPTIONAL_LEVEL_0 was written, and last format_version, a 0-d integer. A
+trace's coarse count is the vertex count of the level it maps onto. The
+level count is that of the consecutive level_{l}_positions members, and the
+archive must hold exactly the members that count and optional_level_0 call
+for, so a deleted level-0 array is reported, not read as one never
+written. Loading runs check_mesh on each level, then Hierarchy.validate();
+any failure is a HierarchyFormatError naming the member.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from ..mesh.core import Mesh, MeshValidationError, check_mesh
 from .build import Hierarchy
 from .trace import PoolingTraceMap
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 ARCHIVE = "hierarchy.npz"
 # Member suffix -> (dtype kind, ndim) of a level's mesh arrays.
 MESH_MEMBERS = {"positions": ("f", 2), "faces": ("iu", 2), "colors": ("f", 2),
                 "normals": ("f", 2), "labels": ("iu", 1)}
+OPTIONAL_LEVEL_0 = ("colors", "normals", "labels")
 # What np.load, its zip reader and its .npy header parser raise on a damaged archive.
 DAMAGED_ARCHIVE = (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImplementedError,
                    RuntimeError, zlib.error, SyntaxError, tokenize.TokenError)
@@ -50,13 +53,16 @@ def _layout(num_levels: int, level0) -> list:
             + [f"trace_{lvl}" for lvl in range(num_levels - 1)] + ["trace_input"]
             + [f"edges_{lvl}_{kind}_{part}" for kind in ("geo", "euc")
                for lvl in range(num_levels) for part in ("indptr", "indices")]
-            + ["format_version"])
+            + ["optional_level_0", "format_version"])
 
 
 def serialize_hierarchy(hier: Hierarchy, directory):
     if hier.euclidean_edges is None:
         raise ValueError("a stored hierarchy needs Euclidean edges")
+    level0 = hier.levels[0].vertex_arrays().keys()
     values = {"trace_input": hier.input_trace.assignment,
+              "optional_level_0": np.int64(sum(1 << k for k, attr in enumerate(OPTIONAL_LEVEL_0)
+                                               if attr in level0)),
               "format_version": np.int64(FORMAT_VERSION)}
     for lvl, mesh in enumerate(hier.levels):
         values.update((f"level_{lvl}_{attr}", getattr(mesh, attr)) for attr in MESH_MEMBERS)
@@ -69,7 +75,7 @@ def serialize_hierarchy(hier: Hierarchy, directory):
     # np.savez's layout, with ZipInfo's fixed 1980 timestamp on every member
     # instead of the clock, so that equal hierarchies write equal bytes.
     with zipfile.ZipFile(os.path.join(directory, ARCHIVE), "w") as archive:
-        for name in _layout(hier.num_levels, hier.levels[0].vertex_arrays().keys()):
+        for name in _layout(hier.num_levels, level0):
             with archive.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as f:
                 np.lib.format.write_array(f, np.asarray(values[name]), allow_pickle=False)
 
@@ -114,7 +120,14 @@ def _read_hierarchy(archive, path) -> Hierarchy:
     num_levels = 1
     while f"level_{num_levels}_positions" in names:
         num_levels += 1
-    layout = _layout(num_levels, {a for a in MESH_MEMBERS if f"level_0_{a}" in names})
+    if "optional_level_0" not in names:
+        raise HierarchyFormatError(f"{path}: missing member optional_level_0")
+    written = member("optional_level_0", "iu", 0).tolist()
+    if not 0 <= written < 2 ** len(OPTIONAL_LEVEL_0):
+        raise HierarchyFormatError(f"{path}: member optional_level_0 holds {written}, not a "
+                                   f"set of {', '.join(OPTIONAL_LEVEL_0)}")
+    layout = _layout(num_levels, [attr for k, attr in enumerate(OPTIONAL_LEVEL_0)
+                                  if written >> k & 1])
     missing = [n for n in layout if n not in names]
     unexpected = [n for n in archive.files if n not in layout]
     if missing or unexpected:

@@ -1,25 +1,38 @@
-"""Independent work items on two processes, the scoped BLAS thread cap
-they need (which `--threads` uses too), and the count of usable CPUs.
+"""Work items in index order on this process and one forked worker, the
+scoped BLAS thread cap they need (which `--threads` uses too), and the
+count of usable CPUs.
+
+`ordered_map` forks one worker beside this process. Each of the two takes
+the next untaken index from a shared counter, so neither waits on a share
+fixed in advance. The consumer here takes the results in index order, and
+with each take it gives a horizon: this process claims an item itself only
+below it. `infer_scene` gives every item; `train` gives the end of the
+batch it waits for, so that its steps run while the worker prepares the
+samples after them. The worker runs ahead by at most `window` results not
+yet taken.
 
 On two CPUs, two processes at two BLAS threads each run slower than one
 process, so a worker only runs while BLAS is pinned to one thread. The
-worker is forked: it inherits the work (a network, a scene) without
-pickling it and without importing NumPy and SciPy again. Fork copies only
-the calling thread, so a lock that another Python thread held would stay
-held in the worker; a worker is started only from a single-threaded
-process. (OpenBLAS's own threads stop and restart across a fork.)
+worker is forked: it inherits the work (a network, a scene, a random
+generator's state) without pickling it and without importing NumPy and
+SciPy again; only results cross back. Fork copies only the calling thread,
+so a lock that another Python thread held would stay held in the worker; a
+worker is started only from a single-threaded process, and this process
+starts no thread of its own, so a later map may fork again. (OpenBLAS's own
+threads stop and restart across a fork.)
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import glob
 import multiprocessing
 import os
+import pickle
+import queue
 import threading
-from typing import Callable, List, TypeVar
+from typing import Callable, Iterator, List, Optional, TypeVar
 
 import numpy as np
 
@@ -80,73 +93,147 @@ def usable_cpus() -> int:
 
 
 def map_in_order(fn: Callable[[int], T], count: int, processes: int = 1) -> List[T]:
-    """[fn(0), fn(1), ..., fn(count - 1)].
+    """[fn(0), fn(1), ..., fn(count - 1)], through `ordered_map` with every
+    item below the horizon, so that both processes run items until none is
+    left."""
+    with ordered_map(fn, count, processes) as take:
+        return [take(count) for _ in range(count)]
 
-    With processes >= 2 and at least two items, one fork-started worker
-    runs the odd-numbered items while this process runs the even ones, both
-    with BLAS pinned to one thread (`blas_threads(1)`). The worker inherits
-    fn and all it refers to; only results cross the pipe. This process takes
-    the worker's results as they arrive, and waits for the worker only once
-    its own items are done. The first exception seen is raised here, as the
-    same type also when fn raised it in the worker, and the worker has been
-    joined before this returns or raises.
 
-    With processes=1, a single item, a BLAS that cannot be pinned, or a
-    second Python thread running, every item runs in this process and no
-    worker starts.
+@contextlib.contextmanager
+def ordered_map(fn: Callable[[int], T], count: int, processes: int = 1,
+                window: Optional[int] = None) -> Iterator[Callable[[int], T]]:
+    """Yields take(horizon), whose calls return fn(0), fn(1), ...,
+    fn(count - 1) in turn. Each horizon must lie above the index taken.
+
+    With min(processes, usable CPUs) >= 2, at least two items, a BLAS that
+    `blas_threads(1)` pins for the whole block and no second Python thread,
+    a fork-started worker runs beside this process. Each process claims the
+    next untaken index from a shared counter: the worker while it is fewer
+    than `window` results (default: no bound) ahead of the takes, this
+    process only inside take, only while the item it waits for has not
+    arrived, and only below the horizon. An exception that fn raises, in
+    either process, is that item's result: take raises it, as its own type,
+    when its item comes up, so the error seen is that of the lowest failing
+    index. A worker that ends before sending an item that is taken raises
+    RuntimeError naming its exit code. The worker is stopped and joined
+    when the block ends, also when the consumer raises.
+
+    Otherwise no worker starts, and take calls fn on the next index here.
     """
-    parallel = processes >= 2 and count >= 2 and threading.active_count() == 1
+    parallel = (min(processes, usable_cpus()) >= 2 and count >= 2
+                and threading.active_count() == 1)
     with blas_threads(1) if parallel else contextlib.nullcontext(False) as pinned:
-        if pinned:
-            return _map_with_worker(fn, count)
-        return [fn(i) for i in range(count)]
-
-
-def _map_with_worker(fn, count):
-    fork = multiprocessing.get_context("fork")
-    receiver, sender = fork.Pipe(duplex=False)
-    worker = fork.Process(target=_run_odd_items, args=(fn, count, sender), daemon=True)
-    worker.start()
-    sender.close()  # so that a worker that dies reads as end of file
-    try:
-        results = [None] * count
-        waiting = collections.deque(range(1, count, 2))
-        for i in range(0, count, 2):
-            results[i] = fn(i)
-            # Take what the worker has sent so far: it waits on a full pipe for
-            # at most one item, and this process waits for it only at the end.
-            while waiting and receiver.poll():
-                results[waiting.popleft()] = _received(receiver, worker)
-        while waiting:
-            results[waiting.popleft()] = _received(receiver, worker)
-        return results
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        worker.join()
-        receiver.close()
-
-
-def _run_odd_items(fn, count, sender):
-    """The worker: send (True, fn(i)) for each odd i in turn, or (False,
-    the exception) for the first fn that raises, and stop there."""
-    for i in range(1, count, 2):
-        try:
-            message = (True, fn(i))
-        except Exception as e:
-            sender.send((False, e))
+        if not pinned:
+            items = iter(range(count))
+            yield lambda horizon: fn(next(items))
             return
-        sender.send(message)
+        stream = _WorkerStream(fn, count, min(window or count, count))
+        try:
+            yield stream.take
+        finally:
+            stream.close()
 
 
-def _received(receiver, worker):
+class _WorkerStream:
+    """This process's side of an `ordered_map` with a worker."""
+
+    def __init__(self, fn, count, window):
+        fork = multiprocessing.get_context("fork")
+        self.fn, self.count = fn, count
+        self.counter = fork.Value("q", 0)   # the next untaken index
+        self.lead = fork.Semaphore(window)  # one unit per worker result not yet taken
+        self.receiver, sender = fork.Pipe(duplex=False)
+        self.worker = fork.Process(target=_work, daemon=True,
+                                   args=(fn, count, self.counter, self.lead, sender))
+        self.worker.start()
+        sender.close()  # so that a worker that has ended reads as end of file
+        self.done = {}  # index -> (ok, result or exception, whether the worker sent it)
+        self.taken = 0
+
+    def take(self, horizon: int):
+        i = self.taken
+        while i not in self.done:
+            if self.receiver is not None and self.receiver.poll():
+                self._receive()
+            elif (claimed := _claim(self.counter, min(horizon, self.count))) is not None:
+                self.done[claimed] = (*_call(self.fn, claimed), False)
+            elif self.receiver is not None:
+                self._receive()  # waits for the worker
+            else:
+                raise RuntimeError(f"the worker process ended with exit code "
+                                   f"{self.worker.exitcode} before sending item {i}")
+        ok, value, sent = self.done.pop(i)
+        self.taken += 1
+        if sent:
+            self.lead.release()
+        if not ok:
+            raise value
+        return value
+
+    def _receive(self):
+        try:
+            i, ok, value = pickle.loads(self.receiver.recv_bytes())
+        except (EOFError, OSError):  # OSError: the worker ended inside a message
+            self.receiver.close()
+            self.receiver = None
+            self.worker.join()
+        else:
+            self.done[i] = (ok, value, True)
+
+    def close(self):
+        self.worker.terminate()
+        self.worker.join()
+        if self.receiver is not None:
+            self.receiver.close()
+
+
+def _claim(counter, limit: int) -> Optional[int]:
+    """The next untaken index, now taken, if it lies below limit."""
+    with counter.get_lock():
+        i = counter.value
+        if i >= limit:
+            return None
+        counter.value = i + 1
+    return i
+
+
+def _call(fn, i):
     try:
-        ok, value = receiver.recv()
-    except EOFError:
-        worker.join()
-        raise RuntimeError(f"the worker process ended with exit code {worker.exitcode} "
-                           f"before sending all of its results") from None
-    if not ok:
-        raise value
-    return value
+        return True, fn(i)
+    except Exception as e:
+        return False, e
+
+
+def _work(fn, count, counter, lead, sender):
+    """The worker: while its lead allows, claim the next untaken index and
+    send (index, ok, result or exception), until no index is left or an
+    item fails. A thread of its own sends, so that a result larger than the
+    pipe holds does not stop the next item's work until it is read."""
+    outbox = queue.SimpleQueue()
+    sending = threading.Thread(target=_send_all, args=(outbox, sender))
+    sending.start()
+    try:
+        ok, parent = True, os.getppid()
+        while ok and _wait_for_lead(lead, parent):
+            i = _claim(counter, count)
+            if i is None:
+                break
+            ok, value = _call(fn, i)
+            outbox.put(pickle.dumps((i, ok, value), protocol=pickle.HIGHEST_PROTOCOL))
+    finally:
+        outbox.put(None)
+        sending.join()
+
+
+def _wait_for_lead(lead, parent: int) -> bool:
+    """Take a unit of lead; False, to stop, once the parent has ended."""
+    while not lead.acquire(timeout=1.0):
+        if os.getppid() != parent:
+            return False
+    return True
+
+
+def _send_all(outbox, sender):
+    while (message := outbox.get()) is not None:
+        sender.send_bytes(message)

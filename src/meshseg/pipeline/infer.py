@@ -48,12 +48,13 @@ def infer_scene(net: SegmentationNetwork, scene: Mesh,
     overlapping crops get one vote per crop; ties go to the lowest class.
     Crop w draws its RES edges with seed + w.
 
-    With processes=2 and more than one crop, a fork-started worker predicts
-    the odd-numbered crops while this process predicts the even ones, both
-    with BLAS pinned to one thread (`meshseg.parallel.map_in_order`); the
-    votes are then added here in window order, and equal those of
-    processes=1 at one BLAS thread. With processes=1, one crop, or a BLAS
-    that cannot be pinned, every crop runs here at the current BLAS count.
+    With processes=2, two usable CPUs and more than one crop, a fork-started
+    worker runs beside this process, and each predicts the next crop that
+    neither has taken, both with BLAS pinned to one thread
+    (`meshseg.parallel.map_in_order`); the votes are then added here in
+    window order, and equal those of processes=1 at one BLAS thread. With
+    processes=1, one crop, or a BLAS that cannot be pinned, every crop runs
+    here at the current BLAS count.
     """
     windows = crop_windows(scene, crop_config)
 

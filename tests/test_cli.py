@@ -247,8 +247,8 @@ def test_infer_predicts_the_same_on_one_process_and_on_two(default_infer, tmp_pa
 
 @needs_pin
 def test_a_crop_that_fails_in_the_worker_exits_2(workdir, trained, tmp_path, monkeypatch, capfd):
-    """Window 1 runs in the worker, which inherits the patch through fork;
-    capfd also reads what the worker writes."""
+    """Window 1 runs in either process; the worker inherits the patch
+    through fork, and capfd also reads what the worker writes."""
     two_cpus(monkeypatch)
     scene = load_mesh(workdir / "scene1.ply")
     window = crop_windows(scene, CropConfig())[1]
@@ -266,6 +266,23 @@ def test_a_crop_that_fails_in_the_worker_exits_2(workdir, trained, tmp_path, mon
     assert capfd.readouterr().err.splitlines() == ["validation error: crop 1 is broken"]
     assert not out.exists()
     assert multiprocessing.active_children() == []
+
+
+@needs_pin
+def test_train_writes_the_same_on_one_process_and_on_two(workdir, tmp_path, monkeypatch):
+    """Augmented training, whose crops a worker prepares by default, writes
+    the bytes of --threads 1."""
+    two_cpus(monkeypatch)
+    argv = ["train", "--manifest", str(workdir / "dataset.json"), *HIER_ARGS,
+            "--classes", "3", "--widths", "8,4", "--epochs", "2", "--batch-size", "2", "--quiet"]
+    serial, split = tmp_path / "serial", tmp_path / "split"
+    assert main(["--threads", "1", *argv, "--output", str(serial)]) == EXIT_OK
+    assert main([*argv, "--output", str(split)]) == EXIT_OK
+    for name in ("checkpoint.bin", "loss_history.json"):
+        assert (serial / name).read_bytes() == (split / name).read_bytes()
+    assert multiprocessing.active_children() == []
+    manifest = json.loads((split / "run_manifest.json").read_text())
+    assert manifest["children_peak_rss_mb"] > 0
 
 
 def test_infer_without_a_blas_pin_starts_no_worker(workdir, trained, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
-"""The two-process in-order map, the BLAS pin, and `infer_scene`'s crops on
-two processes."""
+"""The ordered map on two processes, the BLAS pin, and `infer_scene`'s
+crops on two processes."""
 
 import contextlib
 import importlib.util
@@ -42,16 +42,77 @@ def item_and_pid(i):
     return i, os.getpid()
 
 
+def logged(fn, log):
+    """fn, appending "index pid" to the file log on each call, in either process."""
+    def call(i):
+        with open(log, "a") as f:
+            f.write(f"{i} {os.getpid()}\n")
+        return fn(i)
+    return call
+
+
+def calls(log):
+    """The (index, pid) of each logged call."""
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def slow_item_and_pid(i):
+    time.sleep(0.02)
+    return item_and_pid(i)
+
+
 @needs_pin
 @pytest.mark.parametrize("count", [2, 5, 6])
-def test_worker_takes_the_odd_items_in_order(count):
-    results = map_in_order(item_and_pid, count, processes=2)
+def test_every_index_runs_once_and_results_come_in_order(count, tmp_path):
+    log = tmp_path / "calls"
+    results = map_in_order(logged(slow_item_and_pid, log), count, processes=2)
     assert [i for i, _ in results] == list(range(count))
-    here = os.getpid()
-    assert all(pid == here for _, pid in results[0::2])
-    workers = {pid for _, pid in results[1::2]}
-    assert len(workers) == 1 and here not in workers
+    assert sorted(calls(log)) == sorted(results)  # each index ran once, where it says
     assert multiprocessing.active_children() == []
+
+
+@needs_pin
+def test_the_counter_loses_no_claim_under_contention(tmp_path):
+    """Both processes claim as fast as they can; an index claimed twice or
+    not at all would show in the log."""
+    log = tmp_path / "calls"
+    results = map_in_order(logged(item_and_pid, log), 2000, processes=2)
+    assert [i for i, _ in results] == list(range(2000))
+    assert sorted(calls(log)) == sorted(results)
+
+
+@needs_pin
+def test_this_process_starts_no_thread_so_a_later_map_forks_again():
+    """Both processes take items, twice over."""
+    for _ in range(2):
+        pids = {pid for _, pid in map_in_order(slow_item_and_pid, 30, processes=2)}
+        assert len(pids) == 2 and os.getpid() in pids
+        assert threading.active_count() == 1
+
+
+@needs_pin
+def test_the_worker_runs_at_most_window_results_ahead(tmp_path):
+    log = tmp_path / "calls"
+    with parallel.ordered_map(logged(item_and_pid, log), 20, processes=2, window=2) as take:
+        assert take(1)[0] == 0
+        time.sleep(0.5)
+        # Item 0 and the worker's two results not yet taken.
+        assert len(calls(log)) <= 3
+        assert [take(20)[0] for _ in range(19)] == list(range(1, 20))
+    assert sorted(i for i, _ in calls(log)) == list(range(20))
+    assert multiprocessing.active_children() == []
+
+
+@needs_pin
+def test_a_consumer_that_raises_stops_the_worker_and_gives_blas_back(monkeypatch):
+    log = fake_threadpoolctl(monkeypatch)
+    with pytest.raises(KeyError):
+        with parallel.ordered_map(slow_item_and_pid, 1000, processes=2) as take:
+            take(1000)
+            raise KeyError
+    assert multiprocessing.active_children() == []
+    assert log == [("limits", 1), "exit"]
+    assert threading.active_count() == 1
 
 
 @needs_pin
@@ -64,6 +125,11 @@ def test_results_larger_than_a_pipe_buffer_come_back_whole():
 def test_one_process_or_one_item_starts_no_worker(count, processes):
     assert map_in_order(item_and_pid, count, processes) == [(i, os.getpid())
                                                           for i in range(count)]
+
+
+def test_one_usable_cpu_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert map_in_order(item_and_pid, 4, processes=2) == [(i, os.getpid()) for i in range(4)]
 
 
 def test_an_unpinnable_blas_starts_no_worker(monkeypatch):
@@ -87,11 +153,11 @@ def test_a_second_thread_starts_no_worker():
     assert results == [(i, os.getpid()) for i in range(4)]
 
 
-def fail_at(bad):
+def fail_from(bad):
     def fn(i):
-        if i == bad:
-            raise MeshValidationError(f"item {i} is broken")
         time.sleep(0.05)
+        if i >= bad:
+            raise MeshValidationError(f"item {i} is broken in process {os.getpid()}")
         return i
     return fn
 
@@ -99,18 +165,45 @@ def fail_at(bad):
 @needs_pin
 @pytest.mark.parametrize("bad", [0, 1, 3])
 def test_an_exception_is_raised_as_its_type_and_the_worker_joined(bad):
-    """In the worker (odd items) or here (even items), the first exception
-    in item order escapes, and no process is left behind."""
+    """Every item from bad on fails, in whichever process takes it; the
+    exception of the lowest failing index escapes, and no process is left
+    behind."""
     with pytest.raises(MeshValidationError, match=f"item {bad} is broken"):
-        map_in_order(fail_at(bad), 6, processes=2)
+        map_in_order(fail_from(bad), 6, processes=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_pin
+def test_the_lowest_failing_index_wins_over_a_later_failure_here():
+    """This process takes item 0 and waits there for the worker to take
+    item 1; the worker fails on it only after this process has failed on
+    every later item. The worker's exception escapes."""
+    here, worker_started = os.getpid(), multiprocessing.get_context("fork").Event()
+
+    def fn(i):
+        if os.getpid() != here:
+            worker_started.set()
+            time.sleep(0.2)
+            raise KeyError(f"item {i} in the worker")
+        if i > 0:
+            raise ValueError(f"item {i} here")
+        if not worker_started.wait(timeout=30):
+            pytest.fail("the worker took no item")
+        return i
+    with pytest.raises(KeyError, match="in the worker"):
+        map_in_order(fn, 6, processes=2)
     assert multiprocessing.active_children() == []
 
 
 @needs_pin
 def test_a_worker_that_dies_is_reported():
+    here, worker_started = os.getpid(), multiprocessing.get_context("fork").Event()
+
     def fn(i):
-        if i == 1:
+        if os.getpid() != here:
+            worker_started.set()
             os._exit(3)
+        worker_started.wait(timeout=30)
         return i
     with pytest.raises(RuntimeError, match="exit code 3"):
         map_in_order(fn, 4, processes=2)

@@ -1,20 +1,31 @@
+import importlib
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshseg import parallel
 from meshseg.mesh.core import Mesh, UNLABELED
 from meshseg.graph.neighborhoods import NeighborhoodConfig
 from meshseg.hierarchy.build import HierarchyConfig
+from meshseg.nn.layers import BatchNorm
 from meshseg.nn.network import NetworkConfig, SegmentationNetwork
 from meshseg.pipeline.augment import affine_from_draws, apply_affine, random_affine
 from meshseg.pipeline.crops import CropConfig, crop_scene, crop_windows, reject_crop, submesh
 from meshseg.pipeline.features import FEATURE_WIDTH, normalize_positions, vertex_features
 from meshseg.pipeline.infer import majority_vote, vote_over_runs
 from meshseg.pipeline.metrics import confusion_matrix, evaluate
-from meshseg.pipeline.toydata import NUM_TOY_CLASSES, ToySceneConfig, make_toy_scene
+from meshseg.pipeline.toydata import (NUM_TOY_CLASSES, ToySceneConfig, make_toy_dataset,
+                                      make_toy_scene)
 from meshseg.pipeline.train import TrainConfig, collect_crops, train
 
 from conftest import grid_mesh, mesh_digest, random_mesh
+from test_parallel import needs_pin
+
+# The module, which the package's `train` function shadows as an attribute.
+train_module = importlib.import_module("meshseg.pipeline.train")
 
 
 # --------------------------------------------------------------------- crops
@@ -419,3 +430,41 @@ def test_augmented_training_runs():
     history = train(net, [scene], TOY_HIER, TOY_NEIGH,
                     toy_train_config(epochs=1, augment=True))
     assert len(history) == 1 and np.isfinite(history[0])
+
+
+def trained_state(net, history):
+    """The history, and the bytes of every parameter and BatchNorm running statistic."""
+    stats = [s.tobytes() for _, m in net.named_modules() if isinstance(m, BatchNorm)
+             for s in (m.running_mean, m.running_var)]
+    return history, [p.value.tobytes() for _, p in net.parameters()], stats
+
+
+@needs_pin
+@pytest.mark.parametrize("scenes", [5, 1], ids=["5-crops-batch-4", "1-crop"])
+def test_augmented_training_on_two_processes_equals_one_at_one_blas_thread(
+        monkeypatch, tmp_path, scenes):
+    """One toy scene gives one crop, so 5 crops make batches of 4 and 1."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    dataset = make_toy_dataset(scenes)
+    config = toy_train_config(epochs=3, augment=True)
+    assert len(collect_crops(dataset, config.crop)) == scenes
+    with parallel.blas_threads(1):
+        net = tiny_net()
+        serial = trained_state(net, train(net, dataset, TOY_HIER, TOY_NEIGH, config,
+                                          processes=1))
+    log = tmp_path / "pids"
+    original = train_module.prepare_sample
+
+    def prepare(*args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return original(*args)
+    monkeypatch.setattr(train_module, "prepare_sample", prepare)
+    net = tiny_net()
+    split = trained_state(net, train(net, dataset, TOY_HIER, TOY_NEIGH, config, processes=2))
+    assert split == serial
+    pids = log.read_text().split()
+    assert len(pids) == 3 * scenes
+    if scenes > 1:
+        assert {str(os.getpid())} < set(pids)  # the worker prepared some samples
+    assert multiprocessing.active_children() == []

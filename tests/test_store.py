@@ -143,8 +143,10 @@ def test_wrong_dtype_member(tmp_path, hier, name, dtype):
 
 
 @pytest.mark.parametrize("name", ["edges_2_geo_indptr", "edges_1_euc_indices", "level_2_faces",
-                                  "trace_input"])
+                                  "trace_input", "level_0_labels", "level_0_colors",
+                                  "level_0_normals", "optional_level_0"])
 def test_missing_member_names_level(tmp_path, hier, name):
+    """Also a deleted level-0 array that optional_level_0 records as written."""
     d = tmp_path / "h"
     serialize_hierarchy(hier, d)
     rewrite_archive(d, lambda members: members.pop(name))
@@ -183,10 +185,11 @@ def test_missing_archive(tmp_path, hier):
 @pytest.mark.parametrize("edit, version", [
     (lambda m: m.pop("format_version"), "None"),
     (lambda m: m.update(format_version=np.int64(3)), "3"),
+    (lambda m: m.update(format_version=np.int64(4)), "4"),
     (lambda m: m.update(format_version=np.int64(99)), "99"),
-    (lambda m: m.update(format_version=np.float64(4)), "4.0"),
-    (lambda m: m.update(format_version=np.array([4])), "[4]"),
-], ids=["v2-archive", "v3-archive", "version-99", "float", "1-d"])
+    (lambda m: m.update(format_version=np.float64(5)), "5.0"),
+    (lambda m: m.update(format_version=np.array([5])), "[5]"),
+], ids=["v2-archive", "v3-archive", "v4-archive", "version-99", "float", "1-d"])
 def test_bad_format_version_exits_2(tmp_path, hier, capsys, edit, version):
     d = tmp_path / "h"
     serialize_hierarchy(hier, d)
@@ -204,7 +207,12 @@ def test_bad_format_version_exits_2(tmp_path, hier, capsys, edit, version):
     # Format 3 stored every level's labels; format 4 keeps level 0's alone.
     (lambda m: m.update(level_2_labels=np.zeros(3, dtype=np.int64)),
      "unexpected member level_2_labels"),
-], ids=["stray-member", "positions-dropped", "coarse-labels"])
+    # Format 5 records level 0's optional arrays: colors, normals, labels.
+    (lambda m: m.update(optional_level_0=np.int64(3)), "unexpected member level_0_labels"),
+    (lambda m: m.update(optional_level_0=np.int64(8)),
+     "member optional_level_0 holds 8, not a set of colors, normals, labels"),
+], ids=["stray-member", "positions-dropped", "coarse-labels", "labels-not-recorded",
+        "optional-out-of-range"])
 def test_layout_mismatch_exits_2(tmp_path, hier, capsys, edit, message):
     d = tmp_path / "h"
     serialize_hierarchy(hier, d)
